@@ -19,9 +19,8 @@
 //!
 //! The sweep drives the stores directly with the fetch stream (no full
 //! system simulation — at this scale the cache hierarchy would dwarf the
-//! signal), so the per-Mi basis is *million tracked accesses*, and `--shards`
-//! is rejected. `--filter` is rejected too: this binary sweeps every backend
-//! by construction.
+//! signal), so the per-Mi basis is *million tracked accesses*. `--filter` is
+//! rejected: this binary sweeps every backend by construction.
 //!
 //! Run: `cargo run --release -p pipo-bench --bin ablation_filter -- \
 //!       [tracked_lines] [--json PATH] [--sequential | --threads N]`
@@ -175,7 +174,6 @@ fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> 
 
 fn main() {
     let args = HarnessArgs::parse();
-    args.expect_no_shards();
     args.expect_no_filter();
     args.expect_no_trace();
     args.expect_no_store();

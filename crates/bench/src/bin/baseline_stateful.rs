@@ -32,7 +32,6 @@ struct StorageRow {
 
 fn main() {
     let args = HarnessArgs::parse();
-    args.expect_no_shards();
     args.expect_no_filter();
     args.expect_no_scale();
     args.expect_no_trace();

@@ -42,7 +42,6 @@ fn occupancy_curve(mnk: u32, checkpoints: &[u64]) -> Vec<f64> {
 
 fn main() {
     let args = HarnessArgs::parse();
-    args.expect_no_shards();
     args.expect_no_filter();
     args.expect_no_scale();
     args.expect_no_trace();

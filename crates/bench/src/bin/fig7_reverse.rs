@@ -77,7 +77,6 @@ fn run_cell(cell: &Cell) -> CellResult {
 
 fn main() {
     let args = HarnessArgs::parse();
-    args.expect_no_shards();
     args.expect_no_filter();
     args.expect_no_trace();
     args.expect_no_store();

@@ -57,7 +57,6 @@ fn main() {
             ));
         }
     }
-    let sweep = sweep.with_shards(args.shards_or_sequential());
     let mut store = args.open_store();
     let started = std::time::Instant::now();
     let (runs, outcome) = sweep.run_with_store(args.mode, store.as_mut());

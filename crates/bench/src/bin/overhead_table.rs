@@ -20,7 +20,6 @@ use pipomonitor::OverheadReport;
 
 fn main() {
     let args = HarnessArgs::parse();
-    args.expect_no_shards();
     args.expect_no_filter();
     args.expect_no_scale();
     args.expect_no_trace();

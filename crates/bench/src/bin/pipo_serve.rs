@@ -1,11 +1,12 @@
 //! `pipo-serve`: long-running sweep service over the persistent result store.
 //!
-//! Server mode keeps one [`ResultStore`] and one worker pool resident and
-//! answers line-JSON requests over TCP (see `pipo_bench::serve` for the
-//! protocol): warm sweep cells come back in microseconds, cold cells are
-//! simulated across the pool, streamed as they finish and written back to
-//! the store. Client mode is a one-shot request sender so scripts (and the
-//! CI smoke step) can exercise the socket without extra tooling.
+//! Server mode keeps one [`ResultStore`] resident and answers line-JSON
+//! requests over TCP (see `pipo_bench::serve` for the protocol): warm sweep
+//! cells come back in microseconds, cold cells run as one sweep (shared
+//! baselines simulate once) across `--workers` threads, stream back as they
+//! finish and are written back to the store. Client mode is a one-shot
+//! request sender so scripts (and the CI smoke step) can exercise the
+//! socket without extra tooling.
 //!
 //! ```text
 //! pipo_serve --store PATH [--addr HOST:PORT] [--workers N]
@@ -34,8 +35,9 @@ server mode:
                         write if missing)
   --addr HOST:PORT      listen address (default 127.0.0.1:0 — a free port,
                         printed as `pipo-serve listening on ...`)
-  --workers N           worker-pool threads for cold sweep cells
-                        (default: one per host core)
+  --workers N           threads a job's cold cells fan across; each
+                        simulated system runs on one thread, and cold jobs
+                        run one at a time (default: one per host core)
   --budget BYTES        LRU size budget for the store (default: unbounded)
   --max-instructions N  reject job cells asking for more than N instructions
                         per core (admission control)
@@ -200,9 +202,10 @@ fn client_main(args: &Args) {
         std::process::exit(1);
     }));
     let mut writer = stream;
+    // One write for the whole line, so the newline is not held back by
+    // Nagle's algorithm waiting on the server's delayed ACK.
     if let Err(e) = writer
-        .write_all(request.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
+        .write_all(format!("{request}\n").as_bytes())
         .and_then(|()| writer.flush())
     {
         eprintln!("error: cannot send request: {e}");

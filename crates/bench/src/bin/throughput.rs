@@ -21,19 +21,11 @@
 //!
 //! ```text
 //! throughput [total_instructions] [--label NAME] [--out PATH] [--compare PATH]
-//!            [--samples N] [--shards N] [--help]
+//!            [--samples N] [--help]
 //! ```
 //!
 //! `--json PATH` is accepted as an alias of `--out PATH`, matching the flag
 //! every figure harness shares.
-//!
-//! `--shards N` additionally measures *single-system* scaling: the 16- and
-//! 32-core unmonitored machines are each run sequentially and epoch-parallel
-//! with `N` shards (`System::run_sharded`, bit-identical results), and a
-//! `single_system_sharding` section records the speedups plus the epoch
-//! telemetry (committed vs rolled-back epochs) and the host core count —
-//! sharding cannot beat sequential on a single-core host, so record the
-//! context with the number.
 //!
 //! Each configuration is simulated `N` times (default 3, fresh system each
 //! time) and the median elapsed time is reported, which tames scheduler and
@@ -44,11 +36,11 @@
 use std::time::Instant;
 
 use cache_sim::{
-    Access, AccessSource, Addr, CoreId, NullObserver, ShardSpec, SimReport, System, SystemConfig,
+    Access, AccessSource, Addr, CoreId, NullObserver, SimReport, System, SystemConfig,
     TrafficObserver,
 };
 use pipo_bench::Json;
-use pipo_workloads::{mixes::mix_by_name, BenchProfile, ProfileSource};
+use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{DirectoryMonitor, DirectoryMonitorConfig, MonitorConfig, PiPoMonitor};
 
 const DEFAULT_INSTRUCTIONS: u64 = 2_000_000;
@@ -75,7 +67,7 @@ const POST_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC: f64 = 22_748_314.8;
 
 const USAGE: &str = "\
 usage: throughput [total_instructions] [--label NAME] [--out PATH] [--compare PATH]
-                  [--samples N] [--shards N] [--help]
+                  [--samples N] [--help]
 
   total_instructions  total simulated instructions, split across cores
                       (default 2000000)
@@ -84,8 +76,6 @@ usage: throughput [total_instructions] [--label NAME] [--out PATH] [--compare PA
                       --json PATH is an alias
   --compare PATH      read a previous JSON file and append a speedup section
   --samples N         samples per configuration, median reported (default 3)
-  --shards N          also measure 16/32-core single-system scaling with
-                      N-shard epoch-parallel System::run_sharded
   --help, -h          print this help and exit";
 
 struct Measurement {
@@ -95,8 +85,6 @@ struct Measurement {
     instructions: u64,
     makespan: u64,
     elapsed_s: f64,
-    shards: usize,
-    telemetry: Option<cache_sim::EpochTelemetry>,
 }
 
 impl Measurement {
@@ -109,57 +97,15 @@ fn total_accesses(report: &SimReport) -> u64 {
     report.stats.per_core.iter().map(|c| c.l1.accesses()).sum()
 }
 
-/// Which workload the sharding measurements replay.
-#[derive(Clone, Copy, PartialEq)]
-enum Workload {
-    /// mix7 round-robin — includes the conflict-thrash tier, where all
-    /// cores deliberately collide in shared LLC sets. Cross-shard
-    /// back-invalidations are real communication, so epochs serialize.
-    Mix7,
-    /// A cache-friendly scaling workload (hot-set + churn, no conflict
-    /// thrash, no streaming): the regime where compute cores rarely couple
-    /// through the LLC and epoch-parallelism can commit.
-    HotSet,
-}
-
-/// The cache-friendly profile of [`Workload::HotSet`]: 48 KB hot set,
-/// 384 KB churn set (1.5× L2, periodic LLC refetches whose victims are
-/// demoted before eviction), no conflict thrash, and — critically — no
-/// stream tier: the probabilities are exact dyadic rationals summing to
-/// 1.0, so the footprint is bounded and the ways-scaled LLC never evicts
-/// after warmup. LLC evictions are the one event the epoch protocol cannot
-/// speculate across shards (a victim's back-invalidation may land in
-/// another shard), so an eviction-free steady state is what lets epochs
-/// commit instead of rolling back.
-const HOTSET_PROFILE: BenchProfile = BenchProfile {
-    name: "hotset_scaling",
-    hot_lines: 768,
-    churn_lines: 6144,
-    thrash_lines: 17,      // tier unused: p_thrash = 0
-    stream_lines: 1 << 22, // tier unused: probabilities sum to 1
-    p_hot: 0.9375,
-    p_churn: 0.0625,
-    p_thrash: 0.0,
-    write_fraction: 0.3,
-    think_mean: 6,
-};
-
 /// Runs one configuration `samples` times (fresh system each time) and
 /// reports the median elapsed time. `total_instructions` is split evenly
 /// across cores so every configuration simulates comparable total work.
-/// `shards > 1` drives the system through the epoch-parallel
-/// `System::run_sharded` (bit-identical results). `llc_scale` multiplies
-/// the LLC way count (scaling machines keep LLC proportional to cores).
-#[allow(clippy::too_many_arguments)]
-fn run_config<O: TrafficObserver + Clone>(
-    name: impl Into<String>,
+fn run_config<O: TrafficObserver>(
+    name: &str,
     cores: usize,
     observer: impl Fn() -> O,
     total_instructions: u64,
     samples: usize,
-    shards: usize,
-    workload: Workload,
-    llc_scale: usize,
 ) -> Measurement {
     let mix = mix_by_name(MIX).expect("mix exists");
     let mut elapsed = Vec::with_capacity(samples);
@@ -167,44 +113,28 @@ fn run_config<O: TrafficObserver + Clone>(
     for _ in 0..samples {
         let mut config = SystemConfig::paper_default();
         config.cores = cores;
-        // Scale LLC capacity by adding ways, not sets: per-core workload
-        // regions are all congruent mod the set count (region bases are
-        // large powers of two), so every core's tiers alias into the same
-        // low sets — extra sets would sit empty while those sets still
-        // thrash. Extra ways absorb the aliased lines directly.
-        config.l3.ways *= llc_scale;
-        let spec = ShardSpec::for_config(&config, shards);
         let mut system = System::new(config, observer());
         for core in 0..cores {
-            let bench = match workload {
-                Workload::Mix7 => mix.benchmarks[core % mix.benchmarks.len()],
-                Workload::HotSet => &HOTSET_PROFILE,
-            };
+            let bench = mix.benchmarks[core % mix.benchmarks.len()];
             system.set_source(
                 CoreId(core),
                 Box::new(ProfileSource::new(bench, core, SEED)),
             );
         }
         let start = Instant::now();
-        let report = if shards > 1 {
-            system.run_sharded(total_instructions / cores as u64, spec)
-        } else {
-            system.run(total_instructions / cores as u64)
-        };
+        let report = system.run(total_instructions / cores as u64);
         elapsed.push(start.elapsed().as_secs_f64());
-        last = Some((report, system.epoch_telemetry().copied()));
+        last = Some(report);
     }
     elapsed.sort_by(f64::total_cmp);
-    let (report, telemetry) = last.expect("at least one sample");
+    let report = last.expect("at least one sample");
     Measurement {
-        name: name.into(),
+        name: name.to_string(),
         cores,
         accesses: total_accesses(&report),
         instructions: report.total_instructions(),
         makespan: report.makespan(),
         elapsed_s: elapsed[elapsed.len() / 2],
-        shards,
-        telemetry,
     }
 }
 
@@ -315,7 +245,6 @@ fn main() {
     let mut out_path = String::from("BENCH_cache_sim.json");
     let mut compare_path: Option<String> = None;
     let mut samples = 3usize;
-    let mut shards: Option<usize> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -349,16 +278,6 @@ fn main() {
                     ));
                 }
             }
-            "--shards" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--shards needs a shard count"));
-                let n: usize = raw.parse().unwrap_or(0);
-                if n == 0 {
-                    usage_error(&format!("--shards expects a positive integer, got {raw:?}"));
-                }
-                shards = Some(n);
-            }
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
             other => {
                 instructions = other.parse().unwrap_or_else(|_| {
@@ -370,93 +289,20 @@ fn main() {
         }
     }
 
-    let mix7 = Workload::Mix7;
-    let mut runs = vec![
-        run_config(
-            "baseline",
-            4,
-            || NullObserver,
-            instructions,
-            samples,
-            1,
-            mix7,
-            1,
-        ),
+    let runs = [
+        run_config("baseline", 4, || NullObserver, instructions, samples),
         run_config(
             "directory_monitor",
             4,
             || DirectoryMonitor::new(DirectoryMonitorConfig::paper_comparable()),
             instructions,
             samples,
-            1,
-            mix7,
-            1,
         ),
-        run_config("pipomonitor", 4, pipo, instructions, samples, 1, mix7, 1),
-        run_config("pipomonitor_8c", 8, pipo, instructions, samples, 1, mix7, 1),
-        run_config(
-            "pipomonitor_16c",
-            16,
-            pipo,
-            instructions,
-            samples,
-            1,
-            mix7,
-            1,
-        ),
-        run_config(
-            "pipomonitor_32c",
-            32,
-            pipo,
-            instructions,
-            samples,
-            1,
-            mix7,
-            1,
-        ),
+        run_config("pipomonitor", 4, pipo, instructions, samples),
+        run_config("pipomonitor_8c", 8, pipo, instructions, samples),
+        run_config("pipomonitor_16c", 16, pipo, instructions, samples),
+        run_config("pipomonitor_32c", 32, pipo, instructions, samples),
     ];
-
-    // Single-system scaling: the same machine driven sequentially and
-    // epoch-parallel, on the unmonitored baseline (the monitor's prefetch
-    // traffic gates windows onto the sequential engine anyway). The LLC is
-    // scaled with the core count (cores/4 × 4 MB) as on real scaled parts;
-    // both the thrash-coupled mix7 and the cache-friendly hot-set workload
-    // are measured — the first serializes by design, the second commits.
-    let mut sharding_pairs: Vec<(usize, usize)> = Vec::new(); // (seq idx, sharded idx)
-    if let Some(shards) = shards {
-        for cores in [16usize, 32] {
-            for workload in [Workload::Mix7, Workload::HotSet] {
-                let wname = match workload {
-                    Workload::Mix7 => "mix7",
-                    Workload::HotSet => "hotset",
-                };
-                let llc_scale = cores / 4;
-                let seq = run_config(
-                    format!("{wname}_{cores}c_sequential"),
-                    cores,
-                    || NullObserver,
-                    instructions,
-                    samples,
-                    1,
-                    workload,
-                    llc_scale,
-                );
-                let sharded = run_config(
-                    format!("{wname}_{cores}c_shard{shards}"),
-                    cores,
-                    || NullObserver,
-                    instructions,
-                    samples,
-                    shards,
-                    workload,
-                    llc_scale,
-                );
-                runs.push(seq);
-                runs.push(sharded);
-                sharding_pairs.push((runs.len() - 2, runs.len() - 1));
-            }
-        }
-    }
 
     // Decimal places match the old hand-rolled emitter: 6 for seconds, 1 for
     // rates, 2 for speedup ratios.
@@ -464,7 +310,7 @@ fn main() {
     let configs: Vec<Json> = runs
         .iter()
         .map(|m| {
-            let mut obj = Json::object()
+            Json::object()
                 .field("name", m.name.as_str())
                 .field("cores", m.cores)
                 .field("accesses", m.accesses)
@@ -472,36 +318,7 @@ fn main() {
                 .field("makespan_cycles", m.makespan)
                 .field("elapsed_s", round(m.elapsed_s, 6))
                 .field("accesses_per_sec", round(m.accesses_per_sec(), 1))
-                .field("ns_per_access", round(1e9 / m.accesses_per_sec(), 1));
-            if m.shards > 1 {
-                obj = obj.field("shards", m.shards);
-            }
-            if let Some(t) = m.telemetry {
-                obj = obj.field(
-                    "epochs",
-                    Json::object()
-                        .field("parallel", t.parallel_epochs)
-                        .field("committed", t.committed_epochs)
-                        .field("rollbacks", t.rollbacks)
-                        .field("sequential_windows", t.sequential_windows)
-                        .field("llc_ops_replayed", t.llc_ops_replayed)
-                        // Where the sharded wall-clock went: the parallel
-                        // speculate/verify phases, the serial mutation-only
-                        // commit, and sequential window re-execution. The
-                        // verify/commit split exists to shrink the serial
-                        // share, so record it explicitly.
-                        .field(
-                            "phase_ns",
-                            Json::object()
-                                .field("speculate", t.speculate_ns)
-                                .field("verify", t.verify_ns)
-                                .field("commit", t.commit_ns)
-                                .field("sequential", t.sequential_ns),
-                        )
-                        .field("serial_commit_share", round(t.serial_commit_share(), 4)),
-                );
-            }
-            obj
+                .field("ns_per_access", round(1e9 / m.accesses_per_sec(), 1))
         })
         .collect();
     let mut doc = Json::object()
@@ -587,55 +404,6 @@ fn main() {
                  live rate, comparable to the pair only within that noise band.",
             ),
     );
-
-    if !sharding_pairs.is_empty() {
-        let host_threads =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let mut scaling = Vec::new();
-        for &(seq, sharded) in &sharding_pairs {
-            let mut entry = Json::object()
-                .field(
-                    "workload",
-                    runs[seq].name.split('_').next().unwrap_or("unknown"),
-                )
-                .field("cores", runs[seq].cores)
-                .field("shards", runs[sharded].shards)
-                .field(
-                    "sequential_accesses_per_sec",
-                    round(runs[seq].accesses_per_sec(), 1),
-                )
-                .field(
-                    "sharded_accesses_per_sec",
-                    round(runs[sharded].accesses_per_sec(), 1),
-                )
-                .field(
-                    "speedup",
-                    round(
-                        runs[sharded].accesses_per_sec() / runs[seq].accesses_per_sec(),
-                        2,
-                    ),
-                );
-            if let Some(t) = runs[sharded].telemetry {
-                entry = entry
-                    .field(
-                        "commit_rate",
-                        round(
-                            t.committed_epochs as f64 / (t.parallel_epochs.max(1)) as f64,
-                            2,
-                        ),
-                    )
-                    .field("serial_commit_share", round(t.serial_commit_share(), 4));
-            }
-            scaling.push(entry);
-        }
-        doc = doc.field(
-            "single_system_sharding",
-            Json::object()
-                .field("host_threads", host_threads)
-                .field("note", "sharded vs sequential System::run on one simulated machine; speedup requires host_threads > 1 (results bit-identical regardless)")
-                .field("scaling", scaling),
-        );
-    }
 
     if let Some(path) = compare_path {
         let old = std::fs::read_to_string(&path)

@@ -31,15 +31,14 @@
 //!
 //! Run: `cargo run --release -p pipo-bench --bin trace_replay -- \
 //!       [instructions_per_core] [--json PATH] [--sequential | --threads N] \
-//!       [--shards N] [--filter BACKEND] [--trace PATH]`
+//!       [--filter BACKEND] [--trace PATH]`
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use cache_sim::{
-    AccessSource, CoreId, Cycle, LineAddr, NullObserver, ShardSpec, SimReport, System,
-    SystemConfig, TrafficObserver,
+    AccessSource, CoreId, Cycle, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
 };
 use pipo_attacks::OccupancyChannelSource;
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
@@ -158,7 +157,6 @@ impl Workload {
 /// memory-fetch tally, splits captures into exact vs. false-positive-driven
 /// (the `ablation_filter` oracle, applied to whole-system replay), and
 /// records when the first capture lands in the scenario region.
-#[derive(Clone)]
 struct CaptureProbe {
     monitor: PiPoMonitor,
     thr: u32,
@@ -248,18 +246,6 @@ impl CellResult {
     }
 }
 
-fn drive<O: TrafficObserver + Clone>(
-    system: &mut System<O>,
-    instructions: u64,
-    shards: usize,
-) -> SimReport {
-    if shards <= 1 {
-        system.run(instructions)
-    } else {
-        system.run_sharded(instructions, ShardSpec::new(shards))
-    }
-}
-
 /// Core 0 replays the workload; cores 1–3 run benign SPEC profiles so both
 /// halves of the comparison see realistic LLC contention.
 fn assign_sources(system: &mut System<impl TrafficObserver>, workload: &Workload) {
@@ -274,22 +260,17 @@ fn assign_sources(system: &mut System<impl TrafficObserver>, workload: &Workload
     }
 }
 
-fn run_cell(
-    workload: &Workload,
-    monitor_config: MonitorConfig,
-    instructions: u64,
-    shards: usize,
-) -> CellResult {
+fn run_cell(workload: &Workload, monitor_config: MonitorConfig, instructions: u64) -> CellResult {
     let system_config = SystemConfig::paper_default();
 
     let mut baseline_system = System::new(system_config.clone(), NullObserver);
     assign_sources(&mut baseline_system, workload);
-    let baseline = drive(&mut baseline_system, instructions, shards);
+    let baseline = baseline_system.run(instructions);
 
     let probe = CaptureProbe::new(monitor_config, workload.region(&system_config));
     let mut monitored_system = System::new(system_config, probe);
     assign_sources(&mut monitored_system, workload);
-    let monitored = drive(&mut monitored_system, instructions, shards);
+    let monitored = monitored_system.run(instructions);
 
     let probe = monitored_system.observer();
     let stats = *probe.monitor.stats();
@@ -345,17 +326,16 @@ fn main() {
     args.expect_no_store();
     let instructions = args.instructions();
     let backend = args.filter_backend();
-    let shards = args.shards_or_sequential();
     let monitor_config = MonitorConfig::paper_default().with_backend(backend);
     let workloads = load_workloads(args.trace.as_deref());
     println!(
         "trace replay — {instructions} instructions per core, {} workloads, \
-         {backend} backend, {shards} shard(s)",
+         {backend} backend",
         workloads.len()
     );
 
     let results = run_cells(args.mode, &workloads, |_, workload| {
-        run_cell(workload, monitor_config, instructions, shards)
+        run_cell(workload, monitor_config, instructions)
     });
 
     println!(
@@ -411,7 +391,6 @@ fn main() {
     let meta = Json::object()
         .field("instructions_per_core", instructions)
         .field("filter_backend", backend.name())
-        .field("shards", shards)
         .field("seed", SEED)
         .field(
             "secthr",

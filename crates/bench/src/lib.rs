@@ -19,9 +19,8 @@ pub mod store;
 pub mod sweep;
 
 use auto_cuckoo::FilterParams;
-use cache_sim::{CoreId, NullObserver, ShardSpec, SimReport, System, SystemConfig};
-use pipo_workloads::{Mix, ProfileSource};
-use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
+use cache_sim::SimReport;
+use pipomonitor::MonitorStats;
 
 pub use args::HarnessArgs;
 pub use json::{emit_json, sweep_document, write_atomic, Json};
@@ -113,7 +112,8 @@ impl MixRun {
 }
 
 /// Assembles a [`MixRun`] from its baseline and monitored halves (the sweep
-/// engine simulates them as separate cells so baselines can be memoized).
+/// engine simulates them as separate work items so baselines can be
+/// memoized).
 pub(crate) fn mix_run_from_parts(
     mix: &'static str,
     baseline: &SimReport,
@@ -129,143 +129,6 @@ pub(crate) fn mix_run_from_parts(
         prefetches: stats.prefetches_scheduled,
         prefetch_hits: monitored.stats.prefetch_hits,
     }
-}
-
-fn assign_mix_sources(system: &mut System<impl cache_sim::TrafficObserver>, mix: &Mix, seed: u64) {
-    for (core, bench) in mix.benchmarks.iter().enumerate() {
-        system.set_source(
-            CoreId(core),
-            Box::new(ProfileSource::new(bench, core, seed)),
-        );
-    }
-}
-
-/// Runs a built system either sequentially (`shards <= 1`) or epoch-parallel
-/// with `shards` shards — bit-identical results either way.
-fn drive_system<O: cache_sim::TrafficObserver + Clone>(
-    system: &mut System<O>,
-    instructions: u64,
-    shards: usize,
-) -> SimReport {
-    if shards <= 1 {
-        system.run(instructions)
-    } else {
-        system.run_sharded(instructions, ShardSpec::new(shards))
-    }
-}
-
-/// Runs one mix on the unprotected baseline of the paper's default system.
-#[must_use]
-pub fn run_mix_baseline(mix: &Mix, instructions: u64, seed: u64) -> SimReport {
-    run_mix_baseline_on(mix, SystemConfig::paper_default(), instructions, seed)
-}
-
-/// Runs one mix on the unprotected baseline of a custom system.
-#[must_use]
-pub fn run_mix_baseline_on(
-    mix: &Mix,
-    system_config: SystemConfig,
-    instructions: u64,
-    seed: u64,
-) -> SimReport {
-    run_mix_baseline_sharded(mix, system_config, instructions, seed, 1)
-}
-
-/// [`run_mix_baseline_on`] with an epoch-parallel shard count (the
-/// `--shards` CLI knob; `1` = sequential, results bit-identical).
-#[must_use]
-pub fn run_mix_baseline_sharded(
-    mix: &Mix,
-    system_config: SystemConfig,
-    instructions: u64,
-    seed: u64,
-    shards: usize,
-) -> SimReport {
-    let mut system = System::new(system_config, NullObserver);
-    assign_mix_sources(&mut system, mix, seed);
-    drive_system(&mut system, instructions, shards)
-}
-
-/// Runs one mix under PiPoMonitor only (no baseline), returning the raw
-/// report and the monitor's statistics.
-///
-/// # Panics
-///
-/// Panics if `monitor_config` holds invalid filter parameters.
-#[must_use]
-pub fn run_mix_monitored_only(
-    mix: &Mix,
-    system_config: SystemConfig,
-    monitor_config: MonitorConfig,
-    instructions: u64,
-    seed: u64,
-) -> (SimReport, MonitorStats) {
-    run_mix_monitored_only_sharded(mix, system_config, monitor_config, instructions, seed, 1)
-}
-
-/// [`run_mix_monitored_only`] with an epoch-parallel shard count (the
-/// `--shards` CLI knob; `1` = sequential, results bit-identical).
-///
-/// # Panics
-///
-/// Panics if `monitor_config` holds invalid filter parameters.
-#[must_use]
-pub fn run_mix_monitored_only_sharded(
-    mix: &Mix,
-    system_config: SystemConfig,
-    monitor_config: MonitorConfig,
-    instructions: u64,
-    seed: u64,
-    shards: usize,
-) -> (SimReport, MonitorStats) {
-    let monitor = PiPoMonitor::new(monitor_config).expect("valid monitor configuration");
-    let mut system = System::new(system_config, monitor);
-    assign_mix_sources(&mut system, mix, seed);
-    let report = drive_system(&mut system, instructions, shards);
-    let stats = *system.observer().stats();
-    (report, stats)
-}
-
-/// Runs one mix baseline + monitored and collects the paper's metrics.
-///
-/// # Panics
-///
-/// Panics if `monitor_config` holds invalid filter parameters.
-#[must_use]
-pub fn run_mix_monitored(
-    mix: &Mix,
-    monitor_config: MonitorConfig,
-    instructions: u64,
-    seed: u64,
-) -> MixRun {
-    run_mix_monitored_on(
-        mix,
-        SystemConfig::paper_default(),
-        monitor_config,
-        instructions,
-        seed,
-    )
-}
-
-/// Like [`run_mix_monitored`] but on a custom system configuration (used by
-/// the replacement-policy ablation).
-///
-/// # Panics
-///
-/// Panics if `monitor_config` holds invalid filter parameters or
-/// `system_config` is invalid.
-#[must_use]
-pub fn run_mix_monitored_on(
-    mix: &Mix,
-    system_config: SystemConfig,
-    monitor_config: MonitorConfig,
-    instructions: u64,
-    seed: u64,
-) -> MixRun {
-    let baseline = run_mix_baseline_on(mix, system_config.clone(), instructions, seed);
-    let (monitored, stats) =
-        run_mix_monitored_only(mix, system_config, monitor_config, instructions, seed);
-    mix_run_from_parts(mix.name, &baseline, &monitored, &stats)
 }
 
 /// The five Auto-Cuckoo filter sizes evaluated in Fig. 8: `(l, b)` pairs.
@@ -299,7 +162,9 @@ pub fn instructions_from_args() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_sim::{NullObserver, System};
     use pipo_workloads::all_mixes;
+    use pipomonitor::{MonitorConfig, PiPoMonitor};
 
     #[test]
     fn mix_run_metrics() {
@@ -330,8 +195,8 @@ mod tests {
 
     #[test]
     fn short_mix_run_is_consistent() {
-        let mix = &all_mixes()[2]; // mix3: light, fast
-        let run = run_mix_monitored(mix, MonitorConfig::paper_default(), 50_000, 1);
+        let mix = all_mixes()[2]; // mix3: light, fast
+        let run = MixCell::new("mix3", mix, MonitorConfig::paper_default(), 50_000, 1).run();
         assert_eq!(run.mix, "mix3");
         assert!(run.baseline_cycles > 0);
         assert!(run.monitored_cycles > 0);

@@ -2,9 +2,9 @@
 //!
 //! The figure binaries are batch processes: they open a [`ResultStore`],
 //! answer what they can, simulate the rest and exit. `pipo-serve` keeps the
-//! same store (and one [`WorkerPool`]) resident, so interactive clients —
-//! plotting notebooks, CI smoke checks, other harness invocations — get
-//! warm sweep cells back in microseconds instead of re-simulating them.
+//! same store resident, so interactive clients — plotting notebooks, CI
+//! smoke checks, other harness invocations — get warm sweep cells back in
+//! microseconds instead of re-simulating them.
 //!
 //! # Protocol
 //!
@@ -21,12 +21,16 @@
 //! | `{"op":"shutdown"}`              | one ack line; the server then exits |
 //!
 //! A job's cells are looked up in the store first; warm cells stream back
-//! immediately (`"cached":true`). Cold cells are fanned across the shared
-//! [`WorkerPool`] and stream back as each finishes, in completion order,
-//! then the whole batch is written back to the store and flushed. The
-//! `"result"` object of a cell is byte-identical whether it was served warm
-//! or computed cold — [`MixRun::from_stored`] round-trips
-//! [`MixRun::to_json`] exactly — so clients may cache on either.
+//! immediately (`"cached":true`). Cold cells run as one [`Sweep`] — cells
+//! that differ only in monitor configuration share one baseline simulation,
+//! exactly as in the figure binaries — fanned across
+//! [`ServeOptions::workers`] threads. They stream back as each finishes, in
+//! completion order, then the whole batch is written back to the store and
+//! flushed. The `"done"` line reports `simulated_systems`, the baseline and
+//! monitored runs the job actually simulated. The `"result"` object of a
+//! cell is byte-identical whether it was served warm or computed cold —
+//! [`MixRun::from_stored`] round-trips [`MixRun::to_json`] exactly — so
+//! clients may cache on either.
 //!
 //! Every failure is a structured `{"ok":false,"error":…}` line; the server
 //! validates everything it reads off the socket (parse errors carry byte
@@ -37,26 +41,28 @@
 //!
 //! One thread per connection. The store sits behind one mutex (it is
 //! single-writer by design; see the [`store`](crate::store) docs) and is
-//! locked only for lookups and write-backs, never across a simulation. The
-//! worker pool sits behind its own mutex, so concurrent jobs' cold batches
-//! run one batch at a time while warm traffic flows freely past them.
+//! locked only for lookups and write-backs, never across a simulation. A
+//! second mutex gates the cold pass, so concurrent jobs' cold batches run
+//! one batch at a time while warm traffic flows freely past them. Replies
+//! go out as one write per line on `TCP_NODELAY` sockets, so a reply never
+//! waits on the client's delayed ACK.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use auto_cuckoo::{FilterBackend, FilterParams};
-use cache_sim::{Replacement, SystemConfig, WorkerPool};
+use cache_sim::{Replacement, SystemConfig};
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
 
 use crate::json::Json;
 use crate::store::{mix_cell_key, ResultStore, STORE_SCHEMA_VERSION};
-use crate::sweep::MixCell;
-use crate::{run_mix_monitored_on, MixRun, DEFAULT_INSTRUCTIONS};
+use crate::sweep::{ExecMode, MixCell, Sweep};
+use crate::{MixRun, DEFAULT_INSTRUCTIONS};
 
 /// Upper bound on one request line. Requests are a few hundred bytes in
 /// practice; anything larger is a confused (or hostile) client.
@@ -71,7 +77,8 @@ pub struct ServeOptions {
     /// Listen address; `127.0.0.1:0` picks a free port (the chosen address
     /// is reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Worker-pool participants available to a job's cold cells.
+    /// Worker threads a job's cold cells fan across (`1` runs them one at
+    /// a time). Cold batches of concurrent jobs run one after another.
     pub workers: usize,
     /// Largest per-core instruction count a job cell may request. Simulation
     /// time is linear in this, so it is the server's admission control.
@@ -91,7 +98,8 @@ impl Default for ServeOptions {
 /// State shared by every connection handler.
 struct Shared {
     store: Mutex<ResultStore>,
-    pool: Mutex<WorkerPool>,
+    /// Held for the whole cold pass of a job: one cold batch at a time.
+    cold_gate: Mutex<()>,
     workers: usize,
     max_instructions: u64,
     addr: SocketAddr,
@@ -131,7 +139,7 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 store: Mutex::new(store),
-                pool: Mutex::new(WorkerPool::new(workers)),
+                cold_gate: Mutex::new(()),
                 workers,
                 max_instructions: options.max_instructions.max(1),
                 addr,
@@ -163,6 +171,10 @@ impl Server {
                 break;
             }
             let stream = stream?;
+            // Replies are whole lines written at once; do not let Nagle's
+            // algorithm hold one back until the client ACKs the previous.
+            // A socket that refuses the option is still served, just slower.
+            let _ = stream.set_nodelay(true);
             let shared = Arc::clone(&self.shared);
             handlers.push(std::thread::spawn(move || {
                 // A connection error just drops that client.
@@ -180,10 +192,11 @@ impl Server {
     }
 }
 
-/// Sends one compact response line.
+/// Sends one compact response line, newline included, as a single write.
 fn send(out: &mut impl Write, doc: &Json) -> io::Result<()> {
-    out.write_all(doc.to_line().as_bytes())?;
-    out.write_all(b"\n")?;
+    let mut line = doc.to_line();
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
     out.flush()
 }
 
@@ -410,62 +423,12 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut impl Write) -> io::Resu
     let pending: Vec<usize> = (0..cells.len()).filter(|&i| warm[i].is_none()).collect();
     let misses = pending.len() as u64;
 
-    // Cold pass: fan the batch across the shared worker pool, streaming each
-    // cell as it completes (completion order; the `"cell"` index identifies
-    // them). The pool's calling thread participates, so the dispatch runs on
-    // a scoped thread while this thread stays free to write responses.
+    // Cold pass, one job at a time. The store lock is not held meanwhile.
     let mut incomplete = false;
+    let mut simulated_systems = 0;
     if !pending.is_empty() {
-        let pool = shared.pool.lock().expect("pool mutex not poisoned");
-        let participants = pool.capacity().min(pending.len()).max(1);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Option<(usize, MixRun)>>();
-        let tx = Mutex::new(tx);
-        let mut computed: Vec<Option<MixRun>> = vec![None; pending.len()];
-        std::thread::scope(|scope| -> io::Result<()> {
-            let pool = &*pool;
-            let cells = &cells;
-            let pending = &pending;
-            let next = &next;
-            let tx = &tx;
-            scope.spawn(move || {
-                // A panicking cell poisons the dispatch; swallow it here and
-                // let the short message count surface it as a job error.
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    pool.run(participants, &|_| loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&cell_index) = pending.get(slot) else {
-                            break;
-                        };
-                        let cell = &cells[cell_index];
-                        let run = run_mix_monitored_on(
-                            &cell.mix,
-                            cell.system.clone(),
-                            cell.monitor,
-                            cell.instructions,
-                            cell.seed,
-                        );
-                        let _ = tx
-                            .lock()
-                            .expect("sender mutex not poisoned")
-                            .send(Some((slot, run)));
-                    });
-                }));
-                let _ = tx.lock().expect("sender mutex not poisoned").send(None);
-            });
-            let mut received = 0;
-            while let Ok(Some((slot, run))) = rx.recv() {
-                let cell_index = pending[slot];
-                send(
-                    out,
-                    &cell_doc(cell_index, &cells[cell_index].label, false, &run),
-                )?;
-                computed[slot] = Some(run);
-                received += 1;
-            }
-            incomplete = received < pending.len();
-            Ok(())
-        })?;
+        let _gate = shared.cold_gate.lock().expect("cold gate not poisoned");
+        let (computed, simulated) = run_cold(&cells, &pending, shared.workers, out)?;
         // Write the batch back and persist before answering `done`, so a
         // client that saw the summary can rely on the next job being warm.
         let mut store = shared.store.lock().expect("store mutex not poisoned");
@@ -475,6 +438,10 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut impl Write) -> io::Resu
             }
         }
         store.flush()?;
+        match simulated {
+            Some(systems) => simulated_systems = systems,
+            None => incomplete = true,
+        }
     }
 
     shared.jobs.fetch_add(1, Ordering::Relaxed);
@@ -498,11 +465,59 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut impl Write) -> io::Resu
             .field("cells", cells.len())
             .field("hits", hits)
             .field("misses", misses)
+            .field("simulated_systems", simulated_systems)
             .field("wall_us", started.elapsed().as_micros() as u64)
             .field("total_hits", shared.hits.load(Ordering::Relaxed))
             .field("total_misses", shared.misses.load(Ordering::Relaxed))
             .field("store_records", store_records),
     )
+}
+
+/// Runs a job's missed cells (`pending` indexes `cells`) as one sweep on a
+/// scoped thread across `workers` threads, while this thread streams each
+/// cell to `out` as it completes (completion order; the `"cell"` index
+/// identifies them).
+///
+/// Returns each pending cell's run, by position in `pending`, and the
+/// number of systems simulated. That number is `None` when a panicking cell
+/// cut the sweep short; then only the cells completed before it have runs.
+fn run_cold(
+    cells: &[MixCell],
+    pending: &[usize],
+    workers: usize,
+    out: &mut impl Write,
+) -> io::Result<(Vec<Option<MixRun>>, Option<usize>)> {
+    let mut sweep = Sweep::new();
+    for &i in pending {
+        sweep.push(cells[i].clone());
+    }
+    let mode = ExecMode::with_threads(workers);
+    let (tx, rx) = mpsc::channel::<(usize, MixRun)>();
+    let mut computed: Vec<Option<MixRun>> = vec![None; pending.len()];
+    std::thread::scope(|scope| {
+        let sweep = &sweep;
+        let runner = scope.spawn(move || {
+            catch_unwind(AssertUnwindSafe(move || {
+                sweep
+                    .run_streaming(mode, None, move |slot, run| {
+                        let _ = tx.send((slot, run.clone()));
+                    })
+                    .1
+                    .simulated_systems
+            }))
+            .ok()
+        });
+        for (slot, run) in rx {
+            let cell_index = pending[slot];
+            send(
+                out,
+                &cell_doc(cell_index, &cells[cell_index].label, false, &run),
+            )?;
+            computed[slot] = Some(run);
+        }
+        let simulated = runner.join().ok().flatten();
+        Ok((computed, simulated))
+    })
 }
 
 /// Every field a job cell spec may carry. `mix` is required; everything else
@@ -703,6 +718,32 @@ mod tests {
             let err = cell_from_spec(&spec(text), u64::MAX).unwrap_err();
             assert!(err.contains(needle), "{text}: {err}");
         }
+    }
+
+    #[test]
+    fn a_panicking_cold_cell_keeps_the_cells_completed_before_it() {
+        let mixes = all_mixes();
+        let good = MixCell::new("good", mixes[2], MonitorConfig::paper_default(), 20_000, 1);
+        let mut bad = MixCell::new("bad", mixes[5], MonitorConfig::paper_default(), 20_000, 1);
+        // Four benchmarks on a two-core system: installing them panics.
+        bad.system.cores = 2;
+        // The work queue holds both baselines, then both monitored runs; a
+        // panic stops one of the two workers, so the other always reaches
+        // the good cell's monitored run.
+        let mut out = Vec::new();
+        let (computed, simulated) =
+            run_cold(&[good.clone(), bad], &[0, 1], 2, &mut out).expect("in-memory sink");
+        assert_eq!(simulated, None, "the pass must report the panic");
+        assert_eq!(computed[0].as_ref(), Some(&good.run()));
+        assert!(computed[1].is_none());
+        let streamed = String::from_utf8(out).expect("utf-8 replies");
+        let lines: Vec<Json> = streamed
+            .lines()
+            .map(|line| Json::parse(line).expect("reply parses"))
+            .collect();
+        assert_eq!(lines.len(), 1, "only the good cell streams: {streamed}");
+        assert_eq!(lines[0].get("cell").and_then(Json::as_u64), Some(0));
+        assert_eq!(lines[0].get("label").and_then(Json::as_str), Some("good"));
     }
 
     #[test]

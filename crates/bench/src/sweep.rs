@@ -14,28 +14,27 @@
 //!   cell's result is bit-identical between the two modes, because a cell
 //!   constructs every piece of simulator state it touches.
 //! * [`Sweep`] over [`MixCell`] — the declarative layer for `System::run`
-//!   mix replays (Fig. 8, §VII-C sensitivity, replacement ablation). It
-//!   memoizes baseline (unprotected) runs keyed on
-//!   `(system config, mix, instructions, seed)`: Fig. 8 evaluates five filter
-//!   geometries against the same ten baselines, so memoization cuts the
-//!   baseline work 5×.
+//!   mix replays (Fig. 8, §VII-C sensitivity, replacement ablation, and
+//!   every `pipo-serve` job). It memoizes baseline (unprotected) runs keyed
+//!   on `(system config, mix, instructions, seed)`: Fig. 8 evaluates five
+//!   filter geometries against the same ten baselines, so memoization cuts
+//!   the baseline work 5×.
 //!
 //! Parallelism is only ever *across* cells, never inside a `System` — the
-//! simulated schedule of every cell is exactly the one the old sequential
-//! harness loops produced, which `crates/bench/tests/sweep_regression.rs`
-//! pins.
+//! simulated schedule of every cell is exactly the one [`MixCell::run`]
+//! produces, which `crates/bench/tests/sweep_regression.rs` pins.
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cache_sim::{SimReport, SystemConfig};
-use pipo_workloads::Mix;
-use pipomonitor::{MonitorConfig, MonitorStats};
+use cache_sim::{CoreId, NullObserver, SimReport, System, SystemConfig, TrafficObserver};
+use pipo_workloads::{Mix, ProfileSource};
+use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
 
 use crate::store::{baseline_cell_key, mix_cell_key, ResultStore};
-use crate::{mix_run_from_parts, run_mix_baseline_sharded, run_mix_monitored_only_sharded, MixRun};
+use crate::{mix_run_from_parts, MixRun};
 
 /// How a sweep executes its cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,9 +146,6 @@ pub struct MixCell {
     pub instructions: u64,
     /// Workload seed shared by the baseline and protected runs.
     pub seed: u64,
-    /// Epoch-parallel shards inside each simulated system (`1` = the plain
-    /// sequential engine; results are bit-identical either way).
-    pub shards: usize,
 }
 
 impl MixCell {
@@ -169,7 +165,6 @@ impl MixCell {
             mix,
             instructions,
             seed,
-            shards: 1,
         }
     }
 
@@ -180,12 +175,45 @@ impl MixCell {
         self
     }
 
-    /// Runs this cell's systems epoch-parallel with `shards` shards
-    /// (`<= 1` keeps the sequential engine).
+    /// Runs this cell directly: its baseline and its monitored simulation,
+    /// back to back on the calling thread, with no memoization and no
+    /// store. This is the reference [`Sweep`] is pinned against
+    /// (`crates/bench/tests/sweep_regression.rs`, `tests/figure_shapes.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the monitor configuration holds invalid filter parameters.
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
+    pub fn run(&self) -> MixRun {
+        let baseline = self.run_baseline();
+        let (monitored, stats) = self.run_monitored();
+        mix_run_from_parts(self.mix.name, &baseline, &monitored, &stats)
+    }
+
+    /// The cell's mix on its unprotected system.
+    fn run_baseline(&self) -> SimReport {
+        self.system_with(NullObserver).run(self.instructions)
+    }
+
+    /// The cell's mix under PiPoMonitor: the report and the monitor's
+    /// statistics.
+    fn run_monitored(&self) -> (SimReport, MonitorStats) {
+        let monitor = PiPoMonitor::new(self.monitor).expect("valid monitor configuration");
+        let mut system = self.system_with(monitor);
+        let report = system.run(self.instructions);
+        (report, *system.observer().stats())
+    }
+
+    /// A fresh system with one mix benchmark per core.
+    fn system_with<O: TrafficObserver>(&self, observer: O) -> System<O> {
+        let mut system = System::new(self.system.clone(), observer);
+        for (core, bench) in self.mix.benchmarks.iter().enumerate() {
+            system.set_source(
+                CoreId(core),
+                Box::new(ProfileSource::new(bench, core, self.seed)),
+            );
+        }
+        system
     }
 }
 
@@ -213,46 +241,58 @@ impl Sweep {
         &self.cells
     }
 
-    /// Applies one shard count to every cell (the `--shards` CLI knob).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        for cell in &mut self.cells {
-            cell.shards = shards.max(1);
-        }
-        self
-    }
-
     /// Evaluates every cell and returns one [`MixRun`] per cell, in cell
-    /// order.
-    ///
-    /// Baseline (unprotected) runs are memoized on the canonical baseline
-    /// key ([`baseline_cell_key`]: system config, mix, instructions, seed):
-    /// cells differing only in monitor configuration share one baseline
-    /// simulation. Baseline and monitored simulations go into one work queue
-    /// (results only join at the end, so there is no barrier between the two
-    /// kinds) and fan across `mode`'s worker threads.
+    /// order ([`run_streaming`](Self::run_streaming) with no store and no
+    /// hook).
     #[must_use]
     pub fn run(&self, mode: ExecMode) -> Vec<MixRun> {
-        self.run_with_store(mode, None).0
+        self.run_streaming(mode, None, |_, _| {}).0
     }
 
     /// [`run`](Self::run), additionally answering cells out of a persistent
-    /// [`ResultStore`] and writing every newly computed cell back into it.
-    ///
-    /// A cell whose canonical key ([`mix_cell_key`]) resolves to a stored,
-    /// parsable record is a *warm* cell: its [`MixRun`] is decoded straight
-    /// from the store and no simulation runs. Cold cells simulate exactly as
-    /// in [`run`](Self::run) — including the baseline memoization, now
-    /// restricted to cold cells — and their results are `put` back, keyed
-    /// identically, so the next invocation (or a `pipo-serve` instance
-    /// reading the same store) answers them warm. The caller is responsible
-    /// for [`ResultStore::flush`]; per-cell results are bit-identical with
-    /// and without a store.
+    /// [`ResultStore`] and writing every newly computed cell back into it
+    /// ([`run_streaming`](Self::run_streaming) with no hook).
     #[must_use]
     pub fn run_with_store(
         &self,
         mode: ExecMode,
+        store: Option<&mut ResultStore>,
+    ) -> (Vec<MixRun>, SweepStoreOutcome) {
+        self.run_streaming(mode, store, |_, _| {})
+    }
+
+    /// Evaluates every cell, calling `on_cell(index, run)` exactly once per
+    /// cell as soon as that cell's [`MixRun`] is final, and returns the runs
+    /// in cell order.
+    ///
+    /// A cell whose canonical key ([`mix_cell_key`]) resolves to a stored,
+    /// parsable record in `store` is a *warm* cell: its run is decoded
+    /// straight from the store, no simulation runs, and its hook fires
+    /// before any simulation starts. The remaining *cold* cells simulate.
+    /// Their baseline (unprotected) runs are memoized on the canonical
+    /// baseline key ([`baseline_cell_key`]: system config, mix,
+    /// instructions, seed), so cells differing only in monitor
+    /// configuration share one baseline simulation. Baseline and monitored
+    /// simulations go into one work queue across `mode`'s worker threads;
+    /// a cold cell's hook fires when the later of its two halves finishes,
+    /// so in parallel mode cells complete in any order. Hooks never run
+    /// concurrently with each other.
+    ///
+    /// Cold results are `put` back into `store`, keyed identically, so the
+    /// next invocation (or a `pipo-serve` instance reading the same store)
+    /// answers them warm. The caller is responsible for
+    /// [`ResultStore::flush`]. Per-cell results are bit-identical with and
+    /// without a store, in either mode, and to [`MixCell::run`].
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from any simulation once the other workers have
+    /// drained the queue; hooks have fired for every cell that completed.
+    pub fn run_streaming(
+        &self,
+        mode: ExecMode,
         mut store: Option<&mut ResultStore>,
+        mut on_cell: impl FnMut(usize, &MixRun) + Send,
     ) -> (Vec<MixRun>, SweepStoreOutcome) {
         // Warm lookups first: a hit skips both halves of the cell's work.
         let keys: Vec<Option<String>> = self
@@ -270,77 +310,87 @@ impl Sweep {
                 MixRun::from_stored(cell.mix.name, payload)
             })
             .collect();
-        let outcome = SweepStoreOutcome {
-            hits: results.iter().flatten().count(),
-            misses: results.iter().filter(|r| r.is_none()).count(),
-        };
+        for (i, run) in results.iter().enumerate() {
+            if let Some(run) = run {
+                on_cell(i, run);
+            }
+        }
 
         // Dedup the cold cells' baselines on the canonical baseline key;
-        // remember each cold cell's baseline slot.
+        // remember each baseline slot's cold cells.
         let cold: Vec<usize> = (0..self.cells.len())
             .filter(|&i| results[i].is_none())
             .collect();
         let mut baseline_slots: HashMap<String, usize> = HashMap::new();
         let mut baseline_cells: Vec<&MixCell> = Vec::new();
         let mut baseline_of_cold = Vec::with_capacity(cold.len());
-        for &i in &cold {
+        let mut cold_of_baseline: Vec<Vec<usize>> = Vec::new();
+        for (pos, &i) in cold.iter().enumerate() {
             let cell = &self.cells[i];
             let key = baseline_cell_key(&cell.system, &cell.mix, cell.instructions, cell.seed);
             let slot = *baseline_slots.entry(key).or_insert_with(|| {
                 baseline_cells.push(cell);
+                cold_of_baseline.push(Vec::new());
                 baseline_cells.len() - 1
             });
             baseline_of_cold.push(slot);
+            cold_of_baseline[slot].push(pos);
         }
+        let outcome = SweepStoreOutcome {
+            hits: self.cells.len() - cold.len(),
+            misses: cold.len(),
+            simulated_systems: baseline_cells.len() + cold.len(),
+        };
 
         enum Work<'a> {
-            Baseline(&'a MixCell),
-            Monitored(&'a MixCell),
-        }
-        enum Done {
-            Baseline(SimReport),
-            Monitored(SimReport, MonitorStats),
+            Baseline(usize, &'a MixCell),
+            Monitored(usize, &'a MixCell),
         }
         let work: Vec<Work> = baseline_cells
             .iter()
-            .map(|cell| Work::Baseline(cell))
-            .chain(cold.iter().map(|&i| Work::Monitored(&self.cells[i])))
+            .enumerate()
+            .map(|(slot, cell)| Work::Baseline(slot, cell))
+            .chain(
+                cold.iter()
+                    .enumerate()
+                    .map(|(pos, &i)| Work::Monitored(pos, &self.cells[i])),
+            )
             .collect();
-        let mut done = run_cells(mode, &work, |_, work| match work {
-            Work::Baseline(cell) => Done::Baseline(run_mix_baseline_sharded(
-                &cell.mix,
-                cell.system.clone(),
-                cell.instructions,
-                cell.seed,
-                cell.shards,
-            )),
-            Work::Monitored(cell) => {
-                let (report, stats) = run_mix_monitored_only_sharded(
-                    &cell.mix,
-                    cell.system.clone(),
-                    cell.monitor,
-                    cell.instructions,
-                    cell.seed,
-                    cell.shards,
-                );
-                Done::Monitored(report, stats)
+        let completion = Mutex::new(Completion {
+            cells: &self.cells,
+            cold: &cold,
+            baseline_of_cold: &baseline_of_cold,
+            baselines: vec![None; baseline_cells.len()],
+            monitored: vec![None; cold.len()],
+            computed: vec![None; cold.len()],
+            on_cell: &mut on_cell,
+        });
+        run_cells(mode, &work, |_, work| {
+            // Simulate outside the lock; only the bookkeeping is serialized.
+            match work {
+                Work::Baseline(slot, cell) => {
+                    let report = cell.run_baseline();
+                    let mut done = completion.lock().expect("sweep state not poisoned");
+                    done.baselines[*slot] = Some(report);
+                    for &pos in &cold_of_baseline[*slot] {
+                        done.finish(pos);
+                    }
+                }
+                Work::Monitored(pos, cell) => {
+                    let half = cell.run_monitored();
+                    let mut done = completion.lock().expect("sweep state not poisoned");
+                    done.monitored[*pos] = Some(half);
+                    done.finish(*pos);
+                }
             }
         });
 
-        let monitored = done.split_off(baseline_cells.len());
-        let baselines: Vec<SimReport> = done
-            .into_iter()
-            .map(|done| match done {
-                Done::Baseline(report) => report,
-                Done::Monitored(..) => unreachable!("baseline slots hold baseline results"),
-            })
-            .collect();
-        for ((&i, done), &slot) in cold.iter().zip(monitored).zip(&baseline_of_cold) {
-            let Done::Monitored(report, stats) = done else {
-                unreachable!("monitored slots hold monitored results")
-            };
-            let cell = &self.cells[i];
-            let run = mix_run_from_parts(cell.mix.name, &baselines[slot], &report, &stats);
+        let computed = completion
+            .into_inner()
+            .expect("sweep state not poisoned")
+            .computed;
+        for (&i, run) in cold.iter().zip(computed) {
+            let run = run.expect("every cold cell completed");
             if let Some(store) = store.as_deref_mut() {
                 let key = keys[i].as_deref().expect("key built when store present");
                 store.put(key, &run.to_json().to_pretty());
@@ -355,6 +405,39 @@ impl Sweep {
     }
 }
 
+/// Cold-cell bookkeeping shared by a sweep's workers. A cold cell's run is
+/// final once both its monitored simulation and its (possibly shared)
+/// baseline have finished, whichever finishes last.
+struct Completion<'a, F> {
+    cells: &'a [MixCell],
+    /// Cell index of each cold position.
+    cold: &'a [usize],
+    /// Baseline slot of each cold position.
+    baseline_of_cold: &'a [usize],
+    baselines: Vec<Option<SimReport>>,
+    /// Monitored halves waiting for their baseline, by cold position.
+    monitored: Vec<Option<(SimReport, MonitorStats)>>,
+    /// Final runs, by cold position.
+    computed: Vec<Option<MixRun>>,
+    on_cell: &'a mut F,
+}
+
+impl<F: FnMut(usize, &MixRun)> Completion<'_, F> {
+    /// Finalizes cold position `pos` if both of its halves are in.
+    fn finish(&mut self, pos: usize) {
+        let Some(baseline) = &self.baselines[self.baseline_of_cold[pos]] else {
+            return;
+        };
+        let Some((report, stats)) = self.monitored[pos].take() else {
+            return;
+        };
+        let i = self.cold[pos];
+        let run = mix_run_from_parts(self.cells[i].mix.name, baseline, &report, &stats);
+        (self.on_cell)(i, &run);
+        self.computed[pos] = Some(run);
+    }
+}
+
 /// How many of a sweep's cells a [`ResultStore`] answered vs simulated
 /// (all-miss when no store was given).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -363,6 +446,9 @@ pub struct SweepStoreOutcome {
     pub hits: usize,
     /// Cells that had to be simulated (and were written back).
     pub misses: usize,
+    /// Systems simulated for the missed cells: one monitored run per miss
+    /// plus one baseline per distinct baseline key among them.
+    pub simulated_systems: usize,
 }
 
 #[cfg(test)]
@@ -435,9 +521,40 @@ mod tests {
         let runs = sweep.run(ExecMode::Sequential);
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].baseline_cycles, runs[1].baseline_cycles);
-        let direct = crate::run_mix_monitored(&mix, MonitorConfig::paper_default(), 20_000, 1);
+        let direct = MixCell::new("direct", mix, MonitorConfig::paper_default(), 20_000, 1).run();
         assert_eq!(runs[0].baseline_cycles, direct.baseline_cycles);
         assert_eq!(runs[0].monitored_cycles, direct.monitored_cycles);
+    }
+
+    #[test]
+    fn hook_fires_once_per_cell_with_the_returned_run() {
+        let mixes = all_mixes();
+        let mut sweep = Sweep::new();
+        // mix3 twice (one shared baseline) plus mix6 (its own baseline).
+        for (mix, delay) in [(mixes[2], 50), (mixes[2], 100), (mixes[5], 50)] {
+            sweep.push(MixCell::new(
+                format!("{}/delay{delay}", mix.name),
+                mix,
+                MonitorConfig::paper_default().with_prefetch_delay(delay),
+                20_000,
+                1,
+            ));
+        }
+        for mode in [ExecMode::Sequential, ExecMode::with_threads(2)] {
+            let mut seen: Vec<Option<MixRun>> = vec![None; sweep.cells().len()];
+            let (runs, outcome) = sweep.run_streaming(mode, None, |i, run| {
+                assert!(seen[i].is_none(), "cell {i} completed twice");
+                seen[i] = Some(run.clone());
+            });
+            let seen: Vec<MixRun> = seen
+                .into_iter()
+                .map(|run| run.expect("hook fired for every cell"))
+                .collect();
+            assert_eq!(seen, runs, "{mode:?}");
+            assert_eq!(runs, sweep.run(ExecMode::Sequential), "{mode:?}");
+            assert_eq!((outcome.hits, outcome.misses), (0, 3));
+            assert_eq!(outcome.simulated_systems, 5, "two baselines + three cells");
+        }
     }
 
     #[test]
@@ -468,6 +585,7 @@ mod tests {
         let mut store = ResultStore::open(&path).expect("reopen store");
         let (warm, outcome) = sweep.run_with_store(ExecMode::Sequential, Some(&mut store));
         assert_eq!((outcome.hits, outcome.misses), (2, 0));
+        assert_eq!(outcome.simulated_systems, 0);
         assert_eq!(warm, cold);
         assert_eq!(
             warm,

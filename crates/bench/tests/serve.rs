@@ -7,6 +7,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use pipo_bench::serve::{ServeOptions, Server};
 use pipo_bench::{Json, ResultStore};
@@ -47,10 +48,11 @@ impl Client {
         Self { reader, writer }
     }
 
+    /// Sends one request line as a single write, as a well-behaved client
+    /// does (a split write would stall on Nagle's algorithm).
     fn send(&mut self, request: &str) {
         self.writer
-            .write_all(request.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
+            .write_all(format!("{request}\n").as_bytes())
             .and_then(|()| self.writer.flush())
             .expect("send request");
     }
@@ -103,6 +105,9 @@ fn second_submission_is_served_from_the_store_byte_identically() {
     }
     assert_eq!(u64_field(&cold_done, "hits"), 0);
     assert_eq!(u64_field(&cold_done, "misses"), 2);
+    // Both cells differ only in prefetch delay, so they share one baseline:
+    // one baseline plus two monitored runs.
+    assert_eq!(u64_field(&cold_done, "simulated_systems"), 3);
     assert_eq!(u64_field(&cold_done, "store_records"), 2);
 
     // Same job again, same connection: all warm, and the result objects are
@@ -128,6 +133,7 @@ fn second_submission_is_served_from_the_store_byte_identically() {
     }
     assert_eq!(u64_field(&warm_done, "hits"), 2);
     assert_eq!(u64_field(&warm_done, "misses"), 0);
+    assert_eq!(u64_field(&warm_done, "simulated_systems"), 0);
     assert_eq!(u64_field(&warm_done, "total_hits"), 2);
     assert_eq!(u64_field(&warm_done, "total_misses"), 2);
     // Warm answers are store lookups, not simulations: visibly faster.
@@ -259,6 +265,37 @@ fn protocol_errors_are_structured_and_nonfatal() {
     assert_eq!(
         client.read_line().get("op").and_then(Json::as_str),
         Some("pong")
+    );
+
+    client.send(r#"{"op":"shutdown"}"#);
+    let _ = client.read_line();
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Replies go out as one write on a `TCP_NODELAY` socket: a round trip
+/// costs microseconds, not a delayed-ACK timeout (~40 ms) per reply.
+#[test]
+fn small_replies_are_not_delayed() {
+    let path = temp_store("latency");
+    let (addr, server) = start_server(&path, 50_000);
+    let mut client = Client::connect(addr);
+
+    let started = Instant::now();
+    for _ in 0..50 {
+        client.send(r#"{"op":"ping"}"#);
+        assert_eq!(
+            client.read_line().get("op").and_then(Json::as_str),
+            Some("pong")
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 pings took {elapsed:?}; replies are stalling"
     );
 
     client.send(r#"{"op":"shutdown"}"#);

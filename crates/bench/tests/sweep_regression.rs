@@ -3,13 +3,13 @@
 //!
 //! The engine promises that parallelism exists only *across* cells: per-cell
 //! `MixRun` results must be bit-identical whether the grid runs sequentially,
-//! fans across worker threads, or bypasses the engine entirely (the old
-//! per-binary loop calling [`pipo_bench::run_mix_monitored_on`] directly,
-//! with no baseline memoization). A divergence means a cell shared mutable
+//! fans across worker threads, or bypasses the engine entirely
+//! ([`pipo_bench::MixCell::run`]: each cell simulated directly, with no
+//! baseline memoization). A divergence means a cell shared mutable
 //! state or dropped its deterministic seeding — simulated behaviour, not
 //! speed — which would silently corrupt every figure of the paper.
 
-use pipo_bench::{run_mix_monitored_on, ExecMode, MixCell, MixRun, Sweep};
+use pipo_bench::{ExecMode, MixCell, MixRun, Sweep};
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
 
@@ -57,19 +57,7 @@ fn parallel_results_are_bit_identical_to_sequential() {
 fn engine_results_match_direct_unmemoized_runs() {
     let sweep = small_sweep();
     let engine = sweep.run(ExecMode::with_threads(3));
-    let direct: Vec<MixRun> = sweep
-        .cells()
-        .iter()
-        .map(|cell| {
-            run_mix_monitored_on(
-                &cell.mix,
-                cell.system.clone(),
-                cell.monitor,
-                cell.instructions,
-                cell.seed,
-            )
-        })
-        .collect();
+    let direct: Vec<MixRun> = sweep.cells().iter().map(MixCell::run).collect();
     assert_eq!(engine, direct);
 }
 

@@ -68,7 +68,7 @@ fn zero_byte_lanes(x: u64) -> u64 {
 /// assert!(evicted.is_none());
 /// assert!(c.contains(LineAddr(5)));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
     /// Packed per-way fingerprints, `words_per_set` words per set, one byte
@@ -91,42 +91,6 @@ pub struct Cache {
     /// `LANE_HI` restricted to the real-way bytes of a set's last
     /// fingerprint word (all words before it are fully populated).
     tail_lanes: u64,
-}
-
-impl Clone for Cache {
-    fn clone(&self) -> Self {
-        Self {
-            geometry: self.geometry,
-            fps: self.fps.clone(),
-            tags: self.tags.clone(),
-            stamps: self.stamps.clone(),
-            metas: self.metas.clone(),
-            policy: self.policy.clone(),
-            set_mask: self.set_mask,
-            set_shift: self.set_shift,
-            words_per_set: self.words_per_set,
-            tail_lanes: self.tail_lanes,
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing `self`'s allocations.
-    ///
-    /// The epoch-parallel engine snapshots LLC-sized caches every epoch
-    /// (per-worker speculation copies plus the rollback backup); cloning
-    /// into a reused buffer turns those snapshots into plain `memcpy`s
-    /// instead of allocation + page-fault storms.
-    fn clone_from(&mut self, source: &Self) {
-        self.geometry = source.geometry;
-        self.fps.clone_from(&source.fps);
-        self.tags.clone_from(&source.tags);
-        self.stamps.clone_from(&source.stamps);
-        self.metas.clone_from(&source.metas);
-        self.policy.clone_from(&source.policy);
-        self.set_mask = source.set_mask;
-        self.set_shift = source.set_shift;
-        self.words_per_set = source.words_per_set;
-        self.tail_lanes = source.tail_lanes;
-    }
 }
 
 impl Cache {
@@ -177,12 +141,12 @@ impl Cache {
     }
 
     /// Tag of a line (the bits above the set index).
-    pub(crate) fn tag_of(&self, line: LineAddr) -> u64 {
+    fn tag_of(&self, line: LineAddr) -> u64 {
         line.0 >> self.set_shift
     }
 
     /// Reassembles a line address from a set index and tag.
-    pub(crate) fn line_of(&self, set: usize, tag: u64) -> LineAddr {
+    fn line_of(&self, set: usize, tag: u64) -> LineAddr {
         LineAddr((tag << self.set_shift) | set as u64)
     }
 
@@ -310,7 +274,7 @@ impl Cache {
     /// caches before the access executes: plain loads of the set's first
     /// fingerprint word, tag, and stamp, pinned by [`std::hint::black_box`]
     /// so they survive optimization. This is the scheduler's software
-    /// prefetch — the crate is `deny(unsafe_code)`, so an architectural
+    /// prefetch — the crate is `forbid(unsafe_code)`, so an architectural
     /// prefetch intrinsic is out; a discarded demand load warms the same
     /// host cache lines.
     #[inline]
@@ -439,82 +403,6 @@ impl Cache {
             .find(|&way| self.fp_byte(set, way) != 0 && self.tags[base + way] == tag)
     }
 
-    /// Whether this cache runs true LRU replacement.
-    ///
-    /// The epoch engine's set-partitioned verify phase reconstructs LRU
-    /// recency stamps from the op stream; the other policies (tree-PLRU's
-    /// per-set bits could be partitioned, random's global generator cannot)
-    /// fall back to the serial verify-while-mutating replay.
-    pub(crate) fn is_lru(&self) -> bool {
-        matches!(self.policy, ReplacementPolicy::Lru { .. })
-    }
-
-    /// Current LRU touch-clock value (the stamp most recently handed out).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-LRU policies.
-    pub(crate) fn lru_clock(&self) -> Cycle {
-        match &self.policy {
-            ReplacementPolicy::Lru { clock } => *clock,
-            _ => unreachable!("lru_clock on a non-LRU cache"),
-        }
-    }
-
-    /// Overwrites the LRU touch clock (the epoch engine's commit step, after
-    /// verify workers reconstructed the stamps the sequential replay would
-    /// have assigned).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-LRU policies.
-    pub(crate) fn set_lru_clock(&mut self, value: Cycle) {
-        match &mut self.policy {
-            ReplacementPolicy::Lru { clock } => *clock = value,
-            _ => unreachable!("set_lru_clock on a non-LRU cache"),
-        }
-    }
-
-    /// Copies one set's ways into a detached [`SetImage`], growing the image
-    /// to this cache's associativity. The image's per-way `fill_ann` markers
-    /// are reset to [`NO_FILL_ANN`].
-    pub(crate) fn export_set(&self, set: usize, image: &mut SetImage) {
-        let ways = self.geometry.ways;
-        image.ways.clear();
-        image.ways.reserve(ways);
-        let base = set * ways;
-        for way in 0..ways {
-            let idx = base + way;
-            image.ways.push(WayImage {
-                tag: self.tags[idx],
-                stamp: self.stamps[idx],
-                meta: self.metas[idx],
-                valid: self.fp_byte(set, way) != 0,
-                fill_ann: NO_FILL_ANN,
-            });
-        }
-    }
-
-    /// Writes a [`SetImage`] back over one set's ways (tags, stamps,
-    /// validity, metadata) — the epoch engine's commit step.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the image's way count does not match this
-    /// cache's associativity.
-    pub(crate) fn import_set(&mut self, set: usize, image: &SetImage) {
-        debug_assert_eq!(image.ways.len(), self.geometry.ways);
-        let base = set * self.geometry.ways;
-        for (way, w) in image.ways.iter().enumerate() {
-            let idx = base + way;
-            self.tags[idx] = w.tag;
-            self.stamps[idx] = w.stamp;
-            self.metas[idx] = w.meta;
-            let fp = if w.valid { fingerprint(w.tag) } else { 0 };
-            self.set_fp_byte(set, way, fp);
-        }
-    }
-
     /// Iterates over resident lines and their metadata.
     pub fn resident_lines(&self) -> impl Iterator<Item = (LineAddr, &LineMeta)> + '_ {
         let ways = self.geometry.ways;
@@ -528,131 +416,6 @@ impl Cache {
                 }
             })
         })
-    }
-}
-
-/// Marker for "this way was not demand-filled during the current epoch" in a
-/// [`SetImage`] (see [`WayImage::fill_ann`]).
-pub(crate) const NO_FILL_ANN: u32 = u32::MAX;
-
-/// One way of a [`SetImage`]: the detached copy of a cache way the epoch
-/// engine's verify workers evolve instead of mutating the live cache.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WayImage {
-    /// Tag (meaningful only when `valid`).
-    pub tag: u64,
-    /// LRU recency stamp.
-    pub stamp: Cycle,
-    /// Line metadata.
-    pub meta: LineMeta,
-    /// Whether the way holds a line.
-    pub valid: bool,
-    /// Index (into the verify worker's annotation list) of the in-epoch
-    /// demand fill that installed the current line, or [`NO_FILL_ANN`]. The
-    /// commit phase uses it to patch the observer's protect decision — which
-    /// is unknown during the parallel verify — into lines filled this epoch.
-    pub fill_ann: u32,
-}
-
-/// A detached copy of one cache set (every way's tag, stamp, validity, and
-/// metadata), with replay semantics mirroring [`Cache`]'s LRU operations.
-///
-/// The epoch engine's verify phase partitions LLC sets across workers; each
-/// worker lazily snapshots the sets it owns into images
-/// ([`Cache::export_set`]), replays the epoch's merged op stream against
-/// them with **read-only** access to the live cache, and — only if every
-/// prediction verifies — writes the final images back
-/// ([`Cache::import_set`]). The mirror methods below must stay branch-for-
-/// branch faithful to [`Cache::touch`]/[`Cache::fill`] under LRU: the epoch
-/// protocol's bit-identity contract rests on it (pinned by
-/// `tests/sharded_regression.rs` and `tests/sharded_differential.rs`).
-#[derive(Debug, Default)]
-pub(crate) struct SetImage {
-    /// The set's ways, index-aligned with the cache's way array.
-    pub ways: Vec<WayImage>,
-}
-
-/// A victim evicted from a [`SetImage`] by [`SetImage::fill`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EvictedWay {
-    /// The victim's tag (combine with the set index via [`Cache::line_of`]).
-    pub tag: u64,
-    /// The victim's metadata at eviction time.
-    pub meta: LineMeta,
-    /// The victim's in-epoch fill annotation (see [`WayImage::fill_ann`]).
-    pub fill_ann: u32,
-}
-
-impl SetImage {
-    /// Way index holding `tag`, if resident (mirror of `Cache::find`
-    /// restricted to one set).
-    pub fn find(&self, tag: u64) -> Option<usize> {
-        self.ways.iter().position(|w| w.tag == tag && w.valid)
-    }
-
-    /// Metadata of the way holding `tag`, without a recency update (mirror
-    /// of `Cache::peek_mut`).
-    pub fn peek_mut(&mut self, tag: u64) -> Option<&mut LineMeta> {
-        let way = self.find(tag)?;
-        Some(&mut self.ways[way].meta)
-    }
-
-    /// Looks `tag` up and stamps the hit way (mirror of `Cache::touch` with
-    /// the LRU stamp supplied by the caller — verify workers reconstruct the
-    /// exact stamp sequence the sequential replay would draw from the
-    /// cache's touch clock).
-    pub fn touch(&mut self, tag: u64, stamp: Cycle) -> Option<&mut LineMeta> {
-        let way = self.find(tag)?;
-        self.ways[way].stamp = stamp;
-        Some(&mut self.ways[way].meta)
-    }
-
-    /// Inserts `tag`, evicting the LRU victim if the set is full (mirror of
-    /// `Cache::fill` under LRU: prefer the first invalid way, else the
-    /// first-minimum-stamp way). `fill_ann` marks the installed way as
-    /// demand-filled this epoch.
-    ///
-    /// The caller guarantees `tag` is not resident (a replayed fill always
-    /// follows a missed probe of the same line).
-    pub fn fill(
-        &mut self,
-        tag: u64,
-        meta: LineMeta,
-        stamp: Cycle,
-        fill_ann: u32,
-    ) -> Option<EvictedWay> {
-        debug_assert!(self.find(tag).is_none(), "fill of a resident line");
-        if let Some(way) = self.ways.iter().position(|w| !w.valid) {
-            self.ways[way] = WayImage {
-                tag,
-                stamp,
-                meta,
-                valid: true,
-                fill_ann,
-            };
-            return None;
-        }
-        let mut victim = 0;
-        let mut best_stamp = Cycle::MAX;
-        for (way, w) in self.ways.iter().enumerate() {
-            if w.stamp < best_stamp {
-                best_stamp = w.stamp;
-                victim = way;
-            }
-        }
-        let evicted = EvictedWay {
-            tag: self.ways[victim].tag,
-            meta: self.ways[victim].meta,
-            fill_ann: self.ways[victim].fill_ann,
-        };
-        self.ways[victim] = WayImage {
-            tag,
-            stamp,
-            meta,
-            valid: true,
-            fill_ann,
-        };
-        Some(evicted)
     }
 }
 
@@ -825,106 +588,6 @@ mod tests {
             assert!(c.contains(LineAddr(i)));
             assert!(c.len() <= 4);
         }
-    }
-
-    #[test]
-    fn set_image_round_trips_and_mirrors_lru_fill() {
-        // Drive a live cache and a SetImage of one set through the same op
-        // sequence; they must agree on hits, victims, and final state.
-        let mut c = cache(2, 2);
-        c.fill(LineAddr(0), LineMeta::default()); // set 0
-        c.fill(LineAddr(2), LineMeta::default()); // set 0
-        let mut img = SetImage::default();
-        c.export_set(0, &mut img);
-        assert_eq!(img.ways.len(), 2);
-        assert!(img.ways.iter().all(|w| w.fill_ann == NO_FILL_ANN));
-
-        // Touch line 0 (stamp beyond the cache's clock), then fill line 4:
-        // both must evict line 2.
-        let clock = c.lru_clock();
-        assert!(img.touch(c.tag_of(LineAddr(0)), clock + 1).is_some());
-        let evicted = img
-            .fill(c.tag_of(LineAddr(4)), LineMeta::default(), clock + 2, 7)
-            .expect("set full");
-        assert_eq!(c.line_of(0, evicted.tag), LineAddr(2));
-
-        c.touch(LineAddr(0));
-        let live = c.fill(LineAddr(4), LineMeta::default()).expect("set full");
-        assert_eq!(live.line, LineAddr(2));
-
-        // Import the image back: the live set must match it exactly.
-        c.import_set(0, &img);
-        assert!(c.contains(LineAddr(0)));
-        assert!(c.contains(LineAddr(4)));
-        assert!(!c.contains(LineAddr(2)));
-        let way = img.find(c.tag_of(LineAddr(4))).expect("resident");
-        assert_eq!(img.ways[way].fill_ann, 7);
-    }
-
-    #[test]
-    fn set_image_prefers_invalid_ways() {
-        let mut c = cache(2, 2);
-        c.fill(LineAddr(0), LineMeta::default());
-        let mut img = SetImage::default();
-        c.export_set(0, &mut img);
-        let tag = c.tag_of(LineAddr(2));
-        assert!(img
-            .fill(tag, LineMeta::default(), 99, NO_FILL_ANN)
-            .is_none());
-        assert_eq!(img.find(tag), Some(1), "second way was invalid");
-    }
-
-    #[test]
-    fn import_rebuilds_fingerprints_for_both_lookups() {
-        // 12 ways: the fingerprint layout has a partial tail word, so the
-        // rebuilt pad lanes must stay empty. Import into a fresh cache and
-        // check both probe paths agree with the original everywhere.
-        let geometry = CacheGeometry {
-            sets: 4,
-            ways: 12,
-            latency: 1,
-        };
-        let mut c = Cache::new(geometry, Replacement::Lru);
-        for i in 0..96u64 {
-            c.fill(LineAddr(i * 3), LineMeta::default());
-        }
-        let mut rebuilt = Cache::new(geometry, Replacement::Lru);
-        let mut img = SetImage::default();
-        for set in 0..geometry.sets {
-            c.export_set(set, &mut img);
-            rebuilt.import_set(set, &img);
-        }
-        for i in 0..400u64 {
-            let line = LineAddr(i);
-            assert_eq!(rebuilt.probe_way(line), c.probe_way(line), "line {i}");
-            assert_eq!(
-                rebuilt.probe_way(line),
-                rebuilt.probe_way_scalar(line),
-                "line {i}"
-            );
-        }
-        assert_eq!(rebuilt.len(), c.len());
-    }
-
-    #[test]
-    fn lru_clock_accessors() {
-        let mut c = cache(2, 2);
-        assert!(c.is_lru());
-        assert_eq!(c.lru_clock(), 0);
-        c.fill(LineAddr(0), LineMeta::default());
-        assert_eq!(c.lru_clock(), 1);
-        c.set_lru_clock(41);
-        c.touch(LineAddr(0));
-        assert_eq!(c.lru_clock(), 42);
-        let random = Cache::new(
-            CacheGeometry {
-                sets: 2,
-                ways: 2,
-                latency: 1,
-            },
-            Replacement::Random { seed: 3 },
-        );
-        assert!(!random.is_lru());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! A simple in-order core model driven by an address stream.
 
-use std::collections::VecDeque;
-
 use crate::hierarchy::Hierarchy;
 use crate::observer::TrafficObserver;
 use crate::types::{AccessKind, Addr, CoreId, Cycle};
@@ -68,8 +66,7 @@ pub trait AccessSource {
     /// generators override it to amortize per-access overhead (RNG state
     /// loads, bounds setup) across the whole batch. An override must produce
     /// the *identical* access sequence as repeated `next_access` calls —
-    /// cores mix the two paths freely (e.g. after an epoch rollback), and
-    /// the golden suites pin the merged stream.
+    /// the golden suites pin the stream either path produces.
     fn refill(&mut self, buf: &mut Vec<Access>, max: usize) {
         for _ in 0..max {
             match self.next_access() {
@@ -99,12 +96,8 @@ const BATCH: usize = 64;
 pub struct Core {
     id: CoreId,
     source: Box<dyn AccessSource + Send>,
-    /// Accesses pushed back by a rolled-back speculative epoch; consumed
-    /// before the source so a re-execution replays the identical stream.
-    lookahead: VecDeque<Access>,
     /// Pre-drawn accesses from the source ([`AccessSource::refill`]); the
-    /// cursor `batch_pos` marks the next unconsumed entry. Consumed entries
-    /// never return here — rollback re-injects them via `lookahead`.
+    /// cursor `batch_pos` marks the next unconsumed entry.
     batch: Vec<Access>,
     batch_pos: usize,
     /// Local clock: when the core can issue its next instruction.
@@ -132,7 +125,6 @@ impl Core {
         Self {
             id,
             source,
-            lookahead: VecDeque::new(),
             batch: Vec::with_capacity(BATCH),
             batch_pos: 0,
             now: 0,
@@ -184,14 +176,10 @@ impl Core {
         true
     }
 
-    /// Takes the next access from the rollback lookahead, falling back to the
-    /// pre-drawn batch (refilled from the source when empty); marks the core
-    /// exhausted when all three run dry.
+    /// Takes the next access from the pre-drawn batch (refilled from the
+    /// source when empty); marks the core exhausted when both run dry.
     #[inline]
     fn pull_access(&mut self) -> Option<Access> {
-        if let Some(access) = self.lookahead.pop_front() {
-            return Some(access);
-        }
         if self.batch_pos == self.batch.len() {
             self.refill_batch();
             if self.batch.is_empty() {
@@ -213,53 +201,10 @@ impl Core {
         self.source.refill(&mut self.batch, BATCH);
     }
 
-    /// Address of the next access the core will issue, if already known
-    /// (rollback lookahead first, then the pre-drawn batch). Never advances
-    /// the source.
+    /// Address of the next access the core will issue, if already in the
+    /// pre-drawn batch. Never advances the source.
     pub(crate) fn peek_addr(&self) -> Option<Addr> {
-        if let Some(access) = self.lookahead.front() {
-            return Some(access.addr);
-        }
         self.batch.get(self.batch_pos).map(|a| a.addr)
-    }
-
-    /// Begins one speculative step: pulls the next access, records it on
-    /// `tape` (so [`rewind`](Self::rewind) can undo the consumption), and
-    /// retires its compute gap. The caller finishes the step with
-    /// [`finish_step`](Self::finish_step) once the access latency is known.
-    ///
-    /// Returns `None` (and marks the core exhausted) when the stream is dry.
-    pub(crate) fn begin_step(&mut self, tape: &mut Vec<Access>) -> Option<Access> {
-        let access = self.pull_access()?;
-        tape.push(access);
-        self.now += access.think_cycles;
-        self.retired += access.think_cycles;
-        Some(access)
-    }
-
-    /// Completes a speculative step begun with [`begin_step`](Self::begin_step).
-    pub(crate) fn finish_step(&mut self, latency: Cycle) {
-        self.now += latency;
-        self.retired += 1;
-    }
-
-    /// Snapshot of the rollback-relevant execution state
-    /// `(now, retired, exhausted)`.
-    pub(crate) fn exec_state(&self) -> (Cycle, u64, bool) {
-        (self.now, self.retired, self.exhausted)
-    }
-
-    /// Rolls the core back to a pre-epoch [`exec_state`](Self::exec_state),
-    /// unreading the accesses consumed since (they re-enter the stream ahead
-    /// of the source, in original order).
-    pub(crate) fn rewind(&mut self, state: (Cycle, u64, bool), tape: &[Access]) {
-        let (now, retired, exhausted) = state;
-        self.now = now;
-        self.retired = retired;
-        self.exhausted = exhausted;
-        for access in tape.iter().rev() {
-            self.lookahead.push_front(*access);
-        }
     }
 }
 

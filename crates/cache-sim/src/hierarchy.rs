@@ -35,15 +35,15 @@ use crate::types::{AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAdd
 /// ```
 #[derive(Debug)]
 pub struct Hierarchy {
-    pub(crate) config: SystemConfig,
-    pub(crate) l1: Vec<Cache>,
-    pub(crate) l2: Vec<Cache>,
-    pub(crate) l3: Cache,
-    pub(crate) dram: Dram,
-    pub(crate) stats: HierarchyStats,
+    config: SystemConfig,
+    l1: Vec<Cache>,
+    l2: Vec<Cache>,
+    l3: Cache,
+    dram: Dram,
+    stats: HierarchyStats,
     /// `log2(line_size)`, hoisted so the per-access address-to-line shift
     /// does not recompute it.
-    pub(crate) line_shift: u32,
+    line_shift: u32,
     /// Reusable buffer for observer prefetch draining; drained lines are
     /// staged here so steady-state draining allocates nothing.
     prefetch_scratch: Vec<LineAddr>,

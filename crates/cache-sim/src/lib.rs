@@ -26,15 +26,10 @@
 //! engine's results bit-exactly and `tests/no_alloc_hot_path.rs` counts
 //! allocations to keep these properties honest.
 //!
-//! A single large simulation can additionally be spread across host threads
-//! with [`System::run_sharded`]: the [`epoch`] module implements an
-//! optimistic shard/epoch protocol — parallel speculation, a parallel
-//! set-partitioned read-only verify phase, and a serial mutation-only
-//! commit, all running out of pooled scratch on a persistent worker pool —
-//! whose results are bit-identical to [`System::run`] for any shard count
-//! (pinned by `tests/sharded_regression.rs` and, over randomized inputs, by
-//! `tests/sharded_differential.rs`). See `ARCHITECTURE.md` at the
-//! repository root for the execution model.
+//! One simulation always runs on one host thread. Parallelism lives a level
+//! up: a [`System`] is `Send` and shares nothing with other systems, so
+//! harnesses fan independent simulations across threads (see the
+//! `pipo_bench` sweep engine and `ARCHITECTURE.md` at the repository root).
 //!
 //! # Examples
 //!
@@ -49,21 +44,16 @@
 //! assert!(miss.latency > hit.latency);
 //! ```
 
-// `deny` rather than `forbid`: the persistent worker pool (`pool.rs`) needs
-// one documented lifetime-erasure expression (the classic scoped-thread-pool
-// pattern) and carries the only `#[allow(unsafe_code)]` in the workspace.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod config;
 pub mod core;
 pub mod dram;
-pub mod epoch;
 pub mod hierarchy;
 pub mod line;
 pub mod observer;
-pub mod pool;
 pub mod replacement;
 pub mod stats;
 pub mod system;
@@ -73,11 +63,9 @@ pub use cache::{Cache, EvictedLine};
 pub use config::{CacheGeometry, SystemConfig};
 pub use core::{Access, AccessSource, Core};
 pub use dram::Dram;
-pub use epoch::{EpochTelemetry, EpochWindow, ShardSpec, DEFAULT_EPOCH_CYCLES};
 pub use hierarchy::Hierarchy;
 pub use line::{LineMeta, SharerSet};
 pub use observer::{NullObserver, RecordingObserver, TrafficObserver};
-pub use pool::WorkerPool;
 pub use replacement::Replacement;
 pub use stats::{CoreStats, HierarchyStats, LevelStats};
 pub use system::{SimReport, System};

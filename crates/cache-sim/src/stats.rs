@@ -28,12 +28,6 @@ impl LevelStats {
             self.misses as f64 / total as f64
         }
     }
-
-    /// Adds another counter set into this one (shard-merge step).
-    pub fn absorb(&mut self, other: &LevelStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
 }
 
 /// Per-core access statistics.
@@ -49,17 +43,6 @@ pub struct CoreStats {
     pub memory_fetches: u64,
     /// Cycles this core spent stalled on memory accesses.
     pub stall_cycles: Cycle,
-}
-
-impl CoreStats {
-    /// Adds another core's counters into this one (shard-merge step).
-    pub fn absorb(&mut self, other: &CoreStats) {
-        self.l1.absorb(&other.l1);
-        self.l2.absorb(&other.l2);
-        self.l3.absorb(&other.l3);
-        self.memory_fetches += other.memory_fetches;
-        self.stall_cycles += other.stall_cycles;
-    }
 }
 
 /// Whole-hierarchy statistics.
@@ -151,49 +134,6 @@ impl HierarchyStats {
     #[must_use]
     pub fn total_memory_fetches(&self) -> u64 {
         self.per_core.iter().map(|c| c.memory_fetches).sum()
-    }
-
-    /// Zeroes every counter in place, keeping the per-core allocation (the
-    /// epoch engine resets pooled per-shard and per-verify-worker deltas
-    /// each epoch without reallocating them).
-    pub(crate) fn reset(&mut self, cores: usize) {
-        if self.per_core.len() != cores {
-            self.per_core.resize(cores, CoreStats::default());
-        }
-        self.per_core.fill(CoreStats::default());
-        self.llc_evictions = 0;
-        self.back_invalidations = 0;
-        self.coherence_invalidations = 0;
-        self.writebacks = 0;
-        self.prefetch_fills = 0;
-        self.prefetch_hits = 0;
-    }
-
-    /// Adds another statistics block into this one.
-    ///
-    /// This is the shard-merge step of the epoch-parallel engine: every
-    /// counter is a sum, so absorbing shard-local deltas is associative and
-    /// commutative — combining shards in any order yields identical totals
-    /// (pinned by `tests/observer_merge.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two blocks track a different number of cores.
-    pub fn absorb(&mut self, other: &HierarchyStats) {
-        assert_eq!(
-            self.per_core.len(),
-            other.per_core.len(),
-            "cannot merge statistics of differently sized systems"
-        );
-        for (mine, theirs) in self.per_core.iter_mut().zip(&other.per_core) {
-            mine.absorb(theirs);
-        }
-        self.llc_evictions += other.llc_evictions;
-        self.back_invalidations += other.back_invalidations;
-        self.coherence_invalidations += other.coherence_invalidations;
-        self.writebacks += other.writebacks;
-        self.prefetch_fills += other.prefetch_fills;
-        self.prefetch_hits += other.prefetch_hits;
     }
 }
 

@@ -18,16 +18,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
-use std::time::Instant;
 
-use crate::cache::Cache;
 use crate::core::{AccessSource, Core};
-use crate::epoch::{self, EpochScratch, EpochTelemetry, EpochWindow, ShardSpec, ShardTask};
 use crate::hierarchy::Hierarchy;
 use crate::observer::TrafficObserver;
-use crate::pool::WorkerPool;
 use crate::stats::HierarchyStats;
 use crate::types::{CoreId, Cycle};
 
@@ -106,28 +100,10 @@ pub struct System<O: TrafficObserver> {
     /// Reusable scheduler heap of `(next event time, core index)`; kept
     /// across runs so repeated [`run`](Self::run) calls do not reallocate.
     schedule: BinaryHeap<Reverse<(Cycle, usize)>>,
-    /// Execution counters of the last [`run_sharded`](Self::run_sharded)
-    /// call; `None` after a plain [`run`](Self::run).
-    telemetry: Option<EpochTelemetry>,
-    /// All pooled epoch-parallel state (shard logs, tapes, backups,
-    /// speculation LLC copies, verify set images, annotations), reshaped
-    /// only when the `(cores, shards)` layout changes and reused otherwise
-    /// — steady-state epochs allocate nothing.
-    scratch: EpochScratch,
-    /// Persistent worker threads for the speculate and verify phases,
-    /// created on the first sharded run and grown if a later run asks for
-    /// more shards.
-    pool: Option<WorkerPool>,
-    /// Pooled observer snapshot: the commit walk is the only epoch step
-    /// that mutates shared state before the epoch is fully committed (a
-    /// prefetch it schedules may fall due inside the window), so the
-    /// observer is `clone_from`'d here first and swapped back on that late
-    /// rollback.
-    observer_backup: Option<O>,
 }
 
 /// Core-count ceiling for the linear-scan scheduler; larger machines use
-/// the binary heap ([`System::run_window_heap`]).
+/// the binary heap ([`System::run_heap`]).
 const SCAN_CORES: usize = 8;
 
 /// Low bits of a packed scan key holding the core index (supports
@@ -188,10 +164,6 @@ impl<O: TrafficObserver> System<O> {
             cores,
             observer,
             schedule,
-            telemetry: None,
-            scratch: EpochScratch::new(),
-            pool: None,
-            observer_backup: None,
         }
     }
 
@@ -229,19 +201,6 @@ impl<O: TrafficObserver> System<O> {
     /// scheduler heap, the observer's prefetch queue, and the drain buffer
     /// are all reused across steps.
     pub fn run(&mut self, instructions_per_core: u64) -> SimReport {
-        self.telemetry = None;
-        self.run_window(instructions_per_core, Cycle::MAX);
-        self.finish_run()
-    }
-
-    /// Executes every step whose start time falls before `t_end` (pass
-    /// [`Cycle::MAX`] for an unbounded run). This is the sequential engine
-    /// proper; [`run`](Self::run) is one unbounded window and
-    /// [`run_sharded`](Self::run_sharded) re-executes rolled-back or
-    /// prefetch-gated epochs through bounded windows. Because the scheduler
-    /// orders steps globally by `(start time, core index)`, a run chopped
-    /// into windows executes the exact step sequence of an unbounded run.
-    fn run_window(&mut self, instructions_per_core: u64, t_end: Cycle) {
         // Small machines (the paper's 4-core configuration and most tests)
         // schedule through a branch-light linear scan over packed keys
         // instead of the binary heap: finding the minimum of ≤ 8 integers
@@ -255,10 +214,11 @@ impl<O: TrafficObserver> System<O> {
                 .iter()
                 .all(|c| c.now() < Cycle::MAX >> KEY_IDX_BITS)
         {
-            self.run_window_scan(instructions_per_core, t_end);
+            self.run_scan(instructions_per_core);
         } else {
-            self.run_window_heap(instructions_per_core, t_end);
+            self.run_heap(instructions_per_core);
         }
+        self.finish_run()
     }
 
     /// Linear-scan scheduler for ≤ [`SCAN_CORES`] cores. Each live core's
@@ -267,11 +227,10 @@ impl<O: TrafficObserver> System<O> {
     /// retired cores park at `u64::MAX`. One pass computes the minimum and
     /// the runner-up; the minimum core then streaks until its key passes
     /// the runner-up, exactly like the heap path.
-    fn run_window_scan(&mut self, instructions_per_core: u64, t_end: Cycle) {
+    fn run_scan(&mut self, instructions_per_core: u64) {
         let mut keys = [u64::MAX; SCAN_CORES];
         for (idx, core) in self.cores.iter().enumerate() {
-            if !core.is_exhausted() && core.retired() < instructions_per_core && core.now() < t_end
-            {
+            if !core.is_exhausted() && core.retired() < instructions_per_core {
                 keys[idx] = (core.now() << KEY_IDX_BITS) | idx as u64;
             }
         }
@@ -304,10 +263,6 @@ impl<O: TrafficObserver> System<O> {
             let core = &mut self.cores[idx];
             let mut now = min >> KEY_IDX_BITS;
             loop {
-                if now >= t_end {
-                    keys[idx] = u64::MAX;
-                    break;
-                }
                 // The observer's earliest due time only moves when an LLC
                 // eviction schedules a prefetch or a drain consumes one, so
                 // the cached value is refreshed on those events instead of
@@ -342,11 +297,10 @@ impl<O: TrafficObserver> System<O> {
     }
 
     /// Binary-heap scheduler (any core count).
-    fn run_window_heap(&mut self, instructions_per_core: u64, t_end: Cycle) {
+    fn run_heap(&mut self, instructions_per_core: u64) {
         self.schedule.clear();
         for (idx, core) in self.cores.iter().enumerate() {
-            if !core.is_exhausted() && core.retired() < instructions_per_core && core.now() < t_end
-            {
+            if !core.is_exhausted() && core.retired() < instructions_per_core {
                 self.schedule.push(Reverse((core.now(), idx)));
             }
         }
@@ -366,9 +320,6 @@ impl<O: TrafficObserver> System<O> {
             // min-scan produced, minus the per-step scan).
             loop {
                 let now = self.cores[idx].now();
-                if now >= t_end {
-                    break; // The core's next step belongs to a later window.
-                }
                 if self
                     .observer
                     .next_prefetch_due()
@@ -393,8 +344,7 @@ impl<O: TrafficObserver> System<O> {
         }
     }
 
-    /// Flushes pending prefetches and assembles the report (shared tail of
-    /// [`run`](Self::run) and [`run_sharded`](Self::run_sharded)).
+    /// Flushes pending prefetches and assembles the report.
     fn finish_run(&mut self) -> SimReport {
         let end = self.cores.iter().map(Core::now).max().unwrap_or(0);
         self.hierarchy.drain_prefetches(end, &mut self.observer);
@@ -406,403 +356,6 @@ impl<O: TrafficObserver> System<O> {
             dram_prefetch_reads: self.hierarchy.dram().prefetch_reads(),
             dram_writes: self.hierarchy.dram().writes(),
         }
-    }
-
-    /// Telemetry of the last [`run_sharded`](Self::run_sharded) call: how
-    /// many epochs ran in parallel, committed, or rolled back. `None` after
-    /// a plain [`run`](Self::run).
-    #[must_use]
-    pub fn epoch_telemetry(&self) -> Option<&EpochTelemetry> {
-        self.telemetry.as_ref()
-    }
-}
-
-/// One shard's lock-protected work cell for a speculate dispatch: the pool
-/// workers each lock exactly their own cell, which hands them `&mut` access
-/// to the shard's disjoint core/cache slices without unsafe code or
-/// per-epoch allocation (the cells live in a stack array).
-struct SpecCell<'a> {
-    task: ShardTask<'a>,
-    scratch: &'a mut epoch::ShardScratch,
-}
-
-/// Nanoseconds elapsed since `since` (saturating, for telemetry).
-fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-impl<O: TrafficObserver + Clone> System<O> {
-    /// Like [`run`](Self::run), but advances shards of cores on parallel
-    /// worker threads using the optimistic epoch protocol described in the
-    /// [`epoch`] module: a parallel core-partitioned speculate phase, a
-    /// parallel set-partitioned read-only verify phase, and a serial
-    /// mutation-only commit phase.
-    ///
-    /// The result is **bit-identical** to [`run`](Self::run) for any shard
-    /// count and epoch length: every parallel epoch is verified against the
-    /// authoritative sequential semantics of its LLC operations and rolled
-    /// back to sequential re-execution on any divergence. The observer must
-    /// be `Clone` so it can be snapshotted across the commit walk.
-    ///
-    /// Steady-state epochs perform no heap allocation: all per-epoch state
-    /// lives in pooled scratch owned by the system, and the worker threads
-    /// persist across epochs (pinned by `tests/no_alloc_hot_path.rs`).
-    /// Inspect [`epoch_telemetry`](Self::epoch_telemetry) afterwards to see
-    /// how much of the run actually committed in parallel and where the
-    /// wall-clock went.
-    pub fn run_sharded(&mut self, instructions_per_core: u64, spec: ShardSpec) -> SimReport {
-        let shards = spec.shards.clamp(1, self.cores.len().max(1));
-        let mut window = EpochWindow::new(spec.epoch_cycles);
-        let mut telemetry = EpochTelemetry::default();
-        // One shard is the sequential engine; more than 64 cores would
-        // overflow the shard membership masks (the sharer bitmap caps the
-        // whole simulator at 64 cores anyway).
-        if shards <= 1 || self.cores.len() > 64 {
-            self.run_window(instructions_per_core, Cycle::MAX);
-            self.telemetry = Some(telemetry);
-            return self.finish_run();
-        }
-        self.scratch.prepare(&self.hierarchy, shards);
-        if self.pool.as_ref().is_none_or(|p| p.capacity() < shards) {
-            self.pool = Some(WorkerPool::new(shards));
-        }
-        // Non-LRU replacement cannot be verified set-partitioned (tree-PLRU
-        // could but is not worth a third code path; random replacement draws
-        // victims from one global generator) — those policies take the
-        // legacy serial verify-while-mutating replay.
-        let set_parallel = self.hierarchy.l3.is_lru();
-        loop {
-            let cur = self
-                .cores
-                .iter()
-                .filter(|c| !c.is_exhausted() && c.retired() < instructions_per_core)
-                .map(Core::now)
-                .min();
-            let Some(cur) = cur else { break };
-            let t_end = cur.saturating_add(window.current());
-            if t_end <= cur {
-                // Clock saturated; no window can make progress in parallel.
-                self.run_window(instructions_per_core, Cycle::MAX);
-                break;
-            }
-            if self
-                .observer
-                .next_prefetch_due()
-                .is_some_and(|due| due < t_end)
-            {
-                // A monitor prefetch lands inside this window: its drain
-                // point depends on the global step schedule, so run the
-                // window sequentially.
-                let t0 = Instant::now();
-                self.run_window(instructions_per_core, t_end);
-                telemetry.sequential_ns += elapsed_ns(t0);
-                telemetry.sequential_windows += 1;
-                continue;
-            }
-            telemetry.parallel_epochs += 1;
-            let epoch_id = self.scratch.begin_epoch();
-            let t0 = Instant::now();
-            self.speculate_epoch(shards, instructions_per_core, t_end);
-            telemetry.speculate_ns += elapsed_ns(t0);
-            if self.scratch.shards.iter().any(|s| s.conflict) {
-                self.rollback_epoch(&mut telemetry, instructions_per_core, t_end, &mut window);
-                continue;
-            }
-            let committed = if set_parallel {
-                self.try_commit_set_parallel(shards, epoch_id, t_end, &mut telemetry)
-            } else {
-                self.try_commit_legacy(t_end, &mut telemetry)
-            };
-            if committed {
-                telemetry.committed_epochs += 1;
-                window.on_commit();
-            } else {
-                self.rollback_epoch(&mut telemetry, instructions_per_core, t_end, &mut window);
-            }
-        }
-        self.telemetry = Some(telemetry);
-        self.finish_run()
-    }
-
-    /// Runs the speculate phase of one epoch: partitions cores and their
-    /// private caches into contiguous shards and advances each on its own
-    /// pool worker against a clone of the LLC. Results (logs, backups,
-    /// conflict flags) land in the per-shard scratch.
-    fn speculate_epoch(&mut self, shards: usize, instructions_per_core: u64, t_end: Cycle) {
-        let Self {
-            hierarchy,
-            cores,
-            scratch,
-            pool,
-            ..
-        } = self;
-        let pool = pool.as_ref().expect("worker pool sized before speculation");
-        let EpochScratch {
-            shards: shard_scratch,
-            sizes,
-            ..
-        } = scratch;
-        let sizes: &[usize] = sizes;
-        let total_cores = cores.len();
-        let Hierarchy {
-            config,
-            l1,
-            l2,
-            l3,
-            line_shift,
-            ..
-        } = hierarchy;
-        let config: &crate::config::SystemConfig = config;
-        let l3: &Cache = l3;
-        let line_shift = *line_shift;
-        let stop = AtomicBool::new(false);
-        // One lock-protected cell per shard, built on the stack: no
-        // allocation, and each pool worker takes `&mut` to disjoint state
-        // by locking exactly its own cell.
-        let mut cells: [Option<Mutex<SpecCell<'_>>>; epoch::MAX_SHARDS] =
-            std::array::from_fn(|_| None);
-        {
-            let mut cores_rest: &mut [Core] = cores;
-            let mut l1_rest: &mut [Cache] = l1;
-            let mut l2_rest: &mut [Cache] = l2;
-            let mut scratch_rest: &mut [epoch::ShardScratch] = shard_scratch;
-            let mut base = 0usize;
-            for (cell, &size) in cells.iter_mut().zip(sizes) {
-                let (shard_cores, rest) = cores_rest.split_at_mut(size);
-                cores_rest = rest;
-                let (shard_l1, rest) = l1_rest.split_at_mut(size);
-                l1_rest = rest;
-                let (shard_l2, rest) = l2_rest.split_at_mut(size);
-                l2_rest = rest;
-                let (shard, rest) = scratch_rest.split_at_mut(1);
-                scratch_rest = rest;
-                *cell = Some(Mutex::new(SpecCell {
-                    task: ShardTask {
-                        base,
-                        total_cores,
-                        cores: shard_cores,
-                        l1: shard_l1,
-                        l2: shard_l2,
-                        llc: l3,
-                        config,
-                        line_shift,
-                    },
-                    scratch: &mut shard[0],
-                }));
-                base += size;
-            }
-        }
-        let cells = &cells[..shards];
-        pool.run(shards, &|worker| {
-            let mut cell = cells[worker]
-                .as_ref()
-                .expect("one cell per participant")
-                .lock()
-                .expect("cell lock uncontended");
-            let SpecCell { task, scratch } = &mut *cell;
-            epoch::run_shard_epoch(task, scratch, instructions_per_core, t_end, &stop);
-        });
-    }
-
-    /// Runs the set-partitioned verify phase on the pool workers (read-only
-    /// against the live LLC) and, if every prediction held, the serial
-    /// mutation-only commit. Returns whether the epoch committed.
-    fn try_commit_set_parallel(
-        &mut self,
-        shards: usize,
-        epoch_id: u64,
-        t_end: Cycle,
-        telemetry: &mut EpochTelemetry,
-    ) -> bool {
-        let t0 = Instant::now();
-        {
-            let Self {
-                hierarchy,
-                scratch,
-                pool,
-                ..
-            } = self;
-            let pool = pool.as_ref().expect("worker pool sized before verify");
-            let EpochScratch {
-                shards: shard_scratch,
-                verify,
-                masks,
-                ..
-            } = scratch;
-            let shard_scratch: &[epoch::ShardScratch] = shard_scratch;
-            let masks: &[u64] = masks;
-            let llc = &hierarchy.l3;
-            let config = &hierarchy.config;
-            let mut cells: [Option<Mutex<&mut epoch::VerifyScratch>>; epoch::MAX_SHARDS] =
-                std::array::from_fn(|_| None);
-            for (cell, vs) in cells.iter_mut().zip(verify.iter_mut()) {
-                *cell = Some(Mutex::new(vs));
-            }
-            let cells = &cells[..shards];
-            pool.run(shards, &|worker| {
-                let mut vs = cells[worker]
-                    .as_ref()
-                    .expect("one cell per participant")
-                    .lock()
-                    .expect("cell lock uncontended");
-                epoch::verify_epoch(shard_scratch, &mut vs, llc, config, masks, epoch_id);
-            });
-        }
-        telemetry.verify_ns += elapsed_ns(t0);
-        if self.scratch.verify.iter().any(|v| v.conflict) {
-            return false;
-        }
-        // Every prediction held: commit. The observer walk is the only step
-        // that mutates shared state before the epoch is final (a prefetch
-        // it schedules may fall due inside the window), so snapshot the
-        // observer into the pooled backup first.
-        let t1 = Instant::now();
-        match &mut self.observer_backup {
-            Some(backup) => backup.clone_from(&self.observer),
-            None => self.observer_backup = Some(self.observer.clone()),
-        }
-        {
-            let Self {
-                scratch, observer, ..
-            } = self;
-            epoch::commit_observer_walk(&mut scratch.verify, &mut scratch.commit_cursor, observer);
-        }
-        if self
-            .observer
-            .next_prefetch_due()
-            .is_some_and(|due| due < t_end)
-        {
-            // A prefetch scheduled during the walk falls due inside the
-            // epoch: the sequential engine would have drained it mid-window.
-            // Undo the observer — nothing else was touched — and roll back.
-            let backup = self.observer_backup.as_mut().expect("snapshotted above");
-            std::mem::swap(&mut self.observer, backup);
-            telemetry.commit_ns += elapsed_ns(t1);
-            return false;
-        }
-        {
-            let Self {
-                scratch, hierarchy, ..
-            } = self;
-            let EpochScratch {
-                shards: shard_scratch,
-                verify,
-                ..
-            } = scratch;
-            epoch::commit_absorb(verify, shard_scratch, hierarchy);
-        }
-        telemetry.llc_ops_replayed += self.scratch.verify.iter().map(|v| v.ops).sum::<u64>();
-        telemetry.commit_ns += elapsed_ns(t1);
-        true
-    }
-
-    /// The serial verify-while-mutating replay used for non-LRU replacement
-    /// policies: snapshots the LLC/DRAM/statistics/observer, replays the
-    /// merged logs against them, and restores everything on divergence.
-    /// Returns whether the epoch committed.
-    fn try_commit_legacy(&mut self, t_end: Cycle, telemetry: &mut EpochTelemetry) -> bool {
-        let t0 = Instant::now();
-        // The LLC backup reuses a persistent buffer (`clone_from`); the rest
-        // is cloned fresh — only the ablation configurations take this path,
-        // so its per-epoch allocations are accepted.
-        match &mut self.scratch.llc_backup {
-            Some(backup) => backup.clone_from(&self.hierarchy.l3),
-            None => self.scratch.llc_backup = Some(self.hierarchy.l3.clone()),
-        }
-        let dram_backup = self.hierarchy.dram.clone();
-        let stats_backup = self.hierarchy.stats.clone();
-        let observer_backup = self.observer.clone();
-        let replayed = {
-            let Self {
-                scratch,
-                hierarchy,
-                observer,
-                ..
-            } = self;
-            let EpochScratch {
-                shards,
-                commit_cursor,
-                masks,
-                ..
-            } = scratch;
-            epoch::replay_logs(shards, commit_cursor, masks, hierarchy, observer)
-        };
-        let committed = match replayed {
-            // A prefetch scheduled during the replay that falls due inside
-            // the epoch would have been drained mid-epoch by the sequential
-            // engine: treat it as a conflict.
-            Ok(ops) => {
-                if self
-                    .observer
-                    .next_prefetch_due()
-                    .is_some_and(|due| due < t_end)
-                {
-                    None
-                } else {
-                    Some(ops)
-                }
-            }
-            Err(epoch::Conflict) => None,
-        };
-        let result = match committed {
-            Some(ops) => {
-                for shard in &self.scratch.shards {
-                    self.hierarchy.stats.absorb(&shard.stats);
-                }
-                telemetry.llc_ops_replayed += ops;
-                true
-            }
-            None => {
-                // Swap the trashed LLC out for the backup; the backup buffer
-                // (now holding garbage) is overwritten by `clone_from` on
-                // the next epoch.
-                std::mem::swap(
-                    &mut self.hierarchy.l3,
-                    self.scratch
-                        .llc_backup
-                        .as_mut()
-                        .expect("backup taken above"),
-                );
-                self.hierarchy.dram = dram_backup;
-                self.hierarchy.stats = stats_backup;
-                self.observer = observer_backup;
-                false
-            }
-        };
-        // The fused serial verify+commit is this path's whole barrier cost.
-        telemetry.commit_ns += elapsed_ns(t0);
-        result
-    }
-
-    /// Restores every shard to its epoch-start state, re-executes the window
-    /// sequentially, and resets the adaptive window.
-    fn rollback_epoch(
-        &mut self,
-        telemetry: &mut EpochTelemetry,
-        instructions_per_core: u64,
-        t_end: Cycle,
-        window: &mut EpochWindow,
-    ) {
-        telemetry.rollbacks += 1;
-        {
-            let Self {
-                scratch,
-                cores,
-                hierarchy,
-                ..
-            } = self;
-            let EpochScratch { shards, sizes, .. } = scratch;
-            let mut base = 0usize;
-            for (shard, &size) in shards.iter_mut().zip(sizes.iter()) {
-                epoch::rollback_shard(shard, base, cores, hierarchy);
-                base += size;
-            }
-        }
-        let t0 = Instant::now();
-        self.run_window(instructions_per_core, t_end);
-        telemetry.sequential_ns += elapsed_ns(t0);
-        telemetry.sequential_windows += 1;
-        window.on_rollback();
     }
 }
 

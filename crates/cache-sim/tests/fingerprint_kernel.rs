@@ -111,8 +111,8 @@ proptest! {
     }
 
     /// A cloned cache probes identically to the original under both
-    /// lookups — the manual `Clone` must copy every kernel array
-    /// (fingerprints, tags, stamps) coherently.
+    /// lookups — `Clone` must copy every kernel array (fingerprints, tags,
+    /// stamps) coherently.
     #[test]
     fn clone_preserves_probe_results(
         config in arb_config(),

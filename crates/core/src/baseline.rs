@@ -120,7 +120,7 @@ pub struct DirectoryMonitorStats {
 /// m.on_memory_fetch(line, 2);
 /// assert!(m.on_memory_fetch(line, 3)); // secThr = 3 reached
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DirectoryMonitor {
     config: DirectoryMonitorConfig,
     table: Vec<DirEntry>,

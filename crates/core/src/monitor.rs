@@ -3,7 +3,7 @@
 //! [`cache_sim::TrafficObserver`] so it plugs into the memory controller of
 //! the simulated system.
 
-use auto_cuckoo::{build_store, AutoCuckooFilter, PatternStore};
+use auto_cuckoo::{build_store, PatternStore};
 use cache_sim::{Cycle, LineAddr, TrafficObserver};
 
 use crate::config::{BuildMonitorError, MonitorConfig};
@@ -24,24 +24,6 @@ pub struct MonitorStats {
     /// Tagged-but-never-accessed evictions: prefetch suppressed to avoid the
     /// endless-prefetch loop (paper §IV, last paragraph).
     pub prefetches_suppressed: u64,
-}
-
-impl MonitorStats {
-    /// Adds another statistics block into this one.
-    ///
-    /// Every counter is a plain sum, so combining deltas from independent
-    /// monitor instances (e.g. harness aggregation across runs) is
-    /// associative and commutative: any merge order produces identical
-    /// totals. The epoch-parallel engine relies on the snapshot/restore of
-    /// the whole observer instead of merging, but the property tests in
-    /// `tests/observer_merge.rs` pin this contract for aggregating callers.
-    pub fn absorb(&mut self, other: &MonitorStats) {
-        self.fetches_observed += other.fetches_observed;
-        self.captures += other.captures;
-        self.pevicts += other.pevicts;
-        self.prefetches_scheduled += other.prefetches_scheduled;
-        self.prefetches_suppressed += other.prefetches_suppressed;
-    }
 }
 
 /// The monitor deployed in the memory controller (paper Fig. 2).
@@ -78,30 +60,6 @@ pub struct PiPoMonitor {
     stats: MonitorStats,
 }
 
-impl Clone for PiPoMonitor {
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            store: self.store.clone_box(),
-            queue: self.queue.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing the pattern-store and
-    /// prefetch-queue allocations, so the epoch-parallel engine's
-    /// once-per-epoch observer snapshot is a plain copy instead of an
-    /// allocation (mirrors `Cache::clone_from` on the LLC snapshots).
-    /// Delegates to [`PatternStore::clone_from_store`], which requires both
-    /// monitors to use the same backend.
-    fn clone_from(&mut self, source: &Self) {
-        self.config = source.config;
-        self.store.clone_from_store(source.store.as_ref());
-        self.queue.clone_from(&source.queue);
-        self.stats = source.stats;
-    }
-}
-
 impl PiPoMonitor {
     /// Builds a monitor.
     ///
@@ -135,21 +93,6 @@ impl PiPoMonitor {
     #[must_use]
     pub fn pattern_store(&self) -> &dyn PatternStore {
         self.store.as_ref()
-    }
-
-    /// The embedded Auto-Cuckoo filter (read access for experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the monitor was built with a non-`auto` backend; use
-    /// [`Self::pattern_store`] for backend-agnostic access.
-    #[deprecated(since = "0.1.0", note = "use `pattern_store()` instead")]
-    #[must_use]
-    pub fn filter(&self) -> &AutoCuckooFilter {
-        self.store
-            .as_any()
-            .downcast_ref::<AutoCuckooFilter>()
-            .expect("PiPoMonitor::filter() requires the `auto` backend")
     }
 
     /// Pending prefetch queue (read access for experiments).
@@ -304,42 +247,6 @@ mod tests {
             assert_eq!(m.pattern_store().backend(), backend);
             assert!(m.pattern_store().contains(42));
         }
-    }
-
-    #[test]
-    fn clone_from_preserves_backend_state() {
-        for backend in auto_cuckoo::FilterBackend::ALL {
-            let cfg = MonitorConfig::paper_default().with_backend(backend);
-            let mut a = PiPoMonitor::new(cfg).expect("valid config");
-            for i in 0..100u64 {
-                a.on_memory_fetch(LineAddr(i * 3), i);
-            }
-            let mut b = PiPoMonitor::new(cfg).expect("valid config");
-            b.clone_from(&a);
-            assert_eq!(b.stats(), a.stats(), "{backend}: stats diverged");
-            assert_eq!(
-                b.pattern_store().len(),
-                a.pattern_store().len(),
-                "{backend}: store length diverged"
-            );
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_filter_shim_still_works_on_auto() {
-        let mut m = monitor();
-        m.on_memory_fetch(LineAddr(9), 0);
-        assert!(m.filter().contains(9));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "requires the `auto` backend")]
-    fn deprecated_filter_shim_panics_on_other_backends() {
-        let cfg = MonitorConfig::paper_default().with_backend(auto_cuckoo::FilterBackend::Bloom);
-        let m = PiPoMonitor::new(cfg).expect("valid config");
-        let _ = m.filter();
     }
 
     /// End-to-end: a line ping-ponging between LLC and memory gets tagged,

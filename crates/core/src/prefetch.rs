@@ -39,28 +39,6 @@ pub struct PrefetchQueue {
     scheduled_total: u64,
 }
 
-impl Clone for PrefetchQueue {
-    fn clone(&self) -> Self {
-        Self {
-            delay: self.delay,
-            pending: self.pending.clone(),
-            members: self.members.clone(),
-            scheduled_total: self.scheduled_total,
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing the queue and member-
-    /// set allocations (the epoch-parallel engine snapshots the monitor —
-    /// queue included — once per committing epoch; see
-    /// `AutoCuckooFilter::clone_from`).
-    fn clone_from(&mut self, source: &Self) {
-        self.delay = source.delay;
-        self.pending.clone_from(&source.pending);
-        self.members.clone_from(&source.members);
-        self.scheduled_total = source.scheduled_total;
-    }
-}
-
 impl PrefetchQueue {
     /// Creates a queue with the given release delay.
     #[must_use]

@@ -55,6 +55,7 @@ const BLOOM_SALT: u64 = 0xb10c_b100_f11e_ca5e;
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct BloomPatternStore {
     params: FilterParams,
     /// Nibble-packed 4-bit counters, two per byte.
@@ -80,32 +81,6 @@ impl fmt::Debug for BloomPatternStore {
             .field("inserted_items", &self.inserted_items)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
-    }
-}
-
-impl Clone for BloomPatternStore {
-    fn clone(&self) -> Self {
-        Self {
-            params: self.params,
-            data: self.data.clone(),
-            counters: self.counters,
-            blocks: self.blocks,
-            set_counters: self.set_counters,
-            inserted_items: self.inserted_items,
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing the counter-array
-    /// allocation (epoch-engine snapshot contract).
-    fn clone_from(&mut self, source: &Self) {
-        self.params = source.params;
-        self.data.clone_from(&source.data);
-        self.counters = source.counters;
-        self.blocks = source.blocks;
-        self.set_counters = source.set_counters;
-        self.inserted_items = source.inserted_items;
-        self.stats = source.stats.clone();
     }
 }
 
@@ -379,18 +354,5 @@ mod tests {
         // Re-querying the same item sets no new counters.
         s.query(0x40);
         assert_eq!(s.occupancy(), occ);
-    }
-
-    #[test]
-    fn clone_from_reuses_and_matches() {
-        let mut a = store();
-        for i in 0..500u64 {
-            a.query(mix64(i));
-        }
-        let mut b = store();
-        b.clone_from(&a);
-        assert_eq!(b.len(), a.len());
-        assert_eq!(b.stats(), a.stats());
-        assert_eq!(b.security_of(mix64(7)), a.security_of(mix64(7)));
     }
 }

@@ -16,7 +16,10 @@
 use std::collections::{HashMap, HashSet};
 
 use auto_cuckoo::hash::candidate_buckets;
-use auto_cuckoo::{build_store, fingerprint_of, FilterBackend, FilterParams};
+use auto_cuckoo::{
+    build_store, fingerprint_of, AutoCuckooFilter, BloomPatternStore, ClassicCuckooFilter,
+    FilterBackend, FilterParams, PatternStore, QueryOutcome, XorPatternStore,
+};
 use proptest::prelude::*;
 
 /// The scalar reference: exact per-line counts, paper promotion rule.
@@ -55,6 +58,28 @@ impl ScalarOracle {
         let seen = *self.counts.get(&item)?;
         Some(u8::try_from((seen - 1).min(u32::from(self.thr))).expect("capped at thr"))
     }
+}
+
+/// Warms `original` with `warm`, clones it, then feeds `probe` to both:
+/// returns the backend and, for original then clone, the length after
+/// warming and every probe outcome.
+fn original_and_clone<S: PatternStore + Clone>(
+    mut original: S,
+    warm: &[u64],
+    probe: &[u64],
+) -> (FilterBackend, [(usize, Vec<QueryOutcome>); 2]) {
+    for &item in warm {
+        original.query(item);
+    }
+    let mut cloned = original.clone();
+    let replay = |store: &mut S| {
+        let len = store.len();
+        (len, probe.iter().map(|&item| store.query(item)).collect())
+    };
+    (
+        original.backend(),
+        [replay(&mut original), replay(&mut cloned)],
+    )
 }
 
 /// Parameters roomy enough that load effects stay controllable: at least
@@ -226,33 +251,25 @@ proptest! {
         }
     }
 
-    /// `clone_box` and `clone_from_store` produce observably identical
-    /// stores: the same follow-up stream yields the same outcomes.
+    /// A cloned store is observably identical to its original on every
+    /// backend: same length, and the same follow-up stream yields the same
+    /// outcomes.
     #[test]
     fn clones_are_observably_identical(
         params in roomy_params(),
         warm in prop::collection::vec(any::<u64>(), 1..150),
         probe in prop::collection::vec(any::<u64>(), 1..30),
     ) {
-        for backend in FilterBackend::ALL {
-            let mut original = build_store(backend, params).expect("valid params");
-            for &item in &warm {
-                original.query(item);
-            }
-            let mut boxed = original.clone_box();
-            let mut copied = build_store(backend, params).expect("valid params");
-            copied.clone_from_store(original.as_ref());
-            prop_assert_eq!(boxed.len(), original.len(), "{backend} clone_box len");
-            prop_assert_eq!(copied.len(), original.len(), "{backend} clone_from len");
-            for &item in &probe {
-                let a = original.query(item);
-                let b = boxed.query(item);
-                let c = copied.query(item);
-                prop_assert_eq!(a.security, b.security, "{backend} clone_box diverged");
-                prop_assert_eq!(a.captured, b.captured, "{backend} clone_box diverged");
-                prop_assert_eq!(a.security, c.security, "{backend} clone_from diverged");
-                prop_assert_eq!(a.captured, c.captured, "{backend} clone_from diverged");
-            }
+        let runs = [
+            original_and_clone(AutoCuckooFilter::new(params).expect("valid params"), &warm, &probe),
+            original_and_clone(ClassicCuckooFilter::new(params).expect("valid params"), &warm, &probe),
+            original_and_clone(BloomPatternStore::new(params).expect("valid params"), &warm, &probe),
+            original_and_clone(XorPatternStore::new(params).expect("valid params"), &warm, &probe),
+        ];
+        let backends: Vec<FilterBackend> = runs.iter().map(|(backend, _)| *backend).collect();
+        prop_assert_eq!(backends, FilterBackend::ALL, "every backend is cloned");
+        for (backend, [original, cloned]) in runs {
+            prop_assert_eq!(cloned, original, "{backend} clone diverged");
         }
     }
 }

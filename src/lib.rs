@@ -4,6 +4,8 @@
 //! the repository root can use one coherent namespace. Library users should
 //! depend on the member crates directly.
 
+#![forbid(unsafe_code)]
+
 pub use auto_cuckoo;
 pub use cache_sim;
 pub use pipo_attacks;

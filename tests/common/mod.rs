@@ -1,10 +1,7 @@
-//! Shared helpers for the sharded bit-identity suites.
+//! Shared helpers for the bit-identity checks of the integration tests.
 //!
-//! Both `tests/sharded_regression.rs` (pinned workloads) and
-//! `tests/sharded_differential.rs` (randomized workloads) compare a
-//! sequential and a sharded run through this one fingerprint, so a counter
-//! added to `SimReport`/`HierarchyStats` widens *both* suites' equality
-//! check at once — keeping one copy from silently narrowing.
+//! Runs are compared through this one fingerprint, so a counter added to
+//! `SimReport`/`HierarchyStats` widens every equality check at once.
 
 use cache_sim::SimReport;
 

@@ -3,7 +3,7 @@
 //! `crates/bench/src/bin`).
 
 use auto_cuckoo::{false_positive_rate, AutoCuckooFilter, FilterParams};
-use pipo_bench::run_mix_monitored;
+use pipo_bench::{MixCell, MixRun};
 use pipo_workloads::mixes::mix_by_name;
 use pipomonitor::MonitorConfig;
 use rand::rngs::StdRng;
@@ -87,6 +87,12 @@ fn fig4_collision_ratio_tracks_epsilon() {
     );
 }
 
+/// One mix, baseline plus monitored, on the paper's system with seed 42.
+fn run_mix(name: &str, monitor: MonitorConfig, instructions: u64) -> MixRun {
+    let mix = mix_by_name(name).expect("known mix");
+    MixCell::new(name, mix, monitor, instructions, 42).run()
+}
+
 /// Fig. 8 shape at reduced scale: the monitor never slows a mix down by more
 /// than a small fraction of a percent, and the high-churn mixes produce far
 /// more false positives than the quiet ones.
@@ -94,30 +100,10 @@ fn fig4_collision_ratio_tracks_epsilon() {
 fn fig8_shape_performance_and_false_positives() {
     let instructions = 300_000;
     let config = MonitorConfig::paper_default();
-    let mix1 = run_mix_monitored(
-        &mix_by_name("mix1").expect("known"),
-        config,
-        instructions,
-        42,
-    );
-    let mix3 = run_mix_monitored(
-        &mix_by_name("mix3").expect("known"),
-        config,
-        instructions,
-        42,
-    );
-    let mix6 = run_mix_monitored(
-        &mix_by_name("mix6").expect("known"),
-        config,
-        instructions,
-        42,
-    );
-    let mix7 = run_mix_monitored(
-        &mix_by_name("mix7").expect("known"),
-        config,
-        instructions,
-        42,
-    );
+    let mix1 = run_mix("mix1", config, instructions);
+    let mix3 = run_mix("mix3", config, instructions);
+    let mix6 = run_mix("mix6", config, instructions);
+    let mix7 = run_mix("mix7", config, instructions);
 
     for run in [&mix1, &mix3, &mix6, &mix7] {
         let np = run.normalized_performance();
@@ -156,11 +142,10 @@ fn secthr_sensitivity_shape() {
             .security_threshold(thr)
             .build()
             .expect("valid");
-        run_mix_monitored(
-            &mix_by_name("mix1").expect("known"),
+        run_mix(
+            "mix1",
             MonitorConfig::paper_default().with_filter(filter),
             instructions,
-            42,
         )
     };
     let t1 = run_thr(1);

@@ -7,19 +7,12 @@
 //! (SimReport vectors, stats clone) is all that remains, and the per-access
 //! allocation count is zero. A paired test pins the absolute per-window
 //! number so a regression in either direction is caught.
-//!
-//! The same contract is enforced for the epoch-parallel engine
-//! (`System::run_sharded`): after a warm-up run that shapes the epoch
-//! scratch (shard logs, access tapes, private-cache backups, verify set
-//! images) and spawns the persistent worker pool, steady-state epochs must
-//! perform **zero** heap allocations — speculation, verification, and
-//! commit all run out of pooled buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use auto_cuckoo::{build_store, FilterBackend, FilterParams};
-use cache_sim::{Access, Addr, CoreId, NullObserver, ShardSpec, System, SystemConfig};
+use cache_sim::{Access, Addr, CoreId, NullObserver, System, SystemConfig};
 use pipo_workloads::{benchmark, ProfileSource, Trace, V2Replay};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
@@ -211,63 +204,6 @@ fn steady_state_run_allocates_nothing_per_access() {
         "per-run v2 replay constant too large: {window1}"
     );
 
-    // --- Epoch-parallel sharded system ---
-    // Every core churns its own quarter of the LLC sets with more tags than
-    // ways, so steady state is a constant stream of memory fetches, LLC
-    // evictions, and dirty writebacks — all confined to the owning shard.
-    // Epochs therefore commit (never roll back) while exercising the whole
-    // speculate → verify → commit pipeline: shard op logs, set-image
-    // snapshots, fetch/evict annotations, protect patching, and the set
-    // copyback. The warm-up run sizes all pooled scratch (the adaptive
-    // window reaches its 64× cap within the warm-up) and spawns the
-    // persistent worker pool; after it, equally sized sharded runs must
-    // allocate identically — i.e. steady-state epochs allocate nothing.
-    let mut system = System::new(SystemConfig::paper_default(), NullObserver);
-    let sets = SystemConfig::paper_default().l3.sets as u64; // 4096
-    let sets_per_core = sets / 4;
-    for core in 0..4usize {
-        let mut i = 0u64;
-        system.set_source(
-            CoreId(core),
-            Box::new(move || {
-                i += 1;
-                let set = core as u64 * sets_per_core + (i % sets_per_core);
-                let tag = (i / sets_per_core) % 24; // 24 tags > 16 ways: misses
-                let line = tag * sets + set;
-                let access = if i.is_multiple_of(3) {
-                    Access::write(Addr(line * 64))
-                } else {
-                    Access::read(Addr(line * 64))
-                };
-                Some(access.after(3))
-            }),
-        );
-    }
-    // The warm-up must contain at least one *full-length* epoch at the
-    // adaptive window's 64× cap, or the first capped epoch would grow the
-    // log/tape buffers inside a measurement window: at ~240 cycles and
-    // 4 retired instructions per access, a capped window retires
-    // ~18k instructions per core, and the window reaches the cap after
-    // ~35k — 200k instructions of warm-up covers both with margin.
-    let spec = ShardSpec::new(2);
-    system.run_sharded(200_000, spec);
-
-    let before = allocations();
-    system.run_sharded(260_000, spec);
-    let window1 = allocations() - before;
-    system.run_sharded(320_000, spec);
-    let window2 = allocations() - before - window1;
-
-    assert_eq!(
-        window1, window2,
-        "steady-state sharded windows must have identical allocation counts"
-    );
-    assert!(
-        window1 <= 8,
-        "per-run sharded constant too large: {window1} allocations \
-         (expected ~4: the SimReport vectors and stats clone)"
-    );
-
     // --- Every PatternStore backend's query path, in isolation ---
     // The monitored-system sections above run the default (auto) backend;
     // this pins the stricter store-level contract for the whole zoo: after a
@@ -308,23 +244,4 @@ fn steady_state_run_allocates_nothing_per_access() {
         assert!(store.stats_snapshot().queries >= 120_000);
         assert!(!store.is_empty());
     }
-
-    // Sanity: the runs actually took the parallel path and committed — a
-    // permanently rolling-back (sequentially re-executing) run would pass
-    // the allocation check without testing the epoch pipeline.
-    let telemetry = system
-        .epoch_telemetry()
-        .expect("sharded run records telemetry");
-    assert!(
-        telemetry.committed_epochs > 0,
-        "no epoch committed: {telemetry:?}"
-    );
-    assert_eq!(
-        telemetry.rollbacks, 0,
-        "workload must not conflict: {telemetry:?}"
-    );
-    assert!(
-        telemetry.llc_ops_replayed > 0,
-        "verify phase saw no ops: {telemetry:?}"
-    );
 }
