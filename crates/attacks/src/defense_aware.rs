@@ -14,7 +14,7 @@
 //!   `b`, reaching `b^(MNK+1)` (32768 for the paper's b = 8, MNK = 4).
 
 use auto_cuckoo::hash::candidate_buckets;
-use auto_cuckoo::{AutoCuckooFilter, FilterParams};
+use auto_cuckoo::{CuckooFilter, FilterParams, PatternStore};
 use cache_sim::{Addr, LineAddr};
 use pipomonitor::DirectoryMonitorConfig;
 use rand::rngs::StdRng;
@@ -45,7 +45,7 @@ pub struct ReverseAttackResult {
 /// Safety valve: give up a trial after this many fills (counts as the cap).
 const FILL_CAP: u64 = 5_000_000;
 
-fn fresh_filter(params: FilterParams, trial_seed: u64) -> AutoCuckooFilter {
+fn fresh_filter(params: FilterParams, trial_seed: u64) -> CuckooFilter {
     let params = FilterParams::builder()
         .buckets(params.buckets())
         .entries_per_bucket(params.entries_per_bucket())
@@ -55,12 +55,12 @@ fn fresh_filter(params: FilterParams, trial_seed: u64) -> AutoCuckooFilter {
         .seed(params.seed() ^ trial_seed.rotate_left(17))
         .build()
         .expect("derived parameters stay valid");
-    AutoCuckooFilter::new(params).expect("validated above")
+    CuckooFilter::auto(params).expect("validated above")
 }
 
 /// Pre-fills the filter to full occupancy with adversary addresses, then
 /// inserts the target.
-fn prepare_full_filter(filter: &mut AutoCuckooFilter, target: u64, rng: &mut StdRng) {
+fn prepare_full_filter(filter: &mut CuckooFilter, target: u64, rng: &mut StdRng) {
     // Over-insert well past capacity so occupancy saturates.
     let warmup = filter.params().capacity() as u64 * 4;
     for _ in 0..warmup {

@@ -2,7 +2,7 @@
 //! operations, including the MNK ablation (relocation work per insertion
 //! grows with MNK — the hardware-cost side of the Fig. 3/Fig. 7 trade-off).
 
-use auto_cuckoo::{AutoCuckooFilter, ClassicCuckooFilter, FilterParams};
+use auto_cuckoo::{CuckooFilter, FilterParams, PatternStore};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -15,7 +15,7 @@ fn query_empty_to_full(c: &mut Criterion) {
                 .build()
                 .expect("valid");
             b.iter(|| {
-                let mut filter = AutoCuckooFilter::new(params).expect("valid");
+                let mut filter = CuckooFilter::auto(params).expect("valid");
                 for i in 0..16_384u64 {
                     filter.query(black_box(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1));
                 }
@@ -30,7 +30,7 @@ fn query_saturated(c: &mut Criterion) {
     // Steady-state query cost on a 100%-occupied filter (every insert
     // triggers the kick walk + autonomic deletion).
     let params = FilterParams::paper_default();
-    let mut filter = AutoCuckooFilter::new(params).expect("valid");
+    let mut filter = CuckooFilter::auto(params).expect("valid");
     for i in 0..100_000u64 {
         filter.query(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     }
@@ -45,7 +45,7 @@ fn query_saturated(c: &mut Criterion) {
 
 fn lookup_hit_vs_miss(c: &mut Criterion) {
     let params = FilterParams::paper_default();
-    let mut filter = AutoCuckooFilter::new(params).expect("valid");
+    let mut filter = CuckooFilter::auto(params).expect("valid");
     for i in 0..8_192u64 {
         filter.query(i * 64);
     }
@@ -73,9 +73,9 @@ fn classic_vs_auto_insert(c: &mut Criterion) {
             .build()
             .expect("valid");
         b.iter(|| {
-            let mut filter = ClassicCuckooFilter::new(params).expect("valid");
+            let mut filter = CuckooFilter::classic(params).expect("valid");
             for i in 0..8_192u64 {
-                let _ = filter.insert(black_box(i.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1));
+                filter.query(black_box(i.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1));
             }
             black_box(filter.len())
         });
@@ -83,7 +83,7 @@ fn classic_vs_auto_insert(c: &mut Criterion) {
     group.bench_function("auto_mnk4", |b| {
         let params = FilterParams::paper_default();
         b.iter(|| {
-            let mut filter = AutoCuckooFilter::new(params).expect("valid");
+            let mut filter = CuckooFilter::auto(params).expect("valid");
             for i in 0..8_192u64 {
                 filter.query(black_box(i.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1));
             }

@@ -11,7 +11,7 @@
 //! Run: `cargo run --release -p pipo-bench --bin fig3_occupancy -- \
 //!       [--json PATH] [--sequential | --threads N]`
 
-use auto_cuckoo::{AutoCuckooFilter, FilterParams};
+use auto_cuckoo::{CuckooFilter, FilterParams, PatternStore};
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +25,7 @@ fn occupancy_curve(mnk: u32, checkpoints: &[u64]) -> Vec<f64> {
         .max_kicks(mnk)
         .build()
         .expect("valid parameters");
-    let mut filter = AutoCuckooFilter::new(params).expect("valid parameters");
+    let mut filter = CuckooFilter::auto(params).expect("valid parameters");
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut curve = Vec::with_capacity(checkpoints.len());
     let mut inserted = 0u64;

@@ -12,7 +12,7 @@
 //! Run: `cargo run --release -p pipo-bench --bin fig4_collisions -- \
 //!       [insertions] [--json PATH] [--sequential | --threads N]`
 
-use auto_cuckoo::{false_positive_rate, AutoCuckooFilter, FilterParams};
+use auto_cuckoo::{false_positive_rate, CuckooFilter, FilterParams, PatternStore};
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,7 @@ fn main() {
             .fingerprint_bits(f)
             .build()
             .expect("valid parameters");
-        let mut filter = AutoCuckooFilter::new(params).expect("valid parameters");
+        let mut filter = CuckooFilter::auto(params).expect("valid parameters");
         let mut rng = StdRng::seed_from_u64(SEED);
         for _ in 0..insertions {
             filter.query(rng.gen::<u64>() | 1);

@@ -3,14 +3,14 @@
 //!
 //! PiPoMonitor sits in the memory controller and watches LLC↔memory traffic
 //! through the [`cache_sim::TrafficObserver`] hook. Every demand fetch is
-//! recorded in a pluggable [`auto_cuckoo::PatternStore`] (the paper's
-//! [`auto_cuckoo::AutoCuckooFilter`] by default); when a line's re-access
-//! (`Security`) counter reaches `secThr` it is captured as a **Ping-Pong
-//! line** — the temporal signature of an attacker repeatedly evicting a
-//! victim line and the victim re-fetching it. Captured lines are tagged in
-//! the LLC; when a tagged-and-accessed line is evicted, the monitor
-//! prefetches it back after a short delay, so the attacker's probes always
-//! observe a resident line and learn nothing.
+//! recorded in a pluggable [`auto_cuckoo::PatternStore`] (by default the
+//! paper's Auto-Cuckoo filter, [`auto_cuckoo::CuckooFilter::auto`]); when a
+//! line's re-access (`Security`) counter reaches `secThr` it is captured as a
+//! **Ping-Pong line** — the temporal signature of an attacker repeatedly
+//! evicting a victim line and the victim re-fetching it. Captured lines are
+//! tagged in the LLC; when a tagged-and-accessed line is evicted, the
+//! monitor prefetches it back after a short delay, so the attacker's probes
+//! always observe a resident line and learn nothing.
 //!
 //! The monitor participates in the simulator's allocation-free hot path: its
 //! [`PrefetchQueue`] deduplicates pending lines through an O(1) membership

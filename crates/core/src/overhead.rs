@@ -27,7 +27,7 @@ const PAPER_BITS: f64 = 8192.0 * 15.0;
 /// ```
 #[must_use]
 pub fn area_estimate_mm2(params: &FilterParams) -> f64 {
-    let bits = (1 + params.fingerprint_bits() as u64 + 2) * params.capacity() as u64;
+    let bits = u64::from(params.entry_bits()) * params.capacity() as u64;
     PAPER_AREA_MM2 * bits as f64 / PAPER_BITS
 }
 

@@ -89,8 +89,7 @@ impl StorageOverhead {
     /// Computes the overhead of a filter protecting an LLC of
     /// `llc_bytes` bytes.
     ///
-    /// Entry layout follows the paper: 1 valid bit + `f` fingerprint bits +
-    /// 2 Security bits.
+    /// Entries are [`FilterParams::entry_bits`] wide, as in the paper.
     ///
     /// # Examples
     ///
@@ -108,7 +107,7 @@ impl StorageOverhead {
     /// ```
     #[must_use]
     pub fn for_filter(params: &FilterParams, llc_bytes: u64) -> Self {
-        let bits_per_entry = 1 + u64::from(params.fingerprint_bits()) + 2;
+        let bits_per_entry = u64::from(params.entry_bits());
         let entries = params.capacity() as u64;
         let total_bits = bits_per_entry * entries;
         let total_kib = total_bits as f64 / 8.0 / 1024.0;

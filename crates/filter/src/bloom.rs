@@ -26,7 +26,7 @@ use std::fmt;
 use crate::hash::mix64;
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
-use crate::store::QueryOutcome;
+use crate::store::{FilterBackend, PatternStore, QueryOutcome};
 
 /// Counters per item (the `K` probes of a query).
 const K: usize = 4;
@@ -44,7 +44,7 @@ const BLOOM_SALT: u64 = 0xb10c_b100_f11e_ca5e;
 /// # Examples
 ///
 /// ```
-/// use auto_cuckoo::{BloomPatternStore, FilterParams};
+/// use auto_cuckoo::{BloomPatternStore, FilterParams, PatternStore};
 ///
 /// # fn main() -> Result<(), auto_cuckoo::ParamsError> {
 /// let mut store = BloomPatternStore::new(FilterParams::paper_default())?;
@@ -106,52 +106,6 @@ impl BloomPatternStore {
         })
     }
 
-    /// The store's parameters.
-    #[must_use]
-    pub fn params(&self) -> &FilterParams {
-        &self.params
-    }
-
-    /// Cumulative operation statistics.
-    #[must_use]
-    pub fn stats(&self) -> &FilterStats {
-        &self.stats
-    }
-
-    /// Distinct inserts observed (queries whose counter minimum was zero).
-    /// Counter sharing can merge distinct lines, so this undercounts the
-    /// lines that contributed traffic, never overcounts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inserted_items
-    }
-
-    /// Whether no counters are set.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.set_counters == 0
-    }
-
-    /// Fraction of counter slots currently nonzero, in `0.0..=1.0`.
-    #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        self.set_counters as f64 / self.counters as f64
-    }
-
-    /// Bytes of counter storage.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Zeroes every counter and resets statistics.
-    pub fn clear(&mut self) {
-        self.data.fill(0);
-        self.set_counters = 0;
-        self.inserted_items = 0;
-        self.stats = FilterStats::default();
-    }
-
     /// The `K` counter indices of an item (all within one block).
     #[inline]
     fn probes(&self, item: u64) -> [usize; K] {
@@ -186,10 +140,12 @@ impl BloomPatternStore {
             *byte = (*byte & 0x0f) | (value << 4);
         }
     }
+}
 
+impl PatternStore for BloomPatternStore {
     /// The query-with-promotion operation: reads the item's counter minimum,
     /// conservatively increments it, and reports the resulting `Security`.
-    pub fn query(&mut self, item: u64) -> QueryOutcome {
+    fn query(&mut self, item: u64) -> QueryOutcome {
         self.stats.queries += 1;
         let thr = self.params.security_threshold();
         let probes = self.probes(item);
@@ -239,16 +195,14 @@ impl BloomPatternStore {
 
     /// Whether the item's counter minimum is nonzero. Subject to
     /// counter-sharing false positives.
-    #[must_use]
-    pub fn contains(&self, item: u64) -> bool {
+    fn contains(&self, item: u64) -> bool {
         self.probes(item).iter().all(|&p| self.counter(p) > 0)
     }
 
     /// Current `Security` of the item, if its counter minimum is nonzero.
     /// A counter minimum of `m` means the line was seen `m` times
     /// (saturating), i.e. `Security = min(m - 1, secThr)`.
-    #[must_use]
-    pub fn security_of(&self, item: u64) -> Option<u8> {
+    fn security_of(&self, item: u64) -> Option<u8> {
         let thr = self.params.security_threshold();
         let min = self
             .probes(item)
@@ -257,6 +211,47 @@ impl BloomPatternStore {
             .min()
             .expect("K > 0");
         (min > 0).then(|| (min - 1).min(thr))
+    }
+
+    fn security_threshold(&self) -> u8 {
+        self.params.security_threshold()
+    }
+
+    /// Distinct inserts observed (queries whose counter minimum was zero).
+    /// Counter sharing can merge distinct lines, so this undercounts the
+    /// lines that contributed traffic, never overcounts.
+    fn len(&self) -> usize {
+        self.inserted_items
+    }
+
+    /// Fraction of counter slots currently nonzero.
+    fn occupancy(&self) -> f64 {
+        self.set_counters as f64 / self.counters as f64
+    }
+
+    /// Bytes of counter storage.
+    fn memory_bytes(&self) -> usize {
+        self.data.len()
+    }
+
+    fn stats_snapshot(&self) -> FilterStats {
+        self.stats.clone()
+    }
+
+    /// Zeroes every counter and resets statistics.
+    fn clear(&mut self) {
+        self.data.fill(0);
+        self.set_counters = 0;
+        self.inserted_items = 0;
+        self.stats = FilterStats::default();
+    }
+
+    fn backend(&self) -> FilterBackend {
+        FilterBackend::Bloom
+    }
+
+    fn params(&self) -> &FilterParams {
+        &self.params
     }
 }
 
@@ -310,7 +305,7 @@ mod tests {
         // Single-visit lines at <50% counter load: capture needs a 4-way
         // counter pileup; a handful at most.
         assert!(captures < 5, "unexpected capture storm: {captures}");
-        assert_eq!(s.stats().queries, 4000);
+        assert_eq!(s.stats_snapshot().queries, 4000);
     }
 
     #[test]
@@ -340,7 +335,7 @@ mod tests {
         assert!(!s.is_empty());
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.stats().queries, 0);
+        assert_eq!(s.stats_snapshot().queries, 0);
         assert!(!s.contains(0));
         assert_eq!(s.occupancy(), 0.0);
     }

@@ -73,7 +73,8 @@ impl Entry {
     }
 
     /// Increments `Security`, saturating at `threshold`, and returns the new
-    /// value. Also counts a merge into this entry for the collision census.
+    /// value. The collision census counts merges separately, through
+    /// [`note_collision`](Self::note_collision).
     pub fn bump_security(&mut self, threshold: u8) -> u8 {
         debug_assert!(self.valid, "bump_security on vacant entry");
         if self.security < threshold {

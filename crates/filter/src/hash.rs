@@ -68,22 +68,6 @@ impl IndexPair {
         }
     }
 
-    /// Returns the member of the pair that is not `bucket`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` is neither member of the pair.
-    #[must_use]
-    pub fn other(&self, bucket: usize) -> usize {
-        if bucket == self.primary {
-            self.alternate
-        } else if bucket == self.alternate {
-            self.primary
-        } else {
-            panic!("bucket {bucket} is not a member of {self:?}");
-        }
-    }
-
     /// Whether `bucket` is one of the two candidates.
     #[must_use]
     pub fn contains(&self, bucket: usize) -> bool {
@@ -254,13 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn index_pair_other_and_contains() {
+    fn index_pair_contains_and_canonical() {
         let pair = IndexPair {
             primary: 3,
             alternate: 9,
         };
-        assert_eq!(pair.other(3), 9);
-        assert_eq!(pair.other(9), 3);
         assert!(pair.contains(3));
         assert!(pair.contains(9));
         assert!(!pair.contains(4));
@@ -270,16 +252,6 @@ mod tests {
             alternate: 3,
         };
         assert_eq!(flipped.canonical(), (3, 9));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a member")]
-    fn index_pair_other_panics_on_foreign_bucket() {
-        let pair = IndexPair {
-            primary: 1,
-            alternate: 2,
-        };
-        let _ = pair.other(7);
     }
 
     #[test]

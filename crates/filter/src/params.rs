@@ -140,6 +140,13 @@ impl FilterParams {
         self.buckets * self.entries_per_bucket
     }
 
+    /// Hardware bits per cuckoo-table entry: 1 valid bit, `f` fingerprint
+    /// bits and a 2-bit `Security` counter (paper §VII-D). 15 at `f = 12`.
+    #[must_use]
+    pub fn entry_bits(&self) -> u32 {
+        1 + self.fingerprint_bits + 2
+    }
+
     /// Bit mask selecting a bucket index (requires `l` to be a power of two).
     #[must_use]
     pub fn bucket_mask(&self) -> u64 {

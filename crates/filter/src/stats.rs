@@ -6,11 +6,13 @@ use crate::entry::Entry;
 /// Cumulative counters over a filter's lifetime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilterStats {
-    /// Total [`query`](crate::AutoCuckooFilter::query) calls.
+    /// Total [`query`](crate::PatternStore::query) calls.
     pub queries: u64,
     /// Queries that found an existing matching record.
     pub merges: u64,
-    /// Queries that inserted a fresh record.
+    /// Queries that inserted a fresh record. A classic cuckoo filter's
+    /// refused insertions count in neither `merges` nor `inserts`, so
+    /// `queries − merges − inserts` is its refusal count.
     pub inserts: u64,
     /// Total relocations performed across all insertions.
     pub kicks: u64,
@@ -30,25 +32,6 @@ impl FilterStats {
             self.kicks as f64 / self.inserts as f64
         }
     }
-
-    /// Fraction of queries that merged into an existing record.
-    #[must_use]
-    pub fn merge_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.merges as f64 / self.queries as f64
-        }
-    }
-}
-
-/// One point on an occupancy-vs-insertions curve (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OccupancySample {
-    /// Number of insertions performed so far.
-    pub insertions: u64,
-    /// Fraction of filter entries valid at that point, `0.0..=1.0`.
-    pub occupancy: f64,
 }
 
 /// Census of fingerprint collisions across a filter's valid entries (Fig. 4).
@@ -151,14 +134,12 @@ mod tests {
             captures: 2,
         };
         assert!((s.kicks_per_insert() - 2.0).abs() < 1e-12);
-        assert!((s.merge_rate() - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn stats_rates_are_zero_when_empty() {
         let s = FilterStats::default();
         assert_eq!(s.kicks_per_insert(), 0.0);
-        assert_eq!(s.merge_rate(), 0.0);
     }
 
     #[test]

@@ -19,18 +19,19 @@
 //!   [`memory_bytes`](PatternStore::memory_bytes) — uniform observability so
 //!   harnesses can compare backends on false alarms vs. memory vs. speed.
 //!
-//! Four backends implement the trait: the paper's [`AutoCuckooFilter`], the
-//! vulnerable [`ClassicCuckooFilter`] baseline, a blocked spectral Bloom
-//! store ([`BloomPatternStore`](crate::BloomPatternStore)), and a xor-filter
-//! store with periodic rebuild ([`XorPatternStore`](crate::XorPatternStore)).
-//! [`build_store`] constructs any of them from a [`FilterBackend`] tag plus
-//! the shared [`FilterParams`] geometry.
+//! Four backends implement the trait, each in its own module: the paper's
+//! Auto-Cuckoo filter and the vulnerable classic baseline (one
+//! [`CuckooFilter`] table under two overflow policies), a blocked spectral
+//! Bloom store ([`BloomPatternStore`](crate::BloomPatternStore)), and a
+//! xor-filter store with periodic rebuild
+//! ([`XorPatternStore`](crate::XorPatternStore)). [`build_store`] constructs
+//! any of them from a [`FilterBackend`] tag plus the shared [`FilterParams`]
+//! geometry.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::auto::AutoCuckooFilter;
-use crate::classic::ClassicCuckooFilter;
+use crate::cuckoo::CuckooFilter;
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
 
@@ -48,7 +49,9 @@ use crate::stats::FilterStats;
 pub struct QueryOutcome {
     /// `Security` value of the record after this query.
     pub security: u8,
-    /// Whether the query found no record and inserted a fresh one.
+    /// Whether the query found no record and inserted a fresh one. A
+    /// classic cuckoo filter's refused insertion reports neither this nor
+    /// [`merged`](Self::merged).
     pub inserted: bool,
     /// Whether the query found an existing record (a re-access, or a
     /// false-positive collision with another address).
@@ -58,8 +61,10 @@ pub struct QueryOutcome {
     pub captured: bool,
     /// Number of relocations performed to make room for an insertion.
     pub kicks: u32,
-    /// Fingerprint removed by autonomic deletion, if the relocation chain hit
-    /// MNK.
+    /// Fingerprint of the record a relocation walk dropped on reaching MNK:
+    /// the Auto-Cuckoo filter's autonomic deletion, or the resident a
+    /// classic refusal lost (`None` when the classic walk made no kick and
+    /// only the new record was refused).
     pub autonomic_deletion: Option<u16>,
 }
 
@@ -67,9 +72,11 @@ pub struct QueryOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FilterBackend {
-    /// The paper's Auto-Cuckoo filter (insertion never fails).
+    /// The paper's Auto-Cuckoo filter, [`CuckooFilter::auto`] (insertion
+    /// never fails).
     Auto,
-    /// The classic software Cuckoo filter (insertions can fail when full).
+    /// The classic software Cuckoo filter, [`CuckooFilter::classic`]
+    /// (insertions can fail when full).
     Classic,
     /// Blocked spectral Bloom store (per-line counters, no deletion).
     Bloom,
@@ -222,202 +229,11 @@ pub fn build_store(
     params: FilterParams,
 ) -> Result<Box<dyn PatternStore>, ParamsError> {
     Ok(match backend {
-        FilterBackend::Auto => Box::new(AutoCuckooFilter::new(params)?),
-        FilterBackend::Classic => Box::new(ClassicCuckooFilter::new(params)?),
+        FilterBackend::Auto => Box::new(CuckooFilter::auto(params)?),
+        FilterBackend::Classic => Box::new(CuckooFilter::classic(params)?),
         FilterBackend::Bloom => Box::new(crate::bloom::BloomPatternStore::new(params)?),
         FilterBackend::Xor => Box::new(crate::xor::XorPatternStore::new(params)?),
     })
-}
-
-impl PatternStore for AutoCuckooFilter {
-    fn query(&mut self, item: u64) -> QueryOutcome {
-        AutoCuckooFilter::query(self, item)
-    }
-
-    fn contains(&self, item: u64) -> bool {
-        AutoCuckooFilter::contains(self, item)
-    }
-
-    fn security_of(&self, item: u64) -> Option<u8> {
-        AutoCuckooFilter::security_of(self, item)
-    }
-
-    fn security_threshold(&self) -> u8 {
-        self.params().security_threshold()
-    }
-
-    fn len(&self) -> usize {
-        AutoCuckooFilter::len(self)
-    }
-
-    fn occupancy(&self) -> f64 {
-        AutoCuckooFilter::occupancy(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        cuckoo_table_bytes(self.params())
-    }
-
-    fn stats_snapshot(&self) -> FilterStats {
-        AutoCuckooFilter::stats(self).clone()
-    }
-
-    fn clear(&mut self) {
-        AutoCuckooFilter::clear(self);
-    }
-
-    fn backend(&self) -> FilterBackend {
-        FilterBackend::Auto
-    }
-
-    fn params(&self) -> &FilterParams {
-        AutoCuckooFilter::params(self)
-    }
-}
-
-impl PatternStore for ClassicCuckooFilter {
-    fn query(&mut self, item: u64) -> QueryOutcome {
-        ClassicCuckooFilter::query(self, item)
-    }
-
-    fn contains(&self, item: u64) -> bool {
-        ClassicCuckooFilter::contains(self, item)
-    }
-
-    fn security_of(&self, item: u64) -> Option<u8> {
-        ClassicCuckooFilter::security_of(self, item)
-    }
-
-    fn security_threshold(&self) -> u8 {
-        self.params().security_threshold()
-    }
-
-    fn len(&self) -> usize {
-        ClassicCuckooFilter::len(self)
-    }
-
-    fn occupancy(&self) -> f64 {
-        ClassicCuckooFilter::occupancy(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        cuckoo_table_bytes(self.params())
-    }
-
-    fn stats_snapshot(&self) -> FilterStats {
-        ClassicCuckooFilter::stats(self).clone()
-    }
-
-    fn clear(&mut self) {
-        ClassicCuckooFilter::clear(self);
-    }
-
-    fn backend(&self) -> FilterBackend {
-        FilterBackend::Classic
-    }
-
-    fn params(&self) -> &FilterParams {
-        ClassicCuckooFilter::params(self)
-    }
-}
-
-impl PatternStore for crate::bloom::BloomPatternStore {
-    fn query(&mut self, item: u64) -> QueryOutcome {
-        crate::bloom::BloomPatternStore::query(self, item)
-    }
-
-    fn contains(&self, item: u64) -> bool {
-        crate::bloom::BloomPatternStore::contains(self, item)
-    }
-
-    fn security_of(&self, item: u64) -> Option<u8> {
-        crate::bloom::BloomPatternStore::security_of(self, item)
-    }
-
-    fn security_threshold(&self) -> u8 {
-        self.params().security_threshold()
-    }
-
-    fn len(&self) -> usize {
-        crate::bloom::BloomPatternStore::len(self)
-    }
-
-    fn occupancy(&self) -> f64 {
-        crate::bloom::BloomPatternStore::occupancy(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        crate::bloom::BloomPatternStore::memory_bytes(self)
-    }
-
-    fn stats_snapshot(&self) -> FilterStats {
-        crate::bloom::BloomPatternStore::stats(self).clone()
-    }
-
-    fn clear(&mut self) {
-        crate::bloom::BloomPatternStore::clear(self);
-    }
-
-    fn backend(&self) -> FilterBackend {
-        FilterBackend::Bloom
-    }
-
-    fn params(&self) -> &FilterParams {
-        crate::bloom::BloomPatternStore::params(self)
-    }
-}
-
-impl PatternStore for crate::xor::XorPatternStore {
-    fn query(&mut self, item: u64) -> QueryOutcome {
-        crate::xor::XorPatternStore::query(self, item)
-    }
-
-    fn contains(&self, item: u64) -> bool {
-        crate::xor::XorPatternStore::contains(self, item)
-    }
-
-    fn security_of(&self, item: u64) -> Option<u8> {
-        crate::xor::XorPatternStore::security_of(self, item)
-    }
-
-    fn security_threshold(&self) -> u8 {
-        self.params().security_threshold()
-    }
-
-    fn len(&self) -> usize {
-        crate::xor::XorPatternStore::len(self)
-    }
-
-    fn occupancy(&self) -> f64 {
-        crate::xor::XorPatternStore::occupancy(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        crate::xor::XorPatternStore::memory_bytes(self)
-    }
-
-    fn stats_snapshot(&self) -> FilterStats {
-        crate::xor::XorPatternStore::stats(self).clone()
-    }
-
-    fn clear(&mut self) {
-        crate::xor::XorPatternStore::clear(self);
-    }
-
-    fn backend(&self) -> FilterBackend {
-        FilterBackend::Xor
-    }
-
-    fn params(&self) -> &FilterParams {
-        crate::xor::XorPatternStore::params(self)
-    }
-}
-
-/// Hardware bytes of an `l × b` cuckoo table: per entry 1 valid bit, `f`
-/// fingerprint bits and a 2-bit `Security` counter (paper §VII-D).
-fn cuckoo_table_bytes(params: &FilterParams) -> usize {
-    let bits = params.capacity() * (1 + params.fingerprint_bits() as usize + 2);
-    bits.div_ceil(8)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use std::fmt;
 use crate::hash::mix64;
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
-use crate::store::QueryOutcome;
+use crate::store::{FilterBackend, PatternStore, QueryOutcome};
 
 /// Sentinel in the `secs` array marking a vacant live slot (valid security
 /// levels are tiny, so `0xFF` is unambiguous).
@@ -82,7 +82,7 @@ fn xor_positions(item: u64, seed: u64, segment: usize) -> (u8, [usize; 3]) {
 /// # Examples
 ///
 /// ```
-/// use auto_cuckoo::{FilterParams, XorPatternStore};
+/// use auto_cuckoo::{FilterParams, PatternStore, XorPatternStore};
 ///
 /// # fn main() -> Result<(), auto_cuckoo::ParamsError> {
 /// let mut store = XorPatternStore::new(FilterParams::paper_default())?;
@@ -166,37 +166,6 @@ impl XorPatternStore {
         })
     }
 
-    /// The store's parameters.
-    #[must_use]
-    pub fn params(&self) -> &FilterParams {
-        &self.params
-    }
-
-    /// Cumulative operation statistics.
-    #[must_use]
-    pub fn stats(&self) -> &FilterStats {
-        &self.stats
-    }
-
-    /// Lines in the live window (frozen history is membership-only and not
-    /// counted; see [`Self::frozen_len`]).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live_len
-    }
-
-    /// Whether both generations are empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live_len == 0 && self.frozen_len == 0
-    }
-
-    /// Live-window occupancy, in `0.0..=1.0`.
-    #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        self.live_len as f64 / self.keys.len() as f64
-    }
-
     /// Lines folded into the frozen filter at the last rebuild.
     #[must_use]
     pub fn frozen_len(&self) -> usize {
@@ -207,26 +176,6 @@ impl XorPatternStore {
     #[must_use]
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
-    }
-
-    /// Modelled hardware memory: tag-compressed live entries at
-    /// `(1 + f + 2)` bits each plus the frozen fingerprint arena.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        let live_bits = self.keys.len() * (1 + self.params.fingerprint_bits() as usize + 2);
-        live_bits.div_ceil(8) + self.frozen_c
-    }
-
-    /// Empties both generations and resets statistics.
-    pub fn clear(&mut self) {
-        self.secs.fill(VACANT);
-        self.live_len = 0;
-        self.frozen_c = 0;
-        self.frozen_segment = 0;
-        self.frozen_seed = 0;
-        self.frozen_len = 0;
-        self.rebuilds = 0;
-        self.stats = FilterStats::default();
     }
 
     #[inline]
@@ -242,87 +191,6 @@ impl XorPatternStore {
         }
         let (fp, [p0, p1, p2]) = xor_positions(item, self.frozen_seed, self.frozen_segment);
         self.fps[p0] ^ self.fps[p1] ^ self.fps[p2] == fp
-    }
-
-    /// The query-with-promotion operation. Live hits promote exactly like the
-    /// cuckoo backends; live misses consult the frozen history for one level
-    /// of re-entry credit, then insert (rebuilding first if the window is
-    /// full).
-    pub fn query(&mut self, item: u64) -> QueryOutcome {
-        self.stats.queries += 1;
-        let thr = self.params.security_threshold();
-        let mut idx = self.home_slot(item);
-        loop {
-            if self.secs[idx] == VACANT {
-                break;
-            }
-            if self.keys[idx] == item {
-                let sec = (self.secs[idx] + 1).min(thr);
-                self.secs[idx] = sec;
-                let captured = sec >= thr;
-                self.stats.merges += 1;
-                if captured {
-                    self.stats.captures += 1;
-                }
-                return QueryOutcome {
-                    security: sec,
-                    inserted: false,
-                    merged: true,
-                    captured,
-                    kicks: 0,
-                    autonomic_deletion: None,
-                };
-            }
-            idx = (idx + 1) & self.mask;
-        }
-        // Live miss: rebuild if the window is full, then insert with any
-        // history credit the frozen generation grants.
-        if self.live_len >= self.rebuild_at {
-            self.rebuild();
-            idx = self.home_slot(item);
-            while self.secs[idx] != VACANT {
-                idx = (idx + 1) & self.mask;
-            }
-        }
-        let remembered = self.frozen_contains(item);
-        let sec = if remembered { 1u8.min(thr) } else { 0 };
-        self.keys[idx] = item;
-        self.secs[idx] = sec;
-        self.live_len += 1;
-        let captured = remembered && sec >= thr;
-        if remembered {
-            self.stats.merges += 1;
-        } else {
-            self.stats.inserts += 1;
-        }
-        if captured {
-            self.stats.captures += 1;
-        }
-        QueryOutcome {
-            security: sec,
-            inserted: !remembered,
-            merged: remembered,
-            captured,
-            kicks: 0,
-            autonomic_deletion: None,
-        }
-    }
-
-    /// Whether the item is tracked live or claimed by the frozen history.
-    #[must_use]
-    pub fn contains(&self, item: u64) -> bool {
-        self.live_security(item).is_some() || self.frozen_contains(item)
-    }
-
-    /// Current `Security` of the item: exact for live lines, history credit
-    /// (`1`) for frozen-only lines.
-    #[must_use]
-    pub fn security_of(&self, item: u64) -> Option<u8> {
-        if let Some(sec) = self.live_security(item) {
-            return Some(sec);
-        }
-        self.frozen_contains(item)
-            .then(|| 1u8.min(self.params.security_threshold()))
     }
 
     #[inline]
@@ -414,6 +282,133 @@ impl XorPatternStore {
         }
         self.secs.fill(VACANT);
         self.live_len = 0;
+    }
+}
+
+impl PatternStore for XorPatternStore {
+    /// The query-with-promotion operation. Live hits promote exactly like the
+    /// cuckoo backends; live misses consult the frozen history for one level
+    /// of re-entry credit, then insert (rebuilding first if the window is
+    /// full).
+    fn query(&mut self, item: u64) -> QueryOutcome {
+        self.stats.queries += 1;
+        let thr = self.params.security_threshold();
+        let mut idx = self.home_slot(item);
+        loop {
+            if self.secs[idx] == VACANT {
+                break;
+            }
+            if self.keys[idx] == item {
+                let sec = (self.secs[idx] + 1).min(thr);
+                self.secs[idx] = sec;
+                let captured = sec >= thr;
+                self.stats.merges += 1;
+                if captured {
+                    self.stats.captures += 1;
+                }
+                return QueryOutcome {
+                    security: sec,
+                    inserted: false,
+                    merged: true,
+                    captured,
+                    kicks: 0,
+                    autonomic_deletion: None,
+                };
+            }
+            idx = (idx + 1) & self.mask;
+        }
+        // Live miss: rebuild if the window is full, then insert with any
+        // history credit the frozen generation grants.
+        if self.live_len >= self.rebuild_at {
+            self.rebuild();
+            idx = self.home_slot(item);
+            while self.secs[idx] != VACANT {
+                idx = (idx + 1) & self.mask;
+            }
+        }
+        let remembered = self.frozen_contains(item);
+        let sec = if remembered { 1u8.min(thr) } else { 0 };
+        self.keys[idx] = item;
+        self.secs[idx] = sec;
+        self.live_len += 1;
+        let captured = remembered && sec >= thr;
+        if remembered {
+            self.stats.merges += 1;
+        } else {
+            self.stats.inserts += 1;
+        }
+        if captured {
+            self.stats.captures += 1;
+        }
+        QueryOutcome {
+            security: sec,
+            inserted: !remembered,
+            merged: remembered,
+            captured,
+            kicks: 0,
+            autonomic_deletion: None,
+        }
+    }
+
+    /// Whether the item is tracked live or claimed by the frozen history.
+    fn contains(&self, item: u64) -> bool {
+        self.live_security(item).is_some() || self.frozen_contains(item)
+    }
+
+    /// Current `Security` of the item: exact for live lines, history credit
+    /// (`1`) for frozen-only lines.
+    fn security_of(&self, item: u64) -> Option<u8> {
+        if let Some(sec) = self.live_security(item) {
+            return Some(sec);
+        }
+        self.frozen_contains(item)
+            .then(|| 1u8.min(self.params.security_threshold()))
+    }
+
+    fn security_threshold(&self) -> u8 {
+        self.params.security_threshold()
+    }
+
+    /// Lines in the live window (frozen history is membership-only and not
+    /// counted; see [`XorPatternStore::frozen_len`]).
+    fn len(&self) -> usize {
+        self.live_len
+    }
+
+    /// Live-window occupancy.
+    fn occupancy(&self) -> f64 {
+        self.live_len as f64 / self.keys.len() as f64
+    }
+
+    /// Modelled hardware memory: tag-compressed live entries of
+    /// [`FilterParams::entry_bits`] each plus the frozen fingerprint arena.
+    fn memory_bytes(&self) -> usize {
+        let live_bits = self.keys.len() * self.params.entry_bits() as usize;
+        live_bits.div_ceil(8) + self.frozen_c
+    }
+
+    /// Empties both generations and resets statistics.
+    fn clear(&mut self) {
+        self.secs.fill(VACANT);
+        self.live_len = 0;
+        self.frozen_c = 0;
+        self.frozen_segment = 0;
+        self.frozen_seed = 0;
+        self.frozen_len = 0;
+        self.rebuilds = 0;
+        self.stats = FilterStats::default();
+    }
+
+    fn stats_snapshot(&self) -> FilterStats {
+        self.stats.clone()
+    }
+
+    fn backend(&self) -> FilterBackend {
+        FilterBackend::Xor
+    }
+
+    fn params(&self) -> &FilterParams {
+        &self.params
     }
 }
 
@@ -514,7 +509,7 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.rebuilds(), 0);
-        assert_eq!(s.stats().queries, 0);
+        assert_eq!(s.stats_snapshot().queries, 0);
         assert!(!s.contains(mix64(3)));
     }
 

@@ -17,8 +17,8 @@ use std::collections::{HashMap, HashSet};
 
 use auto_cuckoo::hash::candidate_buckets;
 use auto_cuckoo::{
-    build_store, fingerprint_of, AutoCuckooFilter, BloomPatternStore, ClassicCuckooFilter,
-    FilterBackend, FilterParams, PatternStore, QueryOutcome, XorPatternStore,
+    build_store, fingerprint_of, BloomPatternStore, CuckooFilter, FilterBackend, FilterParams,
+    PatternStore, QueryOutcome, XorPatternStore,
 };
 use proptest::prelude::*;
 
@@ -261,8 +261,8 @@ proptest! {
         probe in prop::collection::vec(any::<u64>(), 1..30),
     ) {
         let runs = [
-            original_and_clone(AutoCuckooFilter::new(params).expect("valid params"), &warm, &probe),
-            original_and_clone(ClassicCuckooFilter::new(params).expect("valid params"), &warm, &probe),
+            original_and_clone(CuckooFilter::auto(params).expect("valid params"), &warm, &probe),
+            original_and_clone(CuckooFilter::classic(params).expect("valid params"), &warm, &probe),
             original_and_clone(BloomPatternStore::new(params).expect("valid params"), &warm, &probe),
             original_and_clone(XorPatternStore::new(params).expect("valid params"), &warm, &probe),
         ];

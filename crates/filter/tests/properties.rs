@@ -1,8 +1,22 @@
 //! Property-based tests for the filter crate's core invariants.
 
 use auto_cuckoo::hash::{alternate_bucket, candidate_buckets};
-use auto_cuckoo::{fingerprint_of, AutoCuckooFilter, ClassicCuckooFilter, FilterParams};
+use auto_cuckoo::{
+    fingerprint_of, CuckooFilter, DeleteOutcome, FilterBackend, FilterParams, ParamsError,
+    PatternStore,
+};
 use proptest::prelude::*;
+
+/// A cuckoo-table constructor: one per overflow policy.
+type Build = fn(FilterParams) -> Result<CuckooFilter, ParamsError>;
+
+/// Either overflow policy, so every policy-agnostic property runs on both.
+fn arb_policy() -> impl Strategy<Value = Build> {
+    prop_oneof![
+        Just(CuckooFilter::auto as Build),
+        Just(CuckooFilter::classic as Build)
+    ]
+}
 
 fn arb_params() -> impl Strategy<Value = FilterParams> {
     (
@@ -40,23 +54,27 @@ proptest! {
         prop_assert_eq!(alternate_bucket(pair.alternate, fp, &params), pair.primary);
     }
 
-    /// Auto-Cuckoo insertions never fail and never exceed capacity.
+    /// Insertions never exceed capacity, and an outcome never claims both an
+    /// insert and a merge. Auto-Cuckoo insertions never fail either.
     #[test]
-    fn auto_filter_never_overflows(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..400)) {
-        let mut filter = AutoCuckooFilter::new(params).expect("valid params");
+    fn filter_never_overflows(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..400), build in arb_policy()) {
+        let mut filter = build(params).expect("valid params");
+        let auto = filter.backend() == FilterBackend::Auto;
         for &item in &items {
             let out = filter.query(item);
-            prop_assert!(out.inserted ^ out.merged, "exactly one of inserted/merged");
+            prop_assert!(!(out.inserted && out.merged), "at most one of inserted/merged");
+            prop_assert!(out.inserted || out.merged || !auto, "auto insertions never fail");
             prop_assert!(out.security <= params.security_threshold());
             prop_assert!(filter.len() <= params.capacity());
         }
     }
 
-    /// Occupancy never decreases under queries (autonomic deletion replaces a
-    /// record one-for-one).
+    /// Occupancy never decreases under queries: autonomic deletion replaces a
+    /// record one-for-one, and a classic refusal either drops the new record
+    /// or stores it in place of the resident it loses.
     #[test]
-    fn auto_filter_occupancy_monotone(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..400)) {
-        let mut filter = AutoCuckooFilter::new(params).expect("valid params");
+    fn filter_occupancy_monotone(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..400), build in arb_policy()) {
+        let mut filter = build(params).expect("valid params");
         let mut last = 0usize;
         for &item in &items {
             filter.query(item);
@@ -65,17 +83,18 @@ proptest! {
         }
     }
 
-    /// Immediately after a query, the item is present unless the relocation
-    /// walk happened to displace and autonomically delete the item's own
-    /// record (possible when the random walk revisits its bucket). In that
-    /// case the reported deleted fingerprint must be the item's.
+    /// Immediately after a query that inserted or merged, the item is
+    /// present unless the relocation walk happened to displace and
+    /// autonomically delete the item's own record (possible when the random
+    /// walk revisits its bucket). In that case the reported deleted
+    /// fingerprint must be the item's.
     #[test]
-    fn queried_item_resident_unless_self_evicted(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..200)) {
-        let mut filter = AutoCuckooFilter::new(params).expect("valid params");
+    fn queried_item_resident_unless_self_evicted(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..200), build in arb_policy()) {
+        let mut filter = build(params).expect("valid params");
         for &item in &items {
             let out = filter.query(item);
             let fp = fingerprint_of(item, &params);
-            if out.autonomic_deletion != Some(fp) {
+            if (out.inserted || out.merged) && out.autonomic_deletion != Some(fp) {
                 prop_assert!(filter.contains(item), "item {item:#x} missing right after query");
             }
         }
@@ -84,8 +103,8 @@ proptest! {
     /// Re-querying the same item `secThr` times after insertion must capture
     /// it, regardless of configuration or interleaved state.
     #[test]
-    fn repeated_queries_capture(params in arb_params(), item in any::<u64>()) {
-        let mut filter = AutoCuckooFilter::new(params).expect("valid params");
+    fn repeated_queries_capture(params in arb_params(), item in any::<u64>(), build in arb_policy()) {
+        let mut filter = build(params).expect("valid params");
         filter.query(item);
         let mut captured = false;
         for _ in 0..params.security_threshold() {
@@ -98,25 +117,30 @@ proptest! {
     /// and deleting the same item (with no other residents), contains is false.
     #[test]
     fn classic_insert_delete_roundtrip(params in arb_params(), item in any::<u64>()) {
-        let mut filter = ClassicCuckooFilter::new(params).expect("valid params");
-        if filter.insert(item).is_ok() {
-            prop_assert!(filter.contains(item));
-            filter.delete(item);
-            prop_assert!(!filter.contains(item));
-            prop_assert!(filter.is_empty());
-        }
+        let mut filter = CuckooFilter::classic(params).expect("valid params");
+        prop_assert!(filter.query(item).inserted, "an empty filter always has room");
+        prop_assert!(filter.contains(item));
+        prop_assert_eq!(filter.delete(item), DeleteOutcome::Removed);
+        prop_assert!(!filter.contains(item));
+        prop_assert!(filter.is_empty());
     }
 
-    /// Filter statistics are internally consistent.
+    /// Filter statistics are internally consistent: every query is an
+    /// insert, a merge or (classic only) a refusal.
     #[test]
-    fn stats_are_consistent(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..300)) {
-        let mut filter = AutoCuckooFilter::new(params).expect("valid params");
+    fn stats_are_consistent(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..300), build in arb_policy()) {
+        let mut filter = build(params).expect("valid params");
+        let mut refusals = 0u64;
         for &item in &items {
-            filter.query(item);
+            let out = filter.query(item);
+            refusals += u64::from(!out.inserted && !out.merged);
         }
-        let s = filter.stats();
+        let s = filter.stats_snapshot();
         prop_assert_eq!(s.queries, items.len() as u64);
-        prop_assert_eq!(s.inserts + s.merges, s.queries);
+        prop_assert_eq!(s.inserts + s.merges + refusals, s.queries);
+        if filter.backend() == FilterBackend::Auto {
+            prop_assert_eq!(refusals, 0);
+        }
         prop_assert!(s.autonomic_deletions <= s.inserts);
         prop_assert!(filter.len() as u64 <= s.inserts);
     }
@@ -124,11 +148,11 @@ proptest! {
     /// Determinism: the same parameter set (including seed) and item sequence
     /// produce identical filters.
     #[test]
-    fn behaviour_is_deterministic(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..200)) {
+    fn behaviour_is_deterministic(params in arb_params(), items in prop::collection::vec(any::<u64>(), 1..200), build in arb_policy()) {
         let run = || {
-            let mut filter = AutoCuckooFilter::new(params).expect("valid params");
+            let mut filter = build(params).expect("valid params");
             let outs: Vec<_> = items.iter().map(|&i| filter.query(i)).collect();
-            (outs, filter.len())
+            (outs, filter.len(), filter.stats_snapshot())
         };
         prop_assert_eq!(run(), run());
     }

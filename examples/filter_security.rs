@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example filter_security`
 
 use auto_cuckoo::{
-    brute_force_expected_fills, reverse_eviction_set_size, AutoCuckooFilter, ClassicCuckooFilter,
-    DeleteOutcome, FilterParams,
+    brute_force_expected_fills, reverse_eviction_set_size, CuckooFilter, DeleteOutcome,
+    FilterParams, PatternStore,
 };
 use pipo_attacks::brute_force_eviction;
 
@@ -20,9 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .fingerprint_bits(4)
         .max_kicks(16)
         .build()?;
-    let mut classic = ClassicCuckooFilter::new(weak)?;
+    let mut classic = CuckooFilter::classic(weak)?;
     let target = 0x40u64;
-    classic.insert(target)?;
+    assert!(classic.query(target).inserted);
 
     use auto_cuckoo::fingerprint_of;
     use auto_cuckoo::hash::candidate_buckets;
@@ -61,14 +61,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 3. Insertions never fail -----------------------------------------
-    let mut auto = AutoCuckooFilter::new(params)?;
+    let mut auto = CuckooFilter::auto(params)?;
     for i in 0..100_000u64 {
         auto.query(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     }
     println!(
         "\nafter 100k insertions into an 8192-entry Auto-Cuckoo filter:\n  occupancy {:.1}%, autonomic deletions {}, zero insertion failures by construction",
         auto.occupancy() * 100.0,
-        auto.stats().autonomic_deletions
+        auto.stats_snapshot().autonomic_deletions
     );
     Ok(())
 }

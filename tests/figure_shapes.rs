@@ -2,7 +2,7 @@
 //! alone validates the reproduction (the full-size regenerators live in
 //! `crates/bench/src/bin`).
 
-use auto_cuckoo::{false_positive_rate, AutoCuckooFilter, FilterParams};
+use auto_cuckoo::{false_positive_rate, CuckooFilter, FilterParams, PatternStore};
 use pipo_bench::{MixCell, MixRun};
 use pipo_workloads::mixes::mix_by_name;
 use pipomonitor::MonitorConfig;
@@ -19,7 +19,7 @@ fn fig3_occupancy_insensitive_to_mnk() {
             .max_kicks(mnk)
             .build()
             .expect("valid");
-        let mut filter = AutoCuckooFilter::new(params).expect("valid");
+        let mut filter = CuckooFilter::auto(params).expect("valid");
         let mut rng = StdRng::seed_from_u64(5);
         let mut curve = Vec::new();
         for _ in 0..8 {
@@ -58,7 +58,7 @@ fn fig4_collision_ratio_tracks_epsilon() {
             .fingerprint_bits(f)
             .build()
             .expect("valid");
-        let mut filter = AutoCuckooFilter::new(params).expect("valid");
+        let mut filter = CuckooFilter::auto(params).expect("valid");
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..300_000u32 {
             filter.query(rng.gen::<u64>() | 1);
