@@ -1,8 +1,8 @@
 //! Proves the steady-state simulation hot path is allocation-free.
 //!
 //! A counting global allocator tallies every heap allocation. After a warm-up
-//! run (which sizes the scheduler heap, the prefetch queue, the drain buffer,
-//! and the report vectors), two further equally sized monitored run windows
+//! (which sizes the prefetch queue, the drain buffer, and the report
+//! vectors), two further equally sized monitored run windows
 //! must allocate *exactly the same* amount — i.e. the per-run constant
 //! (SimReport vectors, stats clone) is all that remains, and the per-access
 //! allocation count is zero. A paired test pins the absolute per-window
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use auto_cuckoo::{build_store, FilterBackend, FilterParams};
 use cache_sim::{Access, Addr, CoreId, NullObserver, System, SystemConfig};
-use pipo_workloads::{benchmark, ProfileSource, Trace, V2Replay};
+use pipo_workloads::{benchmark, mixes::mix_by_name, ProfileSource, Trace, V2Replay};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
 struct CountingAlloc;
@@ -45,11 +45,13 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A monitored system under a Prime+Probe-shaped workload, so the observer
-/// path (filter queries, pEvicts, prefetch scheduling and draining) is
-/// continuously exercised — not just the benign L1-hit fast path.
-fn pingpong_system() -> System<PiPoMonitor> {
-    let config = SystemConfig::paper_default();
+/// A monitored `cores`-core system under a Prime+Probe-shaped workload, so
+/// the observer path (filter queries, pEvicts, prefetch scheduling and
+/// draining) is continuously exercised — not just the benign L1-hit fast
+/// path. Cores past the victim and the attacker run mix7 benchmarks.
+fn pingpong_system(cores: usize) -> System<PiPoMonitor> {
+    let mut config = SystemConfig::paper_default();
+    config.cores = cores;
     let sets = config.l3.sets as u64;
     let ways = config.l3.ways as u64;
     let line = config.line_size as u64;
@@ -68,6 +70,11 @@ fn pingpong_system() -> System<PiPoMonitor> {
             Some(Access::read(Addr(conflict)).after(5))
         }),
     );
+    let mix = mix_by_name("mix7").expect("mix exists");
+    for core in 2..cores {
+        let bench = mix.benchmarks[core % mix.benchmarks.len()];
+        system.set_source(CoreId(core), Box::new(ProfileSource::new(bench, core, 7)));
+    }
     system
 }
 
@@ -83,39 +90,52 @@ fn steady_state_run_allocates_nothing_per_access() {
     // before the first measurement window opens.
     std::thread::sleep(std::time::Duration::from_millis(200));
 
-    // --- Monitored system under the ping-pong workload ---
-    let mut system = pingpong_system();
-    // Warm-up: grows every reusable structure to its steady-state capacity.
-    system.run(20_000);
+    // --- Monitored systems under the ping-pong workload ---
+    // The paper's 4-core machine and a 32-core one, so the scheduler is
+    // pinned at a size far past the paper configuration too.
+    for cores in [4, 32] {
+        let mut system = pingpong_system(cores);
+        // Warm-up: grows every reusable structure to its steady-state
+        // capacity. A resumed run restarts cores whose clocks lie far apart
+        // (the victim retires its quota in a fraction of the attacker's
+        // cycles), so the monitor's prefetch queue keeps deepening over the
+        // first few resumed runs; warm up through several of them.
+        let mut quota = 0;
+        for _ in 0..8 {
+            quota += 20_000;
+            system.run(quota);
+        }
 
-    let before = allocations();
-    system.run(40_000); // window 1: +20k instructions per live core
-    let window1 = allocations() - before;
-    system.run(60_000); // window 2: same size
-    let window2 = allocations() - before - window1;
+        let before = allocations();
+        system.run(quota + 20_000); // window 1: +20k instructions per live core
+        let window1 = allocations() - before;
+        system.run(quota + 40_000); // window 2: same size
+        let window2 = allocations() - before - window1;
 
-    // Identical windows must allocate identically: the per-run constant
-    // (report vectors + stats clone) with a zero per-access component.
-    assert_eq!(
-        window1, window2,
-        "steady-state windows must have identical allocation counts"
-    );
+        // Identical windows must allocate identically: the per-run constant
+        // (report vectors + stats clone) with a zero per-access component.
+        assert_eq!(
+            window1, window2,
+            "{cores} cores: steady-state windows must have identical allocation counts"
+        );
 
-    // And that constant is small — a handful of report/stats vectors, far
-    // below one allocation per simulated access (20k+ accesses per window).
-    assert!(
-        window1 <= 8,
-        "per-run allocation constant too large: {window1} allocations \
-         (expected ~3: the SimReport vectors)"
-    );
+        // And that constant is small — a handful of report/stats vectors,
+        // far below one allocation per simulated access (20k+ accesses per
+        // window).
+        assert!(
+            window1 <= 8,
+            "{cores} cores: per-run allocation constant too large: {window1} \
+             allocations (expected ~3: the SimReport vectors)"
+        );
 
-    // Sanity: the monitor path really ran (captures + prefetches happened).
-    let stats = system.observer().stats();
-    assert!(stats.captures > 0, "workload must exercise the filter");
-    assert!(
-        stats.prefetches_scheduled > 0,
-        "workload must exercise the prefetch queue"
-    );
+        // Sanity: the monitor path really ran (captures + prefetches happened).
+        let stats = system.observer().stats();
+        assert!(stats.captures > 0, "workload must exercise the filter");
+        assert!(
+            stats.prefetches_scheduled > 0,
+            "workload must exercise the prefetch queue"
+        );
+    }
 
     // --- Unmonitored baseline system ---
     let mut system = System::new(SystemConfig::paper_default(), NullObserver);

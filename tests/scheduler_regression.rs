@@ -10,7 +10,10 @@
 //! Run with `GOLDEN_PRINT=1 cargo test -q --test scheduler_regression -- --nocapture`
 //! to print the current values when intentionally re-baselining.
 
-use cache_sim::{Access, Addr, CoreId, NullObserver, SimReport, System, SystemConfig};
+use cache_sim::{
+    Access, AccessSource, Addr, Core, CoreId, Hierarchy, HierarchyStats, NullObserver, SimReport,
+    System, SystemConfig,
+};
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
 
@@ -225,4 +228,122 @@ fn reruns_are_bit_identical() {
     let c = run_monitored_pingpong();
     let d = run_monitored_pingpong();
     assert_eq!(c, d);
+}
+
+const DIFF_CORES: [usize; 10] = [1, 2, 3, 4, 5, 8, 9, 16, 32, 64];
+const DIFF_INSTRUCTIONS: u64 = 10_000;
+
+/// Everything a differential run is compared on.
+type RunState = (Vec<u64>, Vec<u64>, HierarchyStats, MonitorStats);
+
+/// The workload of a differential machine: core 0 hammers one line (the
+/// victim), core 1 ping-pongs the victim's LLC set with one more line than
+/// the set has ways (the attacker), and every further core runs a mix7
+/// benchmark in its own address region.
+fn differential_sources(config: &SystemConfig) -> Vec<Box<dyn AccessSource + Send>> {
+    let sets = config.l3.sets as u64;
+    let ways = config.l3.ways as u64;
+    let line = config.line_size as u64;
+    let mix = mix_by_name("mix7").expect("mix exists");
+    (0..config.cores)
+        .map(|core| -> Box<dyn AccessSource + Send> {
+            match core {
+                0 => Box::new(move || Some(Access::read(Addr(0)).after(50))),
+                1 => {
+                    let mut i = 0u64;
+                    Box::new(move || {
+                        i += 1;
+                        let conflict = (i % (ways + 1) + 1) * sets * line;
+                        Some(Access::read(Addr(conflict)).after(5))
+                    })
+                }
+                _ => {
+                    let bench = mix.benchmarks[core % mix.benchmarks.len()];
+                    Box::new(ProfileSource::new(bench, core, SEED))
+                }
+            }
+        })
+        .collect()
+}
+
+/// The naive reference scheduler, built only on the public `Core` and
+/// `Hierarchy` API: before every step it picks the live core with the
+/// smallest `(clock, index)`, drains due prefetches at that clock, and steps
+/// it; a final drain at the latest clock closes the run.
+fn reference_run(
+    cores: &mut [Core],
+    hierarchy: &mut Hierarchy,
+    monitor: &mut PiPoMonitor,
+    quota: u64,
+) -> RunState {
+    let mut live: Vec<bool> = cores
+        .iter()
+        .map(|c| !c.is_exhausted() && c.retired() < quota)
+        .collect();
+    while let Some(idx) = (0..cores.len())
+        .filter(|&i| live[i])
+        .min_by_key(|&i| (cores[i].now(), i))
+    {
+        hierarchy.drain_prefetches(cores[idx].now(), monitor);
+        if !cores[idx].step(hierarchy, monitor) || cores[idx].retired() >= quota {
+            live[idx] = false;
+        }
+    }
+    let end = cores.iter().map(Core::now).max().unwrap_or(0);
+    hierarchy.drain_prefetches(end, monitor);
+    (
+        cores.iter().map(Core::now).collect(),
+        cores.iter().map(Core::retired).collect(),
+        hierarchy.stats().clone(),
+        *monitor.stats(),
+    )
+}
+
+/// `System::run` must step cores in exactly the reference's order at core
+/// counts from 1 to the 64-core limit, powers of two and the counts just
+/// past them, including a second `run` that resumes the same machine with a
+/// larger quota.
+#[test]
+fn system_run_matches_naive_reference_scheduler() {
+    let monitor = || PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
+    for cores in DIFF_CORES {
+        let mut config = SystemConfig::paper_default();
+        config.cores = cores;
+        let mut system = System::new(config.clone(), monitor());
+        for (core, source) in differential_sources(&config).into_iter().enumerate() {
+            system.set_source(CoreId(core), source);
+        }
+        let mut reference_cores: Vec<Core> = differential_sources(&config)
+            .into_iter()
+            .enumerate()
+            .map(|(core, source)| Core::new(CoreId(core), source))
+            .collect();
+        let mut hierarchy = Hierarchy::new(config);
+        let mut reference_monitor = monitor();
+
+        for quota in [DIFF_INSTRUCTIONS / 2, DIFF_INSTRUCTIONS] {
+            let report = system.run(quota);
+            let got = (
+                report.completion_cycles,
+                report.instructions,
+                report.stats,
+                *system.observer().stats(),
+            );
+            let want = reference_run(
+                &mut reference_cores,
+                &mut hierarchy,
+                &mut reference_monitor,
+                quota,
+            );
+            assert_eq!(got, want, "{cores} cores, quota {quota}");
+        }
+
+        // The attack must drive the whole protection cycle whenever the
+        // attacker core exists, or the drain schedule is left untested.
+        if cores >= 2 {
+            assert!(system.observer().stats().captures > 0, "{cores} cores");
+            let fills = system.hierarchy().stats().prefetch_fills;
+            assert!(fills > 0, "{cores} cores: no prefetch fills");
+        }
+    }
 }
