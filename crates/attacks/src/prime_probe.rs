@@ -226,24 +226,6 @@ impl PrimeProbeAttack {
     }
 }
 
-/// Convenience: victim accesses its secret-independent data between attack
-/// rounds (used by tests to add benign noise).
-pub fn touch_victim_noise(
-    hierarchy: &mut Hierarchy,
-    core: CoreId,
-    base: u64,
-    lines: u64,
-    now: Cycle,
-    observer: &mut dyn TrafficObserver,
-) -> Cycle {
-    let mut t = now;
-    for i in 0..lines {
-        let r = hierarchy.access(core, Addr(base + i * 64), AccessKind::Read, t, observer);
-        t += r.latency;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -100,12 +100,6 @@ impl SquareAndMultiply {
         &self.key
     }
 
-    /// Key length in bits.
-    #[must_use]
-    pub fn key_len(&self) -> usize {
-        self.key.len()
-    }
-
     /// Restarts the exponentiation from the first bit.
     pub fn reset(&mut self) {
         self.pos = 0;

@@ -8,10 +8,10 @@
 //!   baseline, and PiPoMonitor respectively.
 //! * `pipomonitor_8c` / `pipomonitor_16c` / `pipomonitor_32c` — the same
 //!   monitored machine scaled to more cores (mix7 benchmarks assigned
-//!   round-robin, each core with its own disjoint address region). These are
-//!   the scaling configurations the event-driven scheduler targets: the old
-//!   linear min-scan charged O(cores) per simulated access, the binary-heap
-//!   scheduler O(log cores) amortized.
+//!   round-robin, each core with its own disjoint address region). They
+//!   price how the simulator scales with core count; the winner-tree
+//!   scheduler itself charges one O(log cores) leaf-to-root replay per
+//!   streak of steps by one core.
 //!
 //! This is the perf trajectory anchor for the repo: every hot-path change is
 //! judged against the numbers this binary emits. Results are written as JSON
@@ -31,7 +31,10 @@
 //! time) and the median elapsed time is reported, which tames scheduler and
 //! frequency-scaling noise on shared machines. `--compare` reads a
 //! previously emitted JSON file and appends a speedup section (this run vs.
-//! the old file), which is how a PR records its before/after delta.
+//! the old file), which is how a PR records its before/after delta. The file
+//! is read before anything is simulated: a missing file, or one without a
+//! `configs` rate, is an `error:` line and exit status 2. An unwritable
+//! `--out` path is an `error:` line and exit status 1.
 
 use std::time::Instant;
 
@@ -178,7 +181,7 @@ fn generation_ns_per_access(accesses: u64, samples: usize) -> f64 {
     per_access_ns[per_access_ns.len() / 2]
 }
 
-/// Prices the event-heap *scheduler* (plus the L1-hit fast path): the
+/// Prices the winner-tree *scheduler* (plus the L1-hit fast path): the
 /// 4-core machine run with constant per-core addresses, so every access
 /// hits L1 and the LLC probe kernel never runs, while generation is a
 /// closure returning a constant. Returns the median ns per access.
@@ -201,27 +204,29 @@ fn scheduler_ns_per_access(total_instructions: u64, samples: usize) -> f64 {
     per_access_ns[per_access_ns.len() / 2]
 }
 
-/// Extracts `"name": ..., "accesses_per_sec": N` pairs from a previously
-/// emitted JSON file without a JSON parser (the schema is our own).
-fn parse_old_rates(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"name\": \"") {
-        rest = &rest[pos + 9..];
-        let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_string();
-        let Some(rpos) = rest.find("\"accesses_per_sec\": ") else {
-            break;
-        };
-        rest = &rest[rpos + 20..];
-        let num_end = rest
-            .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if let Ok(rate) = rest[..num_end].parse::<f64>() {
-            out.push((name, rate));
-        }
+/// Reads each config's `accesses_per_sec` from a previously emitted
+/// throughput document. Fails, naming the path, if the file is unreadable,
+/// is not JSON, or holds no config with a numeric rate.
+fn read_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read --compare file {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("cannot parse --compare file {path}: {e}"))?;
+    let rates: Vec<(String, f64)> = doc
+        .get("configs")
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|config| {
+            let name = config.get("name")?.as_str()?;
+            Some((name.to_string(), config.get("accesses_per_sec")?.as_f64()?))
+        })
+        .collect();
+    if rates.is_empty() {
+        return Err(format!(
+            "--compare file {path} has no configs entry with an accesses_per_sec rate"
+        ));
     }
-    out
+    Ok(rates)
 }
 
 /// Reports a CLI error the same way the shared `HarnessArgs` parser does —
@@ -288,6 +293,15 @@ fn main() {
             }
         }
     }
+
+    // Check the comparison input before spending minutes on measurements.
+    let compare = compare_path.map(|path| match read_rates(&path) {
+        Ok(rates) => (path, rates),
+        Err(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    });
 
     let runs = [
         run_config("baseline", 4, || NullObserver, instructions, samples),
@@ -405,10 +419,7 @@ fn main() {
             ),
     );
 
-    if let Some(path) = compare_path {
-        let old = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read --compare file {path}: {e}"));
-        let old_rates = parse_old_rates(&old);
+    if let Some((path, old_rates)) = compare {
         let mut old_obj = Json::object();
         let mut speedup_obj = Json::object();
         for m in &runs {
@@ -426,11 +437,9 @@ fn main() {
                 .field("speedup", speedup_obj),
         );
     }
-    let json = doc.to_pretty();
 
-    pipo_bench::write_atomic(&out_path, json.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    pipo_bench::emit_json(Some(&out_path), &doc);
+    println!("{}", doc.to_pretty());
     for m in &runs {
         eprintln!(
             "{:<20} {:>12.0} accesses/sec  ({} accesses in {:.3}s)",

@@ -151,14 +151,6 @@ pub fn filter_with_size(l: usize, b: usize) -> FilterParams {
         .expect("figure-8 geometry is valid")
 }
 
-/// Parses the optional instruction-count CLI argument (plus the shared
-/// harness flags), exiting with status 2 on an unparsable argument instead
-/// of silently falling back to the default.
-#[must_use]
-pub fn instructions_from_args() -> u64 {
-    HarnessArgs::parse().instructions()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

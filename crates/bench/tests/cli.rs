@@ -418,3 +418,54 @@ fn conflicting_execution_mode_flags_exit_2_and_name_both() {
         }
     }
 }
+
+#[test]
+fn throughput_rejects_an_unusable_compare_file_before_simulating() {
+    let empty = format!(
+        "{}/cli_compare_{}.json",
+        std::env::temp_dir().display(),
+        std::process::id()
+    );
+    std::fs::write(&empty, "{\"configs\": []}").expect("write temp file");
+    for path in ["/nonexistent/old_bench.json", empty.as_str()] {
+        let output = Command::new(bin_path("throughput"))
+            .args(["1000", "--samples", "1", "--compare", path])
+            .output()
+            .expect("spawn throughput");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "an unusable --compare file must exit 2, not panic"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("error:") && stderr.contains(path),
+            "the error must name the path, got:\n{stderr}"
+        );
+        // Checked up front: no configuration was simulated or reported.
+        assert!(
+            output.stdout.is_empty() && !stderr.contains("accesses/sec"),
+            "throughput must stop before measuring, got:\n{stderr}"
+        );
+    }
+    std::fs::remove_file(&empty).ok();
+}
+
+#[test]
+fn throughput_reports_an_unwritable_out_path() {
+    let path = "/nonexistent/bench_out.json";
+    let output = Command::new(bin_path("throughput"))
+        .args(["1000", "--samples", "1", "--out", path])
+        .output()
+        .expect("spawn throughput");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "an unwritable --out must exit 1, not panic"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("error:") && stderr.contains(path),
+        "the error must name the path, got:\n{stderr}"
+    );
+}

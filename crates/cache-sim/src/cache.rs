@@ -3,7 +3,7 @@
 use crate::config::CacheGeometry;
 use crate::line::LineMeta;
 use crate::replacement::{Replacement, ReplacementPolicy};
-use crate::types::{Cycle, LineAddr};
+use crate::types::LineAddr;
 
 /// A line evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +51,8 @@ fn zero_byte_lanes(x: u64) -> u64 {
 /// Storage is flat structure-of-arrays, laid out for the probe-dominated
 /// simulation hot path: one-byte tag *fingerprints* packed eight per `u64`
 /// word (so a whole 8-way set is compared in a single branchless SWAR
-/// operation), with the full tags, LRU stamps, and [`LineMeta`] in separate
-/// parallel arrays that are only dereferenced on a fingerprint hit. A probe
+/// operation), with the full tags and [`LineMeta`] in separate parallel
+/// arrays that are only dereferenced on a fingerprint hit. A probe
 /// that misses a 16-way set reads 16 bytes of fingerprints instead of 16
 /// tag words.
 ///
@@ -79,8 +79,6 @@ pub struct Cache {
     /// Full tag of each way, indexed `set * ways + way`; meaningful only
     /// where the fingerprint byte is nonzero.
     tags: Vec<u64>,
-    /// LRU recency stamp of each way, parallel to `tags`.
-    stamps: Vec<Cycle>,
     /// Metadata of each way, parallel to `tags`.
     metas: Vec<LineMeta>,
     policy: ReplacementPolicy,
@@ -117,7 +115,6 @@ impl Cache {
         Self {
             fps: vec![0; geometry.sets * words_per_set],
             tags: vec![0; lines],
-            stamps: vec![0; lines],
             metas: vec![LineMeta::default(); lines],
             set_mask: (geometry.sets as u64) - 1,
             set_shift: geometry.sets.trailing_zeros(),
@@ -240,49 +237,6 @@ impl Cache {
         Some((set, self.probe_set(set, self.tag_of(line))?))
     }
 
-    /// Updates replacement state for a touch of `way` in `set`.
-    #[inline]
-    fn touch_way(&mut self, set: usize, way: usize) {
-        if let Some(stamp) = self.policy.lru_stamp() {
-            self.stamps[set * self.geometry.ways + way] = stamp;
-        } else {
-            self.policy.on_touch(set, way);
-        }
-    }
-
-    /// Chooses the victim way of a full `set`.
-    fn victim_way(&mut self, set: usize) -> usize {
-        if matches!(self.policy, ReplacementPolicy::Lru { .. }) {
-            // First-minimum stamp scan, matching classic LRU tie-breaking.
-            let base = set * self.geometry.ways;
-            let stamps = &self.stamps[base..base + self.geometry.ways];
-            let mut best = 0;
-            let mut best_stamp = Cycle::MAX;
-            for (way, &stamp) in stamps.iter().enumerate() {
-                if stamp < best_stamp {
-                    best_stamp = stamp;
-                    best = way;
-                }
-            }
-            best
-        } else {
-            self.policy.victim(set)
-        }
-    }
-
-    /// Pulls the probe-critical metadata of `line`'s set toward the host
-    /// caches before the access executes: plain loads of the set's first
-    /// fingerprint word, tag, and stamp, pinned by [`std::hint::black_box`]
-    /// so they survive optimization. This is the scheduler's software
-    /// prefetch — the crate is `forbid(unsafe_code)`, so an architectural
-    /// prefetch intrinsic is out; a discarded demand load warms the same
-    /// host cache lines.
-    #[inline]
-    pub fn prefetch_set(&self, line: LineAddr) {
-        let set = self.set_of(line);
-        std::hint::black_box(self.fps[set * self.words_per_set]);
-    }
-
     /// Whether the line is resident.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
@@ -294,7 +248,7 @@ impl Cache {
     #[inline]
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
         let (set, way) = self.find(line)?;
-        self.touch_way(set, way);
+        self.policy.on_touch(set, way);
         let idx = self.slot_index(set, way);
         Some(&mut self.metas[idx])
     }
@@ -321,7 +275,7 @@ impl Cache {
         let tag = self.tag_of(line);
         // Already resident: overwrite metadata.
         if let Some(way) = self.probe_set(set, tag) {
-            self.touch_way(set, way);
+            self.policy.on_touch(set, way);
             let idx = self.slot_index(set, way);
             self.metas[idx] = meta;
             return None;
@@ -332,18 +286,18 @@ impl Cache {
             self.set_fp_byte(set, way, fingerprint(tag));
             self.tags[idx] = tag;
             self.metas[idx] = meta;
-            self.touch_way(set, way);
+            self.policy.on_touch(set, way);
             return None;
         }
         // Evict a victim.
-        let way = self.victim_way(set);
+        let way = self.policy.victim(set);
         let idx = self.slot_index(set, way);
         let victim_tag = self.tags[idx];
         let victim_meta = self.metas[idx];
         self.set_fp_byte(set, way, fingerprint(tag));
         self.tags[idx] = tag;
         self.metas[idx] = meta;
-        self.touch_way(set, way);
+        self.policy.on_touch(set, way);
         Some(EvictedLine {
             line: self.line_of(set, victim_tag),
             meta: victim_meta,
@@ -357,7 +311,6 @@ impl Cache {
         let meta = self.metas[idx];
         self.set_fp_byte(set, way, 0);
         self.tags[idx] = 0;
-        self.stamps[idx] = 0;
         self.metas[idx] = LineMeta::default();
         Some(meta)
     }
@@ -539,8 +492,8 @@ mod tests {
 
     #[test]
     fn lru_eviction_follows_touch_order() {
-        // Moved here from replacement.rs: LRU ordering now lives in the
-        // cache's interleaved stamp array. Lines 0,2,4,6 all map to set 0.
+        // LRU order end to end, through the cache's touch and victim calls
+        // into the policy's stamps. Lines 0,2,4,6 all map to set 0.
         let mut c = cache(2, 4);
         for line in [6, 2, 0, 4] {
             c.fill(LineAddr(line), LineMeta::default());

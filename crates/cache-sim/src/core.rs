@@ -86,9 +86,8 @@ where
     }
 }
 
-/// How many accesses a core pulls from its source per refill. Small enough
-/// that peeking the next access stays inside one batch most of the time,
-/// large enough to amortize the generator's per-call overhead.
+/// How many accesses a core pulls from its source per refill: large enough
+/// to amortize the generator's per-call overhead.
 const BATCH: usize = 64;
 
 /// An in-order, blocking core: one outstanding memory access at a time,
@@ -199,12 +198,6 @@ impl Core {
         self.batch.clear();
         self.batch_pos = 0;
         self.source.refill(&mut self.batch, BATCH);
-    }
-
-    /// Address of the next access the core will issue, if already in the
-    /// pre-drawn batch. Never advances the source.
-    pub(crate) fn peek_addr(&self) -> Option<Addr> {
-        self.batch.get(self.batch_pos).map(|a| a.addr)
     }
 }
 

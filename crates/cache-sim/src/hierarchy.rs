@@ -142,17 +142,6 @@ impl Hierarchy {
         self.l3.peek(addr.line(self.line_size()))
     }
 
-    /// Warms the host caches with the probe-critical set metadata of an
-    /// upcoming access by `core` (the scheduler's software prefetch): a
-    /// plain discarded load of the LLC fingerprint word the next
-    /// [`access`](Self::access) may scan. The L1 arrays are small enough to
-    /// stay host-resident on their own, so only the LLC is touched.
-    #[inline]
-    pub fn prefetch_hint(&self, core: CoreId, addr: Addr) {
-        let _ = core;
-        self.l3.prefetch_set(LineAddr(addr.0 >> self.line_shift));
-    }
-
     /// Performs one memory access by `core` at time `now`.
     ///
     /// Returns the latency and serving level. The observer is consulted on

@@ -16,15 +16,17 @@
 //! generators, so every experiment is exactly reproducible.
 //!
 //! The simulation hot path is engineered to be allocation-free in steady
-//! state: [`System::run`] schedules cores through a reusable binary min-heap
-//! (popping the earliest `(clock, core)` event instead of rescanning all
-//! cores), prefetch draining is event-driven through
-//! [`TrafficObserver::next_prefetch_due`] and the buffer-reusing
-//! [`TrafficObserver::drain_due_prefetches`] sink API, and [`Cache`] stores
-//! packed tag+recency records separately from line metadata so lookups scan
-//! one host cache line per set. `tests/scheduler_regression.rs` pins the
-//! engine's results bit-exactly and `tests/no_alloc_hot_path.rs` counts
-//! allocations to keep these properties honest.
+//! state: [`System::run`] schedules cores through a stack-allocated winner
+//! tree of packed `(clock, core)` keys (one leaf-to-root replay per streak of
+//! steps by one core, instead of a rescan of all cores), prefetch draining is
+//! event-driven through [`TrafficObserver::next_prefetch_due`] and the
+//! buffer-reusing [`TrafficObserver::drain_due_prefetches`] sink API, and
+//! [`Cache`] packs one-byte tag fingerprints eight to a word, so a probe
+//! compares a whole 8-way set in one word operation before it reads any
+//! full tag. `tests/scheduler_regression.rs` pins the engine's results
+//! bit-exactly and checks the scheduler against a naive reference, and
+//! `tests/no_alloc_hot_path.rs` counts allocations to keep these properties
+//! honest.
 //!
 //! One simulation always runs on one host thread. Parallelism lives a level
 //! up: a [`System`] is `Send` and shares nothing with other systems, so

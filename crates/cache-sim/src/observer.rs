@@ -47,11 +47,12 @@ pub trait TrafficObserver: Send {
     /// has an earlier release time — prefetches then issue strictly in
     /// schedule order.
     ///
-    /// The system polls this (it is a cheap, non-virtual call on the concrete
-    /// observer inside [`System::run`](crate::System::run)) and only invokes
-    /// [`drain_due_prefetches`](Self::drain_due_prefetches) when the earliest
-    /// release time has been reached — the event-driven alternative to
-    /// draining before every simulation step.
+    /// [`System::run`](crate::System::run) caches this value and only
+    /// invokes [`drain_due_prefetches`](Self::drain_due_prefetches) once the
+    /// earliest release time has been reached — the event-driven alternative
+    /// to draining before every simulation step. It re-reads the value after
+    /// every [`on_llc_eviction`](Self::on_llc_eviction) and every drain, so
+    /// an observer may only change its answer inside those two calls.
     ///
     /// Deliberately *not* defaulted: draining is gated on this method, so an
     /// observer that queued prefetches but reported `None` here would

@@ -5,11 +5,8 @@
 //! "Recorded substitutions" in `ARCHITECTURE.md`) because detection-based
 //! defenses interact with how predictable LLC evictions are.
 //!
-//! LRU recency stamps do **not** live here: they are interleaved with the
-//! tags inside [`Cache`](crate::Cache)'s way array, so a lookup and its
-//! recency update touch one host cache line per set instead of two parallel
-//! arrays. This policy object only carries the monotone LRU clock (and the
-//! full state machines of the non-default policies).
+//! Each policy owns all of its per-way state, LRU's recency stamps included;
+//! [`Cache`](crate::Cache) only reports touches and asks for victims.
 
 use crate::types::Cycle;
 
@@ -29,19 +26,19 @@ pub enum Replacement {
     },
 }
 
-/// Per-cache replacement state machine. Crate-internal: the LRU variant
-/// only works driven by [`Cache`](crate::Cache), which keeps the recency
-/// stamps interleaved with its tag array and special-cases LRU touch and
-/// victim selection; [`on_touch`](Self::on_touch) and
-/// [`victim`](Self::victim) serve the tree-PLRU and random policies.
+/// Per-cache replacement state machine, driven by [`Cache`](crate::Cache)
+/// through [`on_touch`](Self::on_touch) and [`victim`](Self::victim).
 #[derive(Debug, Clone)]
 pub(crate) enum ReplacementPolicy {
-    /// True LRU. Holds only the monotone touch clock; per-way stamps are
-    /// stored in the cache's way array.
+    /// True LRU: a recency stamp per way, drawn from a monotone touch clock.
     Lru {
+        /// Stamp of each way's last touch, indexed `set * ways + way`.
+        stamps: Vec<Cycle>,
         /// Monotone counter, incremented per touch (decoupled from sim time
         /// so two touches in the same cycle still order).
         clock: Cycle,
+        /// Ways per set.
+        ways: usize,
     },
     /// Tree-PLRU with `ways` a power of two.
     TreePlru {
@@ -69,7 +66,11 @@ impl ReplacementPolicy {
     #[must_use]
     pub fn new(kind: Replacement, sets: usize, ways: usize) -> Self {
         match kind {
-            Replacement::Lru => ReplacementPolicy::Lru { clock: 0 },
+            Replacement::Lru => ReplacementPolicy::Lru {
+                stamps: vec![0; sets * ways],
+                clock: 0,
+                ways,
+            },
             Replacement::TreePlru => {
                 assert!(
                     ways.is_power_of_two(),
@@ -91,30 +92,18 @@ impl ReplacementPolicy {
         }
     }
 
-    /// For the LRU variant: advances the clock and returns the fresh stamp
-    /// the cache must record for the touched way.
-    ///
-    /// Returns `None` without touching any state for non-LRU policies — the
-    /// caller must then report the touch via [`on_touch`](Self::on_touch)
-    /// (see `Cache::touch_way`, which uses the `None` as the fast-path
-    /// discriminant).
+    /// Notes that `way` of `set` was touched (hit or fill).
     #[inline]
-    pub fn lru_stamp(&mut self) -> Option<Cycle> {
-        match self {
-            ReplacementPolicy::Lru { clock } => {
-                *clock += 1;
-                Some(*clock)
-            }
-            _ => None,
-        }
-    }
-
-    /// Notes that `way` of `set` was touched (hit or fill). No-op for LRU
-    /// (the cache records the stamp from [`lru_stamp`](Self::lru_stamp)
-    /// directly into its way array).
     pub fn on_touch(&mut self, set: usize, way: usize) {
         match self {
-            ReplacementPolicy::Lru { .. } => {}
+            ReplacementPolicy::Lru {
+                stamps,
+                clock,
+                ways,
+            } => {
+                *clock += 1;
+                stamps[set * *ways + way] = *clock;
+            }
             ReplacementPolicy::TreePlru { bits, ways } => {
                 if *ways == 1 {
                     return;
@@ -140,17 +129,22 @@ impl ReplacementPolicy {
         }
     }
 
-    /// Chooses a victim way within `set` for the non-LRU policies. All ways
-    /// are assumed valid (the cache fills invalid ways before asking).
-    ///
-    /// # Panics
-    ///
-    /// Panics for the LRU variant: LRU victims are chosen by the cache from
-    /// its interleaved stamp array.
+    /// Chooses a victim way within `set`. All ways are assumed valid (the
+    /// cache fills invalid ways before asking).
     pub fn victim(&mut self, set: usize) -> usize {
         match self {
-            ReplacementPolicy::Lru { .. } => {
-                unreachable!("LRU victim selection happens in Cache::fill")
+            ReplacementPolicy::Lru { stamps, ways, .. } => {
+                // First-minimum stamp scan, matching classic LRU tie-breaking.
+                let set_stamps = &stamps[set * *ways..(set + 1) * *ways];
+                let mut best = 0;
+                let mut best_stamp = Cycle::MAX;
+                for (way, &stamp) in set_stamps.iter().enumerate() {
+                    if stamp < best_stamp {
+                        best_stamp = stamp;
+                        best = way;
+                    }
+                }
+                best
             }
             ReplacementPolicy::TreePlru { bits, ways } => {
                 if *ways == 1 {
@@ -187,22 +181,6 @@ impl ReplacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lru_clock_is_monotone() {
-        let mut p = ReplacementPolicy::new(Replacement::Lru, 2, 4);
-        assert_eq!(p.lru_stamp(), Some(1));
-        assert_eq!(p.lru_stamp(), Some(2));
-        assert_eq!(p.lru_stamp(), Some(3));
-    }
-
-    #[test]
-    fn non_lru_policies_report_no_stamp() {
-        let mut p = ReplacementPolicy::new(Replacement::TreePlru, 1, 4);
-        assert_eq!(p.lru_stamp(), None);
-        let mut p = ReplacementPolicy::new(Replacement::Random { seed: 1 }, 1, 4);
-        assert_eq!(p.lru_stamp(), None);
-    }
 
     #[test]
     fn tree_plru_never_picks_most_recent() {

@@ -2,22 +2,21 @@
 //!
 //! # Scheduling
 //!
-//! [`System::run`] is event-driven: live cores sit in a binary min-heap keyed
-//! by `(local clock, core index)`, and the earliest core is popped and
-//! stepped. While the popped core remains strictly earliest it keeps
-//! stepping without touching the heap (the common case — cores drift apart
-//! in time), so scheduler cost is amortized far below one heap operation per
-//! access. Prefetch draining is likewise event-driven: the observer is asked
-//! for its earliest pending release time (a static call on the concrete
-//! observer type) and drained only when that time has arrived, instead of
-//! being polled before every step.
+//! [`System::run`] steps cores in global `(local clock, core index)` order.
+//! Each live core's next event is one packed key, `(clock << idx_bits) |
+//! core`, in a winner tree: a complete binary tree whose leaves are the
+//! cores and whose every inner node holds the smaller of its two children,
+//! so the root is the earliest core. The earliest core keeps stepping while
+//! its key stays below the runner-up (the smallest sibling on its
+//! leaf-to-root path) — the common case, because cores drift apart in time —
+//! and only at the end of such a streak does the tree replay that one path.
+//! Prefetch draining is likewise event-driven: the observer's earliest
+//! pending release time is cached and re-read only after an LLC eviction
+//! (the only event that schedules a prefetch) or a drain.
 //!
-//! The schedule this produces is identical to the previous linear min-scan
-//! (ties broken toward the lowest core index), which
-//! `tests/scheduler_regression.rs` pins bit-exactly.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The schedule is identical to a linear min-scan over `(clock, index)`
+//! before every step, which `tests/scheduler_regression.rs` checks against
+//! a naive reference scheduler at 1 to 64 cores.
 
 use crate::core::{AccessSource, Core};
 use crate::hierarchy::Hierarchy;
@@ -97,48 +96,11 @@ pub struct System<O: TrafficObserver> {
     hierarchy: Hierarchy,
     cores: Vec<Core>,
     observer: O,
-    /// Reusable scheduler heap of `(next event time, core index)`; kept
-    /// across runs so repeated [`run`](Self::run) calls do not reallocate.
-    schedule: BinaryHeap<Reverse<(Cycle, usize)>>,
 }
 
-/// Core-count ceiling for the linear-scan scheduler; larger machines use
-/// the binary heap ([`System::run_heap`]).
-const SCAN_CORES: usize = 8;
-
-/// Low bits of a packed scan key holding the core index (supports
-/// [`SCAN_CORES`] ≤ 16). The time component occupies the remaining 60 bits;
-/// the scan path is only entered while every core clock fits them (2^60
-/// cycles — decades of simulated time), so the packing never wraps.
-const KEY_IDX_BITS: u32 = 4;
-
-/// Smallest and second-smallest of the two keys, branchlessly.
-#[inline]
-fn sort2(a: u64, b: u64) -> (u64, u64) {
-    (a.min(b), a.max(b))
-}
-
-/// Smallest and second-smallest of the four keys, branchlessly: the runner-up
-/// is the smaller of "larger pair-minimum" and "smaller pair-maximum".
-#[inline]
-fn min2_of4(k: &[u64]) -> (u64, u64) {
-    let (a, b) = sort2(k[0], k[1]);
-    let (c, d) = sort2(k[2], k[3]);
-    (a.min(c), a.max(c).min(b.min(d)))
-}
-
-/// Smallest and second-smallest of the eight packed scan keys as a tournament
-/// of `min`/`max` pairs (conditional moves, no data-dependent branches).
-/// Parked slots hold `u64::MAX` and lose every match; live keys are unique
-/// (the low bits carry the core index), so ties only occur among sentinels.
-#[inline]
-fn min_and_runner_up(keys: &[u64; SCAN_CORES]) -> (u64, u64) {
-    let (ma, sa) = min2_of4(&keys[..4]);
-    let (mb, sb) = min2_of4(&keys[4..]);
-    let min = ma.min(mb);
-    let second = if ma < mb { sa.min(mb) } else { sb.min(ma) };
-    (min, second)
-}
+/// Leaves of the largest winner tree: the sharer bitmap's 64-core limit,
+/// which [`Hierarchy::new`] enforces.
+const MAX_CORES: usize = 64;
 
 /// A source that immediately reports exhaustion (default for cores without
 /// an assigned workload).
@@ -155,15 +117,12 @@ impl<O: TrafficObserver> System<O> {
     /// [`set_source`](Self::set_source).
     #[must_use]
     pub fn new(config: crate::config::SystemConfig, observer: O) -> Self {
-        let cores: Vec<Core> = (0..config.cores)
-            .map(|i| Core::new(CoreId(i), Box::new(EmptySource)))
-            .collect();
-        let schedule = BinaryHeap::with_capacity(cores.len());
         Self {
+            cores: (0..config.cores)
+                .map(|i| Core::new(CoreId(i), Box::new(EmptySource)))
+                .collect(),
             hierarchy: Hierarchy::new(config),
-            cores,
             observer,
-            schedule,
         }
     }
 
@@ -198,71 +157,57 @@ impl<O: TrafficObserver> System<O> {
     /// approximates concurrent execution on a shared hierarchy.
     ///
     /// Steady state performs no heap allocation per simulated access: the
-    /// scheduler heap, the observer's prefetch queue, and the drain buffer
-    /// are all reused across steps.
+    /// winner tree lives on the stack, and the observer's prefetch queue and
+    /// the drain buffer are reused across steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a core enters the run with a clock of `u64::MAX >> idx_bits`
+    /// cycles or later, where `idx_bits` (at most 6) is the width of a core
+    /// index: its packed schedule key would overflow.
     pub fn run(&mut self, instructions_per_core: u64) -> SimReport {
-        // Small machines (the paper's 4-core configuration and most tests)
-        // schedule through a branch-light linear scan over packed keys
-        // instead of the binary heap: finding the minimum of ≤ 8 integers
-        // is a handful of conditional moves, where every heap pop/push is a
-        // chain of data-dependent compares and swaps that the branch
-        // predictor loses on. Both paths produce the identical
-        // `(time, core index)` step order.
-        if self.cores.len() <= SCAN_CORES
-            && self
-                .cores
-                .iter()
-                .all(|c| c.now() < Cycle::MAX >> KEY_IDX_BITS)
-        {
-            self.run_scan(instructions_per_core);
-        } else {
-            self.run_heap(instructions_per_core);
-        }
-        self.finish_run()
-    }
-
-    /// Linear-scan scheduler for ≤ [`SCAN_CORES`] cores. Each live core's
-    /// next event is packed as `(time << KEY_IDX_BITS) | index` — an
-    /// order-preserving encoding of the `(time, index)` schedule key — and
-    /// retired cores park at `u64::MAX`. One pass computes the minimum and
-    /// the runner-up; the minimum core then streaks until its key passes
-    /// the runner-up, exactly like the heap path.
-    fn run_scan(&mut self, instructions_per_core: u64) {
-        let mut keys = [u64::MAX; SCAN_CORES];
+        let leaves = self.cores.len().next_power_of_two();
+        let idx_bits = leaves.trailing_zeros();
+        assert!(
+            self.cores.iter().all(|c| c.now() < Cycle::MAX >> idx_bits),
+            "core clock exceeds the packed schedule key's {} bits",
+            64 - idx_bits
+        );
+        // Node `n` has children `2n` and `2n + 1`; core `i` is leaf
+        // `leaves + i` and node 1 is the root. Parked leaves (retired cores
+        // and the padding past the last core) hold `u64::MAX`, which loses
+        // every match; live keys stay below it and are unique, because their
+        // low bits hold the core index.
+        let mut tree = [u64::MAX; 2 * MAX_CORES];
         for (idx, core) in self.cores.iter().enumerate() {
             if !core.is_exhausted() && core.retired() < instructions_per_core {
-                keys[idx] = (core.now() << KEY_IDX_BITS) | idx as u64;
+                tree[leaves + idx] = (core.now() << idx_bits) | idx as u64;
             }
         }
-        let small = self.cores.len() <= 4;
+        for node in (1..leaves).rev() {
+            tree[node] = tree[2 * node].min(tree[2 * node + 1]);
+        }
         let mut due = self.observer.next_prefetch_due();
         let mut evictions_seen = self.hierarchy.stats().llc_evictions;
         loop {
-            // Tournament min + runner-up over the fixed key array (parked
-            // slots are `u64::MAX` and lose every match). A tree of
-            // `min`/`max` pairs compiles to conditional moves with ~3 levels
-            // of dependency — the interleaved step order makes the "is this
-            // key the new minimum?" branch inherently unpredictable, and a
-            // branchy scan pays a misprediction on most iterations. Machines
-            // of ≤ 4 cores (the paper configuration) run the half-width
-            // network; the `small` branch itself is loop-invariant and
-            // perfectly predicted.
-            let (min, second) = if small {
-                min2_of4(&keys[..4])
-            } else {
-                min_and_runner_up(&keys)
-            };
+            let min = tree[1];
             if min == u64::MAX {
-                return;
+                break;
             }
-            let idx = (min & ((1 << KEY_IDX_BITS) - 1)) as usize;
+            let idx = (min & (leaves as u64 - 1)) as usize;
+            let leaf = leaves + idx;
+            // Runner-up: the smallest sibling on the winner's path to the root.
+            let mut second = u64::MAX;
+            let mut node = leaf;
+            while node > 1 {
+                second = second.min(tree[node ^ 1]);
+                node >>= 1;
+            }
             // Borrow the streaking core once (field-level split with
-            // `hierarchy`/`observer`): the streak loop then runs without
-            // re-indexing `self.cores` on every step. The first iteration's
-            // clock is recovered from the packed key instead of reloaded.
+            // `hierarchy`/`observer`), and recover its clock from the key.
             let core = &mut self.cores[idx];
-            let mut now = min >> KEY_IDX_BITS;
-            loop {
+            let mut now = min >> idx_bits;
+            tree[leaf] = loop {
                 // The observer's earliest due time only moves when an LLC
                 // eviction schedules a prefetch or a drain consumes one, so
                 // the cached value is refreshed on those events instead of
@@ -274,8 +219,7 @@ impl<O: TrafficObserver> System<O> {
                     evictions_seen = self.hierarchy.stats().llc_evictions;
                 }
                 if !core.step(&mut self.hierarchy, &mut self.observer) {
-                    keys[idx] = u64::MAX;
-                    break;
+                    break u64::MAX;
                 }
                 let evictions = self.hierarchy.stats().llc_evictions;
                 if evictions != evictions_seen {
@@ -283,65 +227,22 @@ impl<O: TrafficObserver> System<O> {
                     due = self.observer.next_prefetch_due();
                 }
                 if core.retired() >= instructions_per_core {
-                    keys[idx] = u64::MAX;
-                    break;
+                    break u64::MAX;
                 }
                 now = core.now();
-                let key = (now << KEY_IDX_BITS) | idx as u64;
+                let key = (now << idx_bits) | idx as u64;
                 if key >= second {
-                    keys[idx] = key;
-                    break;
+                    break key;
                 }
+            };
+            // Replay the winner's path with its new key.
+            let mut node = leaf;
+            while node > 1 {
+                node >>= 1;
+                tree[node] = tree[2 * node].min(tree[2 * node + 1]);
             }
         }
-    }
-
-    /// Binary-heap scheduler (any core count).
-    fn run_heap(&mut self, instructions_per_core: u64) {
-        self.schedule.clear();
-        for (idx, core) in self.cores.iter().enumerate() {
-            if !core.is_exhausted() && core.retired() < instructions_per_core {
-                self.schedule.push(Reverse((core.now(), idx)));
-            }
-        }
-        while let Some(Reverse((_, idx))) = self.schedule.pop() {
-            // Warm the host cache for the set the popped core is about to
-            // probe (read-only hint; cores pre-draw accesses in batches, so
-            // the next address is usually already known). Issued once per
-            // heap pop, not per step — the hint pays for the cold resume
-            // after other cores ran, while consecutive steps of one core
-            // keep the host cache warm on their own.
-            if let Some(addr) = self.cores[idx].peek_addr() {
-                self.hierarchy.prefetch_hint(CoreId(idx), addr);
-            }
-            // Step the popped core for as long as it stays the globally
-            // earliest `(time, index)` event, draining due prefetches at the
-            // core's clock before each step (exactly the schedule the linear
-            // min-scan produced, minus the per-step scan).
-            loop {
-                let now = self.cores[idx].now();
-                if self
-                    .observer
-                    .next_prefetch_due()
-                    .is_some_and(|due| due <= now)
-                {
-                    self.hierarchy.drain_prefetches(now, &mut self.observer);
-                }
-                if !self.cores[idx].step(&mut self.hierarchy, &mut self.observer) {
-                    break; // Source exhausted; the core leaves the schedule.
-                }
-                if self.cores[idx].retired() >= instructions_per_core {
-                    break; // Quota reached.
-                }
-                let after = self.cores[idx].now();
-                if let Some(&Reverse(next)) = self.schedule.peek() {
-                    if (after, idx) >= next {
-                        self.schedule.push(Reverse((after, idx)));
-                        break;
-                    }
-                }
-            }
-        }
+        self.finish_run()
     }
 
     /// Flushes pending prefetches and assembles the report.
