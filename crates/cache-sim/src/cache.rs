@@ -182,8 +182,9 @@ impl Cache {
     /// target fingerprint in one SWAR subtract-and-mask; candidate lanes are
     /// walked lowest-way-first with `trailing_zeros` and confirmed against
     /// the full tag array. First confirmed way wins, preserving the scalar
-    /// linear scan's ascending-way order exactly.
-    #[inline]
+    /// linear scan's ascending-way order exactly. Always inlined, so the
+    /// L1-hit path ([`touch_slot`](Self::touch_slot)) makes no call.
+    #[inline(always)]
     fn probe_set(&self, set: usize, tag: u64) -> Option<usize> {
         let target = u64::from(fingerprint(tag)).wrapping_mul(LANE_LO);
         let word_base = set * self.words_per_set;
@@ -231,7 +232,7 @@ impl Cache {
         None
     }
 
-    #[inline]
+    #[inline(always)]
     fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_of(line);
         Some((set, self.probe_set(set, self.tag_of(line))?))
@@ -247,10 +248,26 @@ impl Cache {
     /// line's metadata when resident.
     #[inline]
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
+        let slot = self.touch_slot(line)?;
+        Some(&mut self.metas[slot])
+    }
+
+    /// [`touch`](Self::touch) compiled into its caller, returning the hit's
+    /// slot for [`meta_at`](Self::meta_at): the hierarchy's L1-hit path,
+    /// where an out-of-line call costs as much as the probe itself.
+    #[inline(always)]
+    pub(crate) fn touch_slot(&mut self, line: LineAddr) -> Option<usize> {
         let (set, way) = self.find(line)?;
         self.policy.on_touch(set, way);
-        let idx = self.slot_index(set, way);
-        Some(&mut self.metas[idx])
+        Some(self.slot_index(set, way))
+    }
+
+    /// Metadata of the line in `slot`, as returned by
+    /// [`touch_slot`](Self::touch_slot) (valid until the next fill or
+    /// invalidation of this cache).
+    #[inline]
+    pub(crate) fn meta_at(&mut self, slot: usize) -> &mut LineMeta {
+        &mut self.metas[slot]
     }
 
     /// Reads a line's metadata without updating replacement state.
@@ -280,6 +297,20 @@ impl Cache {
             self.metas[idx] = meta;
             return None;
         }
+        self.insert(set, tag, meta)
+    }
+
+    /// [`fill`](Self::fill) for a line the caller knows is absent: the
+    /// hierarchy fills only lines its own lookups just missed, so it skips
+    /// the residency probe.
+    pub(crate) fn fill_absent(&mut self, line: LineAddr, meta: LineMeta) -> Option<EvictedLine> {
+        debug_assert!(!self.contains(line), "fill_absent of resident {line}");
+        self.insert(self.set_of(line), self.tag_of(line), meta)
+    }
+
+    /// The insertion body of [`fill`](Self::fill): places an absent `tag`
+    /// in `set`, evicting a victim if the set is full.
+    fn insert(&mut self, set: usize, tag: u64, meta: LineMeta) -> Option<EvictedLine> {
         // Prefer the lowest-index empty way.
         if let Some(way) = self.first_invalid_way(set) {
             let idx = self.slot_index(set, way);

@@ -7,6 +7,8 @@
 //!   Prime+Probe relies on.
 //! * **Coherence.** The LLC keeps a sharer bitmap per line; writes invalidate
 //!   other cores' private copies (MESI's `M` acquisition, directory style).
+//!   The writer's L1 copy then records the modified state, so its next
+//!   writes skip the directory until another core shares the line.
 //! * **Memory-controller hooks.** Every LLC→memory demand fetch and every
 //!   LLC eviction is reported to a [`TrafficObserver`]; observers may tag
 //!   incoming lines as protected and inject prefetches.
@@ -147,6 +149,14 @@ impl Hierarchy {
     /// Returns the latency and serving level. The observer is consulted on
     /// LLC→memory fetches (to tag protected lines) and notified of LLC
     /// evictions.
+    ///
+    /// An L1 hit — the common case — is compiled into the caller: one
+    /// fingerprint probe of the core's L1 set and its replacement update. A
+    /// read hit does nothing else. A write hit on a copy in MESI's modified
+    /// state (its core is the sole sharer of a dirty LLC copy) needs no
+    /// directory work either; any other write hit runs the directory
+    /// upgrade, which invalidates the other cores' copies and leaves this
+    /// one modified. Everything else is the out-of-line miss path.
     #[inline]
     pub fn access<O: TrafficObserver + ?Sized>(
         &mut self,
@@ -159,16 +169,18 @@ impl Hierarchy {
         let line = LineAddr(addr.0 >> self.line_shift);
         let is_write = kind.is_write();
 
-        // Each level is probed with a single `touch` lookup: on a hit it
-        // returns the metadata and updates replacement state in one way scan,
-        // on a miss it is exactly the residency check for the next level.
-
         // ---- L1 hit ----
-        if let Some(meta) = self.l1[core.0].touch(line) {
-            meta.or_dirty(is_write);
+        if let Some(slot) = self.l1[core.0].touch_slot(line) {
             let mut latency = self.config.l1.latency;
             if is_write {
-                latency += self.write_upgrade(core, line);
+                let meta = self.l1[core.0].meta_at(slot);
+                if !meta.modified() {
+                    // The upgrade leaves `core` the sole sharer of a dirty
+                    // LLC copy, which is what the flag records.
+                    meta.set_dirty(true);
+                    meta.set_modified(true);
+                    latency += self.write_upgrade(core, line);
+                }
             }
             self.stats.record_served(core, Level::L1, latency);
             return AccessResult {
@@ -184,6 +196,12 @@ impl Hierarchy {
     /// line: L2/L3/memory handling (fills, coherence, observer events) is an
     /// order of magnitude rarer than an L1 hit, and inlining it would bloat
     /// the per-access fast path in every instantiation of the run loop.
+    ///
+    /// Each level is probed once with a `touch` lookup: on a hit it returns
+    /// the metadata and updates replacement state in one way scan, on a miss
+    /// it is exactly the residency check for the next level. Every fill
+    /// below is of a line those probes just missed, so the fills skip the
+    /// residency probe ([`Cache::fill_absent`]).
     #[inline(never)]
     fn access_miss<O: TrafficObserver + ?Sized>(
         &mut self,
@@ -213,6 +231,7 @@ impl Hierarchy {
             let prefetch_hit = meta.prefetched() && !meta.accessed();
             meta.set_accessed(true);
             meta.set_prefetched(false);
+            let others = meta.sharers;
             meta.sharers.insert(core);
             meta.or_dirty(is_write);
             if prefetch_hit {
@@ -221,6 +240,14 @@ impl Hierarchy {
             let mut latency = self.config.l3.latency;
             if is_write {
                 latency += self.invalidate_other_sharers(core, line);
+            } else {
+                // `core` joined the sharers, so no other copy is exclusive
+                // any more (a write invalidates those copies instead).
+                for other in others.iter().filter(|&other| other != core) {
+                    if let Some(m) = self.l1[other.0].peek_mut(line) {
+                        m.set_modified(false);
+                    }
+                }
             }
             self.fill_l2(core, line);
             self.fill_l1(core, line, is_write);
@@ -288,9 +315,9 @@ impl Hierarchy {
         self.prefetch_scratch = buf;
     }
 
-    /// Fills a line into the LLC, handling eviction of a victim: inclusive
-    /// back-invalidation of private copies, dirty writeback, and the pEvict
-    /// notification to the observer.
+    /// Fills an absent line into the LLC, handling eviction of a victim:
+    /// inclusive back-invalidation of private copies, dirty writeback, and
+    /// the pEvict notification to the observer.
     fn fill_l3<O: TrafficObserver + ?Sized>(
         &mut self,
         line: LineAddr,
@@ -298,7 +325,7 @@ impl Hierarchy {
         now: Cycle,
         observer: &mut O,
     ) {
-        if let Some(evicted) = self.l3.fill(line, meta) {
+        if let Some(evicted) = self.l3.fill_absent(line, meta) {
             self.stats.llc_evictions += 1;
             let mut dirty = evicted.meta.dirty();
             // Private copies can only live in cores recorded as sharers
@@ -327,13 +354,10 @@ impl Hierarchy {
         }
     }
 
-    /// Fills a line into `core`'s L2, maintaining L1 ⊆ L2 by back-
+    /// Fills an absent line into `core`'s L2, maintaining L1 ⊆ L2 by back-
     /// invalidating the L1 copy of any victim and propagating dirtiness down.
     fn fill_l2(&mut self, core: CoreId, line: LineAddr) {
-        if self.l2[core.0].touch(line).is_some() {
-            return;
-        }
-        if let Some(evicted) = self.l2[core.0].fill(line, LineMeta::default()) {
+        if let Some(evicted) = self.l2[core.0].fill_absent(line, LineMeta::default()) {
             let mut dirty = evicted.meta.dirty();
             if let Some(m) = self.l1[core.0].invalidate(evicted.line) {
                 self.stats.back_invalidations += 1;
@@ -343,14 +367,10 @@ impl Hierarchy {
         }
     }
 
-    /// Fills a line into `core`'s L1, propagating a dirty victim into L2.
+    /// Fills an absent line into `core`'s L1 (modified after a write, see
+    /// [`LineMeta::l1_fill`]), propagating a dirty victim into L2.
     fn fill_l1(&mut self, core: CoreId, line: LineAddr, is_write: bool) {
-        if let Some(meta) = self.l1[core.0].touch(line) {
-            meta.or_dirty(is_write);
-            return;
-        }
-        let meta = LineMeta::default().with_dirty(is_write);
-        if let Some(evicted) = self.l1[core.0].fill(line, meta) {
+        if let Some(evicted) = self.l1[core.0].fill_absent(line, LineMeta::l1_fill(is_write)) {
             if evicted.meta.dirty() {
                 if let Some(m) = self.l2[core.0].peek_mut(evicted.line) {
                     m.set_dirty(true);
@@ -379,6 +399,13 @@ impl Hierarchy {
     /// A write by `core` must invalidate every other core's private copy
     /// (directory-based MESI upgrade). Returns the extra latency (one LLC
     /// round trip when an upgrade was needed, 0 otherwise).
+    ///
+    /// Afterwards `core` is the LLC line's sole sharer and the LLC copy is
+    /// dirty, so the writer's L1 copy is marked modified (MESI's `M`). That
+    /// state lasts until another core joins the sharers on an LLC hit, which
+    /// clears the flag, or the copy leaves the L1. A write hit on a
+    /// modified copy skips this upgrade: it would re-dirty a dirty LLC copy
+    /// and invalidate nothing, so skipping it changes no statistic.
     fn write_upgrade(&mut self, core: CoreId, line: LineAddr) -> Cycle {
         if let Some(meta) = self.l3.peek_mut(line) {
             meta.set_dirty(true);
@@ -396,13 +423,21 @@ impl Hierarchy {
     /// * every line in a core's L1 is also in that core's L2;
     /// * every line in a core's L2 is also in the L3;
     /// * every core recorded as a sharer of an L3 line is consistent with
-    ///   the directory (private copies imply sharer bits).
+    ///   the directory (private copies imply sharer bits);
+    /// * every modified L1 copy belongs to the L3 line's sole sharer, and
+    ///   that L3 copy is dirty.
     #[must_use]
     pub fn check_inclusion(&self) -> Option<String> {
         for core in 0..self.config.cores {
-            for (line, _) in self.l1[core].resident_lines() {
+            for (line, meta) in self.l1[core].resident_lines() {
                 if !self.l2[core].contains(line) {
                     return Some(format!("core{core} L1 holds {line} but L2 does not"));
+                }
+                let exclusive = |m: &LineMeta| m.sharers.is_sole(CoreId(core)) && m.dirty();
+                if meta.modified() && !self.l3.peek(line).is_some_and(exclusive) {
+                    return Some(format!(
+                        "core{core} holds {line} modified but is not the sole sharer of a dirty L3 copy"
+                    ));
                 }
             }
             for (line, _) in self.l2[core].resident_lines() {
@@ -510,6 +545,34 @@ mod tests {
         let meta = h.llc_meta(Addr(0x2000)).expect("resident");
         assert!(meta.sharers.is_sole(CoreId(1)));
         assert!(meta.dirty());
+    }
+
+    #[test]
+    fn modified_copy_skips_upgrade_until_another_core_shares_it() {
+        let mut h = hierarchy();
+        let mut obs = NullObserver;
+        let addr = Addr(0x2000);
+        let line = addr.line(64);
+        let modified = |h: &Hierarchy, core: usize| h.l1[core].peek(line).map(LineMeta::modified);
+        let r = h.access(CoreId(0), addr, AccessKind::Write, 0, &mut obs);
+        assert_eq!(r.served_by, Level::Memory);
+        assert_eq!(modified(&h, 0), Some(true));
+        for now in 1..=2 {
+            let r = h.access(CoreId(0), addr, AccessKind::Write, now, &mut obs);
+            assert_eq!((r.served_by, r.latency), (Level::L1, 2));
+        }
+        // Core 1 joins the sharers: core 0's copy is no longer exclusive.
+        let r = h.access(CoreId(1), addr, AccessKind::Read, 3, &mut obs);
+        assert_eq!((r.served_by, r.latency), (Level::L3, 35));
+        assert_eq!(modified(&h, 0), Some(false));
+        let before = h.stats().coherence_invalidations;
+        let r = h.access(CoreId(0), addr, AccessKind::Write, 4, &mut obs);
+        assert_eq!((r.served_by, r.latency), (Level::L1, 2 + 35));
+        assert_eq!(h.stats().coherence_invalidations, before + 2);
+        assert!(!h.l1_contains(CoreId(1), addr));
+        assert_eq!(modified(&h, 0), Some(true));
+        let meta = h.llc_meta(addr).expect("resident");
+        assert!(meta.sharers.is_sole(CoreId(0)) && meta.dirty());
     }
 
     #[test]

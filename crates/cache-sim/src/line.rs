@@ -98,12 +98,16 @@ const PROTECTED: u8 = 1 << 1;
 const ACCESSED: u8 = 1 << 2;
 /// Flag bit: line entered the LLC via prefetch, not yet demand-touched.
 const PREFETCHED: u8 = 1 << 3;
+/// Flag bit: private L1 copy in MESI's modified state (see
+/// [`LineMeta::modified`]).
+const MODIFIED: u8 = 1 << 4;
 
 /// Metadata carried by a cached line, packed to nine meaningful bytes: the
-/// 64-bit sharer bitmap plus one flag byte holding the four status bits.
+/// 64-bit sharer bitmap plus one flag byte holding the status bits.
 ///
-/// Private caches use the dirty flag; the LLC additionally maintains the
-/// sharer set (directory) and PiPoMonitor's protection bits:
+/// Private caches use the dirty flag, and L1 copies a crate-private
+/// modified flag; the LLC additionally maintains the sharer set (directory)
+/// and PiPoMonitor's protection bits:
 ///
 /// * `protected` — the line was captured as a Ping-Pong line (tagged at fill
 ///   time by the monitor's response).
@@ -128,6 +132,17 @@ impl LineMeta {
         Self {
             sharers: SharerSet::only(core),
             flags: ACCESSED | (DIRTY * u8::from(is_write)) | (PROTECTED * u8::from(protected)),
+        }
+    }
+
+    /// Metadata of a private L1 copy filled by a demand access. A write
+    /// leaves it dirty and modified: every write miss ends with its core as
+    /// the LLC line's sole sharer and the LLC copy dirty.
+    #[inline]
+    pub(crate) fn l1_fill(is_write: bool) -> Self {
+        Self {
+            sharers: SharerSet::empty(),
+            flags: (DIRTY | MODIFIED) * u8::from(is_write),
         }
     }
 
@@ -202,6 +217,21 @@ impl LineMeta {
     #[inline]
     pub fn set_prefetched(&mut self, value: bool) {
         self.put(PREFETCHED, value);
+    }
+
+    /// A private L1 copy in MESI's modified state: its core is the LLC line's
+    /// sole sharer and the LLC copy is dirty, so a write to it needs no
+    /// directory upgrade. Set when a write completes, cleared when another
+    /// core joins the sharers (an eviction or invalidation drops the copy).
+    #[inline]
+    pub(crate) fn modified(&self) -> bool {
+        self.flags & MODIFIED != 0
+    }
+
+    /// Sets the modified flag.
+    #[inline]
+    pub(crate) fn set_modified(&mut self, value: bool) {
+        self.put(MODIFIED, value);
     }
 
     /// Builder: returns `self` with the dirty flag set to `value`.
@@ -289,6 +319,18 @@ mod tests {
         assert!(!m.protected());
         assert!(m.accessed());
         assert!(!m.prefetched());
+    }
+
+    #[test]
+    fn l1_fill_meta() {
+        let w = LineMeta::l1_fill(true);
+        assert!(w.dirty() && w.modified());
+        assert!(w.sharers.is_empty() && !w.protected() && !w.accessed());
+        let r = LineMeta::l1_fill(false);
+        assert_eq!(r, LineMeta::default());
+        let mut m = w;
+        m.set_modified(false);
+        assert!(m.dirty() && !m.modified());
     }
 
     #[test]

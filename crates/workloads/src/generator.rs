@@ -3,7 +3,7 @@
 use cache_sim::{Access, AccessKind, AccessSource, Addr};
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::profile::BenchProfile;
 
@@ -21,11 +21,42 @@ const STREAM_OFFSET_LINES: u64 = 1 << 28;
 /// are spaced by this so they collide in a single LLC set.
 const DEFAULT_LLC_SETS: u64 = 4096;
 
+/// The cut-off that turns a probability test into an integer compare:
+/// `ceil(p · 2^53)`.
+///
+/// `rand`'s `gen::<f64>()` is `k · 2^-53` for the 53-bit draw
+/// `k = next_u64() >> 11`, and both that product and `p · 2^53` are exact,
+/// so `gen::<f64>() < p` holds exactly when `k < ceil(p · 2^53)`.
+fn cut_off(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The 53-bit draw that [`cut_off`] thresholds are compared against.
+#[inline(always)]
+fn unit_draw(rng: &mut StdRng) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// Positions of the three cycling tiers (each in `0..tier_lines`).
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursors {
+    churn: u64,
+    thrash: u64,
+    stream: u64,
+}
+
 /// A deterministic stochastic address stream for one benchmark on one core.
 ///
 /// Each core gets a disjoint address region, so mixes share only the LLC
 /// capacity (no accidental data sharing), matching independent SPEC processes
 /// under a non-shared-memory OS model.
+///
+/// Both [`AccessSource`] entry points run one inlined definition of a single
+/// access draw. It takes the generator state and the tier cursors as
+/// locals, which [`refill`](AccessSource::refill) keeps in registers for a
+/// whole batch. Its probability tests compare the raw 53-bit draw against
+/// cut-offs precomputed at construction, which decide exactly as
+/// `gen::<f64>() < p` would.
 ///
 /// # Examples
 ///
@@ -45,13 +76,11 @@ const DEFAULT_LLC_SETS: u64 = 4096;
 pub struct ProfileSource {
     profile: BenchProfile,
     rng: StdRng,
+    cursors: Cursors,
     hot_base: u64,
     churn_base: u64,
     thrash_base: u64,
     stream_base: u64,
-    churn_pos: u64,
-    thrash_pos: u64,
-    stream_pos: u64,
     llc_sets: u64,
     /// Precomputed hot-tier line distribution (`0..hot_lines`); drawn on
     /// ~90% of accesses, so the division is strength-reduced once here
@@ -60,6 +89,13 @@ pub struct ProfileSource {
     /// Precomputed think-gap distribution (`0..=2 * think_mean`); drawn on
     /// every access.
     think_dist: Uniform,
+    /// [`cut_off`]s of the cumulative tier probabilities: hot, hot + churn
+    /// and hot + churn + thrash (the rest streams).
+    hot_cut: u64,
+    churn_cut: u64,
+    thrash_cut: u64,
+    /// [`cut_off`] of the write fraction.
+    write_cut: u64,
 }
 
 impl ProfileSource {
@@ -90,19 +126,22 @@ impl ProfileSource {
             "LLC set count must be a power of two"
         );
         let region = (core_index as u64 + 1) * CORE_REGION_LINES;
+        let p = profile;
         Self {
             profile: *profile,
             rng: StdRng::seed_from_u64(seed ^ ((core_index as u64) << 32)),
+            cursors: Cursors::default(),
             hot_base: region,
             churn_base: region + CHURN_OFFSET_LINES,
             thrash_base: region + THRASH_OFFSET_LINES,
             stream_base: region + STREAM_OFFSET_LINES,
-            churn_pos: 0,
-            thrash_pos: 0,
-            stream_pos: 0,
             llc_sets,
             hot_dist: Uniform::new(0, profile.hot_lines),
             think_dist: Uniform::new_inclusive(0, profile.think_mean * 2),
+            hot_cut: cut_off(p.p_hot),
+            churn_cut: cut_off(p.p_hot + p.p_churn),
+            thrash_cut: cut_off(p.p_hot + p.p_churn + p.p_thrash),
+            write_cut: cut_off(p.write_fraction),
         }
     }
 
@@ -112,28 +151,44 @@ impl ProfileSource {
         &self.profile
     }
 
-    fn pick_line(&mut self) -> u64 {
-        let r: f64 = self.rng.gen();
+    /// Draws one access from the generator state `rng` and `cursors`: the
+    /// tier pick (plus the hot line, on a hot pick), then the write test,
+    /// then the think gap.
+    #[inline(always)]
+    fn draw(&self, rng: &mut StdRng, cursors: &mut Cursors) -> Access {
         let p = &self.profile;
-        if r < p.p_hot {
+        let tier = unit_draw(rng);
+        let line = if tier < self.hot_cut {
             // Uniform re-reference within the private-cache-resident set.
-            self.hot_base + self.hot_dist.sample(&mut self.rng)
-        } else if r < p.p_hot + p.p_churn {
+            self.hot_base + self.hot_dist.sample(rng)
+        } else if tier < self.churn_cut {
             // Sequential sweep over the LLC-scale set: every line is
             // periodically evicted and re-fetched (array-sweep behaviour).
-            self.churn_pos = wrap_incr(self.churn_pos, p.churn_lines);
-            self.churn_base + self.churn_pos
-        } else if r < p.p_hot + p.p_churn + p.p_thrash {
+            cursors.churn = wrap_incr(cursors.churn, p.churn_lines);
+            self.churn_base + cursors.churn
+        } else if tier < self.thrash_cut {
             // Round-robin over same-LLC-set lines exceeding associativity:
             // classic LRU pathology where every access conflict-misses, so
             // the same lines are re-fetched from memory within a short
             // window — the benign Ping-Pong pattern.
-            self.thrash_pos = wrap_incr(self.thrash_pos, p.thrash_lines);
-            self.thrash_base + self.thrash_pos * self.llc_sets
+            cursors.thrash = wrap_incr(cursors.thrash, p.thrash_lines);
+            self.thrash_base + cursors.thrash * self.llc_sets
         } else {
             // Streaming through a footprint much larger than the LLC.
-            self.stream_pos = wrap_incr(self.stream_pos, p.stream_lines);
-            self.stream_base + self.stream_pos
+            cursors.stream = wrap_incr(cursors.stream, p.stream_lines);
+            self.stream_base + cursors.stream
+        };
+        let kind = if unit_draw(rng) < self.write_cut {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        // Uniform on 0..=2*mean keeps the mean while adding jitter.
+        let think = self.think_dist.sample(rng);
+        Access {
+            addr: Addr(line * LINE_SIZE),
+            kind,
+            think_cycles: think,
         }
     }
 }
@@ -151,43 +206,26 @@ fn wrap_incr(pos: u64, len: u64) -> u64 {
 
 impl AccessSource for ProfileSource {
     fn next_access(&mut self) -> Option<Access> {
-        let line = self.pick_line();
-        let kind = if self.rng.gen::<f64>() < self.profile.write_fraction {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        // Uniform on 0..=2*mean keeps the mean while adding jitter.
-        let think = self.think_dist.sample(&mut self.rng);
-        Some(Access {
-            addr: Addr(line * LINE_SIZE),
-            kind,
-            think_cycles: think,
-        })
+        let mut rng = self.rng.clone();
+        let mut cursors = self.cursors;
+        let access = self.draw(&mut rng, &mut cursors);
+        self.rng = rng;
+        self.cursors = cursors;
+        Some(access)
     }
 
-    /// Batched generation: hoists the profile parameters out of the loop so
-    /// the RNG and tier bookkeeping amortize across the whole batch. Draws
-    /// happen in exactly the per-access order of `next_access` (tier pick,
-    /// write draw, think draw), so the stream is bit-identical however the
-    /// caller mixes the two entry points.
+    /// Batched generation: the generator state and tier cursors stay in
+    /// locals for the whole batch and are stored back once. Each access is
+    /// the same draw `next_access` makes, so the stream is bit-identical
+    /// however the caller mixes the two entry points.
     fn refill(&mut self, buf: &mut Vec<Access>, max: usize) {
-        let p = self.profile;
-        let think_dist = self.think_dist;
+        let mut rng = self.rng.clone();
+        let mut cursors = self.cursors;
         for _ in 0..max {
-            let line = self.pick_line();
-            let kind = if self.rng.gen::<f64>() < p.write_fraction {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            let think = think_dist.sample(&mut self.rng);
-            buf.push(Access {
-                addr: Addr(line * LINE_SIZE),
-                kind,
-                think_cycles: think,
-            });
+            buf.push(self.draw(&mut rng, &mut cursors));
         }
+        self.rng = rng;
+        self.cursors = cursors;
     }
 }
 
@@ -244,6 +282,64 @@ mod tests {
         assert_eq!(core0, draws(0, 7));
         assert_eq!(core1, draws(1, 7));
         assert_eq!(core2, draws(2, 7));
+    }
+
+    #[test]
+    fn cut_off_decides_like_the_float_test() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let probabilities = [
+            0.0,
+            1.0,
+            0.5,
+            0.3,
+            0.1 + 0.2,
+            0.97,
+            1e-300,
+            0.875 + 0.02 + 0.004,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        for p in probabilities {
+            let cut = cut_off(p);
+            for k in cut.saturating_sub(2)..(cut + 2).min(1 << 53) {
+                assert_eq!(k < cut, k as f64 * scale < p, "p {p}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn stream_matches_the_float_reference() {
+        use rand::Rng;
+        // The pre-cut-off generator: the same draws, made with `gen::<f64>()`
+        // probability tests and `gen_range`.
+        for p in crate::spec::BENCHMARKS {
+            let mut src = ProfileSource::new(p, 1, 42);
+            let mut rng = StdRng::seed_from_u64(42 ^ (1 << 32));
+            let mut pos = Cursors::default();
+            for _ in 0..5_000 {
+                let r: f64 = rng.gen();
+                let line = if r < p.p_hot {
+                    src.hot_base + rng.gen_range(0..p.hot_lines)
+                } else if r < p.p_hot + p.p_churn {
+                    pos.churn = (pos.churn + 1) % p.churn_lines;
+                    src.churn_base + pos.churn
+                } else if r < p.p_hot + p.p_churn + p.p_thrash {
+                    pos.thrash = (pos.thrash + 1) % p.thrash_lines;
+                    src.thrash_base + pos.thrash * DEFAULT_LLC_SETS
+                } else {
+                    pos.stream = (pos.stream + 1) % p.stream_lines;
+                    src.stream_base + pos.stream
+                };
+                let write = rng.gen::<f64>() < p.write_fraction;
+                let think = rng.gen_range(0..=2 * p.think_mean);
+                let a = src.next_access().expect("infinite");
+                assert_eq!(
+                    (a.addr.0, a.kind.is_write(), a.think_cycles),
+                    (line * LINE_SIZE, write, think),
+                    "{}",
+                    p.name
+                );
+            }
+        }
     }
 
     #[test]
