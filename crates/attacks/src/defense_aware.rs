@@ -14,9 +14,8 @@
 //!   `b`, reaching `b^(MNK+1)` (32768 for the paper's b = 8, MNK = 4).
 
 use auto_cuckoo::hash::candidate_buckets;
-use auto_cuckoo::{CuckooFilter, FilterParams, PatternStore};
+use auto_cuckoo::{CuckooFilter, DirectoryPatternStore, FilterParams, PatternStore};
 use cache_sim::{Addr, LineAddr};
-use pipomonitor::DirectoryMonitorConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -182,10 +181,9 @@ pub fn reverse_engineering_attack(
 }
 
 /// A defense-aware attacker's record-flush generator against the
-/// deterministic directory-table baseline
-/// ([`pipomonitor::DirectoryMonitor`]).
+/// deterministic directory-table baseline ([`DirectoryPatternStore`]).
 ///
-/// Each round yields `ways` *fresh* line addresses mapping to the victim's
+/// Each round yields `b` *fresh* line addresses mapping to the victim's
 /// table set. Fresh lines guarantee memory fetches (they are LLC-cold), so
 /// each round deterministically LRU-evicts the victim's table record before
 /// its Security counter can saturate — defeating detection. The caller
@@ -198,39 +196,38 @@ pub fn reverse_engineering_attack(
 /// [`brute_force_eviction`]).
 #[derive(Debug, Clone)]
 pub struct TableFlusher {
-    sets: usize,
-    ways: usize,
+    table: FilterParams,
     target_set: usize,
     base_line: u64,
     cursor: u64,
 }
 
 impl TableFlusher {
-    /// Creates a flusher for `target` against a table of `config`'s
-    /// geometry, drawing addresses from the attacker region starting at byte
-    /// address `attacker_base`. The table's index hash is public, so the
-    /// adversary finds conflicting lines by brute-force search — a one-time
-    /// offline cost of ~`sets` hash evaluations per line.
+    /// Creates a flusher for `target` against a table of `table`'s
+    /// geometry (`l` sets of `b` ways), drawing addresses from the attacker
+    /// region starting at byte address `attacker_base`. The table's index
+    /// hash is public, so the adversary finds conflicting lines by
+    /// brute-force search — a one-time offline cost of ~`l` hash evaluations
+    /// per line.
     #[must_use]
-    pub fn new(config: &DirectoryMonitorConfig, target: LineAddr, attacker_base: u64) -> Self {
+    pub fn new(table: &FilterParams, target: LineAddr, attacker_base: u64) -> Self {
         Self {
-            sets: config.sets,
-            ways: config.ways,
-            target_set: pipomonitor::DirectoryMonitor::set_for(target, config.sets),
+            table: *table,
+            target_set: DirectoryPatternStore::set_of(target.0, table),
             base_line: attacker_base / 64,
             cursor: 0,
         }
     }
 
-    /// Produces the next round of `ways` fresh conflicting addresses,
-    /// skipping any the `avoid` predicate rejects.
+    /// Produces the next round of `b` fresh conflicting addresses, skipping
+    /// any the `avoid` predicate rejects.
     pub fn next_round<F: Fn(LineAddr) -> bool>(&mut self, avoid: F) -> Vec<Addr> {
-        let mut out = Vec::with_capacity(self.ways);
-        while out.len() < self.ways {
+        let ways = self.table.entries_per_bucket();
+        let mut out = Vec::with_capacity(ways);
+        while out.len() < ways {
             self.cursor += 1;
             let line = LineAddr(self.base_line + self.cursor);
-            if pipomonitor::DirectoryMonitor::set_for(line, self.sets) == self.target_set
-                && !avoid(line)
+            if DirectoryPatternStore::set_of(line.0, &self.table) == self.target_set && !avoid(line)
             {
                 out.push(Addr(line.0 * 64));
             }
@@ -308,17 +305,20 @@ mod tests {
         assert!(r.mean_fills < 32.0, "mean {}", r.mean_fills);
     }
 
+    fn table_64x4() -> FilterParams {
+        FilterParams::builder()
+            .buckets(64)
+            .entries_per_bucket(4)
+            .build()
+            .expect("valid")
+    }
+
     #[test]
     fn table_flusher_lines_hit_target_set_and_stay_fresh() {
-        let cfg = DirectoryMonitorConfig {
-            sets: 64,
-            ways: 4,
-            threshold: 3,
-            prefetch_delay: 10,
-        };
+        let table = table_64x4();
         let target = LineAddr(0x123);
-        let target_set = pipomonitor::DirectoryMonitor::set_for(target, cfg.sets);
-        let mut flusher = TableFlusher::new(&cfg, target, 0x55_0000_0000);
+        let target_set = DirectoryPatternStore::set_of(target.0, &table);
+        let mut flusher = TableFlusher::new(&table, target, 0x55_0000_0000);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..10 {
             let round = flusher.next_round(|_| false);
@@ -326,7 +326,7 @@ mod tests {
             for addr in round {
                 let line = LineAddr(addr.0 / 64);
                 assert_eq!(
-                    pipomonitor::DirectoryMonitor::set_for(line, cfg.sets),
+                    DirectoryPatternStore::set_of(line.0, &table),
                     target_set,
                     "must map to the target's table set"
                 );
@@ -337,13 +337,7 @@ mod tests {
 
     #[test]
     fn table_flusher_respects_avoid_predicate() {
-        let cfg = DirectoryMonitorConfig {
-            sets: 64,
-            ways: 4,
-            threshold: 3,
-            prefetch_delay: 10,
-        };
-        let mut flusher = TableFlusher::new(&cfg, LineAddr(7), 0);
+        let mut flusher = TableFlusher::new(&table_64x4(), LineAddr(7), 0);
         // Avoid odd line numbers; rounds must still fill with even ones.
         let round = flusher.next_round(|l| l.0 % 2 == 1);
         assert_eq!(round.len(), 4);

@@ -10,15 +10,18 @@
 //! Ping-Pong pattern, so the filter captures the line and the prefetch makes
 //! every reload fast, blinding the attacker.
 
-use cache_sim::{AccessKind, Cycle, Hierarchy, TrafficObserver};
+use cache_sim::{AccessKind, Hierarchy, TrafficObserver};
 
-use crate::analysis::{ProbeObservation, ProbeTrace};
-use crate::eviction::{EvictionSet, MISS_THRESHOLD};
-use crate::prime_probe::AttackConfig;
+use crate::analysis::ProbeObservation;
+use crate::eviction::MISS_THRESHOLD;
+use crate::prime_probe::{run_windows, AttackConfig, AttackOutcome};
 use crate::victim::SquareAndMultiply;
 
 /// The Evict+Reload attack loop. Reuses [`AttackConfig`]; the
 /// `attacker_base` seeds the eviction sets used for the evict step.
+///
+/// It runs Prime+Probe's window loop with the probe step replaced: the
+/// attacker reloads the victim's two lines and times them.
 ///
 /// # Examples
 ///
@@ -41,15 +44,6 @@ pub struct EvictReloadAttack {
     config: AttackConfig,
 }
 
-/// Outcome of an Evict+Reload run.
-#[derive(Debug, Clone)]
-pub struct EvictReloadOutcome {
-    /// Per-window reload observations and windowed ground truth.
-    pub trace: ProbeTrace,
-    /// Cycle at which the attack finished.
-    pub end_cycle: Cycle,
-}
-
 impl EvictReloadAttack {
     /// Creates the attack.
     ///
@@ -69,81 +63,29 @@ impl EvictReloadAttack {
     pub fn run(
         &self,
         hierarchy: &mut Hierarchy,
-        mut victim: SquareAndMultiply,
+        victim: SquareAndMultiply,
         observer: &mut dyn TrafficObserver,
-    ) -> EvictReloadOutcome {
-        let cfg = &self.config;
+    ) -> AttackOutcome {
+        let core = self.config.attacker_core;
         let layout = *victim.layout();
-        let square_set = EvictionSet::for_target(hierarchy, layout.square, cfg.attacker_base);
-        let multiply_set =
-            EvictionSet::for_target(hierarchy, layout.multiply, cfg.attacker_base + (1 << 32));
-        let bits_per_window = cfg.bits_per_window.max(1);
-
-        let mut observations = Vec::with_capacity(cfg.iterations);
-        let mut truth = Vec::with_capacity(cfg.iterations);
-        let mut now: Cycle = 0;
-
-        'windows: for _ in 0..cfg.iterations {
-            let iter_start = now;
-
-            // Evict: flush the shared lines out of the LLC.
-            now = square_set.prime(hierarchy, cfg.attacker_core, now, observer);
-            now = multiply_set.prime(hierarchy, cfg.attacker_core, now, observer);
-
-            // Victim executes its iterations across the window.
-            let mut window_bit = false;
-            let slot = cfg.probe_interval / (bits_per_window as Cycle + 1);
-            let mut executed_any = false;
-            for k in 0..bits_per_window {
-                let Some((bit, accesses)) = victim.next_iteration() else {
-                    if executed_any {
-                        break;
-                    }
-                    break 'windows;
+        run_windows(
+            &self.config,
+            hierarchy,
+            victim,
+            observer,
+            &mut |_| Vec::new(),
+            |hierarchy, observer, _, now| {
+                // Reload: a fast access means the victim touched the line.
+                let rs = hierarchy.access(core, layout.square, AccessKind::Read, now, observer);
+                let now = now + rs.latency;
+                let rm = hierarchy.access(core, layout.multiply, AccessKind::Read, now, observer);
+                let observation = ProbeObservation {
+                    square: rs.latency < MISS_THRESHOLD,
+                    multiply: rm.latency < MISS_THRESHOLD,
                 };
-                executed_any = true;
-                window_bit |= bit;
-                let mut clock = iter_start + slot * (k as Cycle + 1);
-                for addr in accesses {
-                    hierarchy.drain_prefetches(clock, observer);
-                    let r =
-                        hierarchy.access(cfg.victim_core, addr, AccessKind::Read, clock, observer);
-                    clock += r.latency;
-                }
-            }
-            truth.push(window_bit);
-
-            now = iter_start + cfg.probe_interval;
-            hierarchy.drain_prefetches(now, observer);
-
-            // Reload: the attacker touches the shared lines and times them.
-            let rs = hierarchy.access(
-                cfg.attacker_core,
-                layout.square,
-                AccessKind::Read,
-                now,
-                observer,
-            );
-            now += rs.latency;
-            let rm = hierarchy.access(
-                cfg.attacker_core,
-                layout.multiply,
-                AccessKind::Read,
-                now,
-                observer,
-            );
-            now += rm.latency;
-
-            observations.push(ProbeObservation {
-                square: rs.latency < MISS_THRESHOLD,
-                multiply: rm.latency < MISS_THRESHOLD,
-            });
-        }
-
-        EvictReloadOutcome {
-            trace: ProbeTrace::new(observations, truth),
-            end_cycle: now,
-        }
+                (observation, now + rm.latency)
+            },
+        )
     }
 }
 

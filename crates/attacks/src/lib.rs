@@ -34,7 +34,7 @@ pub use defense_aware::{
     brute_force_eviction, reverse_engineering_attack, BruteForceResult, ReverseAttackResult,
     TableFlusher,
 };
-pub use evict_reload::{EvictReloadAttack, EvictReloadOutcome};
+pub use evict_reload::EvictReloadAttack;
 pub use eviction::EvictionSet;
 pub use occupancy::OccupancyChannelSource;
 pub use prime_probe::{AttackConfig, AttackOutcome, PrimeProbeAttack};

@@ -145,84 +145,118 @@ impl PrimeProbeAttack {
     pub fn run_with_flusher(
         &self,
         hierarchy: &mut Hierarchy,
-        mut victim: SquareAndMultiply,
+        victim: SquareAndMultiply,
         observer: &mut dyn TrafficObserver,
         flusher: &mut dyn FnMut(usize) -> Vec<Addr>,
     ) -> AttackOutcome {
-        let cfg = &self.config;
-        let layout = *victim.layout();
-        let square_set = EvictionSet::for_target(hierarchy, layout.square, cfg.attacker_base);
-        // Offset the second region so the two sets cannot collide even when
-        // the targets share an LLC set.
-        let multiply_set =
-            EvictionSet::for_target(hierarchy, layout.multiply, cfg.attacker_base + (1 << 32));
-
-        let mut observations = Vec::with_capacity(cfg.iterations);
-        let mut truth = Vec::with_capacity(cfg.iterations);
-        let mut now: Cycle = 0;
-        let bits_per_window = cfg.bits_per_window.max(1);
-
-        'windows: for window in 0..cfg.iterations {
-            let iter_start = now;
-
-            // Defense-aware record flushing (no-op for the plain attack).
-            for addr in flusher(window) {
-                let r = hierarchy.access(cfg.attacker_core, addr, AccessKind::Read, now, observer);
-                now += r.latency;
-            }
-
-            // Prime both target sets.
-            now = square_set.prime(hierarchy, cfg.attacker_core, now, observer);
-            now = multiply_set.prime(hierarchy, cfg.attacker_core, now, observer);
-
-            // The victim executes its iterations spread across the window.
-            let mut window_bit = false;
-            let slot = cfg.probe_interval / (bits_per_window as Cycle + 1);
-            let mut executed_any = false;
-            for k in 0..bits_per_window {
-                let Some((bit, accesses)) = victim.next_iteration() else {
-                    if executed_any {
-                        break;
-                    }
-                    break 'windows;
+        let core = self.config.attacker_core;
+        run_windows(
+            &self.config,
+            hierarchy,
+            victim,
+            observer,
+            flusher,
+            |hierarchy, observer, [square, multiply], now| {
+                // A miss means the set was disturbed since the prime.
+                let (t, square_misses) = square.probe(hierarchy, core, now, observer);
+                let (t, multiply_misses) = multiply.probe(hierarchy, core, t, observer);
+                let observation = ProbeObservation {
+                    square: square_misses > 0,
+                    multiply: multiply_misses > 0,
                 };
-                executed_any = true;
-                window_bit |= bit;
-                let mut victim_clock = iter_start + slot * (k as Cycle + 1);
-                for addr in accesses {
-                    hierarchy.drain_prefetches(victim_clock, observer);
-                    let r = hierarchy.access(
-                        cfg.victim_core,
-                        addr,
-                        AccessKind::Read,
-                        victim_clock,
-                        observer,
-                    );
-                    victim_clock += r.latency;
+                (observation, t)
+            },
+        )
+    }
+}
+
+/// The window loop shared by Prime+Probe and Evict+Reload.
+///
+/// Each window: the attacker accesses `flusher(window)`'s addresses and
+/// primes (evicts) the eviction sets of the victim's `square` and
+/// `multiply` lines, the victim executes `bits_per_window` iterations spread
+/// across the window, pending monitor prefetches are drained at the end of
+/// the probe interval, and `measure` reads the window from the two eviction
+/// sets at that cycle, returning its observation and the cycle it finished.
+/// The loop stops early when the victim's key runs out.
+pub(crate) fn run_windows(
+    cfg: &AttackConfig,
+    hierarchy: &mut Hierarchy,
+    mut victim: SquareAndMultiply,
+    observer: &mut dyn TrafficObserver,
+    flusher: &mut dyn FnMut(usize) -> Vec<Addr>,
+    mut measure: impl FnMut(
+        &mut Hierarchy,
+        &mut dyn TrafficObserver,
+        [&EvictionSet; 2],
+        Cycle,
+    ) -> (ProbeObservation, Cycle),
+) -> AttackOutcome {
+    let layout = *victim.layout();
+    let square_set = EvictionSet::for_target(hierarchy, layout.square, cfg.attacker_base);
+    // Offset the second region so the two sets cannot collide even when
+    // the targets share an LLC set.
+    let multiply_set =
+        EvictionSet::for_target(hierarchy, layout.multiply, cfg.attacker_base + (1 << 32));
+
+    let mut observations = Vec::with_capacity(cfg.iterations);
+    let mut truth = Vec::with_capacity(cfg.iterations);
+    let mut now: Cycle = 0;
+    let bits_per_window = cfg.bits_per_window.max(1);
+
+    'windows: for window in 0..cfg.iterations {
+        let iter_start = now;
+
+        // Defense-aware record flushing (no-op for the plain attacks).
+        for addr in flusher(window) {
+            let r = hierarchy.access(cfg.attacker_core, addr, AccessKind::Read, now, observer);
+            now += r.latency;
+        }
+
+        // Prime (evict) both target sets.
+        now = square_set.prime(hierarchy, cfg.attacker_core, now, observer);
+        now = multiply_set.prime(hierarchy, cfg.attacker_core, now, observer);
+
+        // The victim executes its iterations spread across the window.
+        let mut window_bit = false;
+        let slot = cfg.probe_interval / (bits_per_window as Cycle + 1);
+        let mut executed_any = false;
+        for k in 0..bits_per_window {
+            let Some((bit, accesses)) = victim.next_iteration() else {
+                if executed_any {
+                    break;
                 }
+                break 'windows;
+            };
+            executed_any = true;
+            window_bit |= bit;
+            let mut victim_clock = iter_start + slot * (k as Cycle + 1);
+            for addr in accesses {
+                hierarchy.drain_prefetches(victim_clock, observer);
+                let r = hierarchy.access(
+                    cfg.victim_core,
+                    addr,
+                    AccessKind::Read,
+                    victim_clock,
+                    observer,
+                );
+                victim_clock += r.latency;
             }
-            truth.push(window_bit);
-
-            // Wait out the probe interval; monitor prefetches become due.
-            now = iter_start + cfg.probe_interval;
-            hierarchy.drain_prefetches(now, observer);
-
-            // Probe: a miss means the set was disturbed since the prime.
-            let (t, square_misses) = square_set.probe(hierarchy, cfg.attacker_core, now, observer);
-            let (t, multiply_misses) =
-                multiply_set.probe(hierarchy, cfg.attacker_core, t, observer);
-            now = t;
-
-            observations.push(ProbeObservation {
-                square: square_misses > 0,
-                multiply: multiply_misses > 0,
-            });
         }
+        truth.push(window_bit);
 
-        AttackOutcome {
-            trace: ProbeTrace::new(observations, truth),
-            end_cycle: now,
-        }
+        // Wait out the probe interval; monitor prefetches become due.
+        now = iter_start + cfg.probe_interval;
+        hierarchy.drain_prefetches(now, observer);
+
+        let (observation, t) = measure(hierarchy, observer, [&square_set, &multiply_set], now);
+        now = t;
+        observations.push(observation);
+    }
+
+    AttackOutcome {
+        trace: ProbeTrace::new(observations, truth),
+        end_cycle: now,
     }
 }
 

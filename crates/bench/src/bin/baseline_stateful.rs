@@ -12,16 +12,15 @@
 //! Run: `cargo run --release -p pipo-bench --bin baseline_stateful -- \
 //!       [--json PATH] [--sequential | --threads N]`
 
-use auto_cuckoo::{FilterParams, StorageOverhead};
-use cache_sim::{Hierarchy, LineAddr, SystemConfig};
+use auto_cuckoo::{build_store, FilterBackend, FilterParams, StorageOverhead};
+use cache_sim::{Addr, Hierarchy, LineAddr, SystemConfig};
 use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, TableFlusher, VictimLayout};
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
-use pipomonitor::{DirectoryMonitor, DirectoryMonitorConfig, MonitorConfig, PiPoMonitor};
+use pipomonitor::{MonitorConfig, PiPoMonitor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const WINDOWS: usize = 150;
-const LINE_ADDR_BITS: u32 = 34; // 40-bit physical addresses, 64-byte lines
 
 struct StorageRow {
     structure: &'static str,
@@ -77,15 +76,22 @@ fn main() {
 fn storage_rows() -> Vec<StorageRow> {
     let llc_bits = (4u64 << 20) * 8;
     let filter = StorageOverhead::for_filter(&FilterParams::paper_default(), 4 << 20);
-    let table = DirectoryMonitorConfig::paper_comparable();
-    let table_bits = table.storage_bits(LINE_ADDR_BITS);
-    let full = DirectoryMonitorConfig {
-        sets: 65_536,
-        ways: 1,
-        threshold: 3,
-        prefetch_delay: 50,
+    // The directory table of `sets` x `ways` records, priced by its store.
+    let table_row = |structure, sets, ways| {
+        let table = FilterParams::builder()
+            .buckets(sets)
+            .entries_per_bucket(ways)
+            .build()
+            .expect("valid table geometry");
+        let store = build_store(FilterBackend::Directory, table).expect("valid table geometry");
+        let bits = store.memory_bytes() as u64 * 8;
+        StorageRow {
+            structure,
+            entries: table.capacity() as u64,
+            kib: bits as f64 / 8.0 / 1024.0,
+            relative_to_llc: bits as f64 / llc_bits as f64,
+        }
     };
-    let full_bits = full.storage_bits(LINE_ADDR_BITS);
     vec![
         StorageRow {
             structure: "Auto-Cuckoo filter (1024x8, f=12)",
@@ -93,18 +99,8 @@ fn storage_rows() -> Vec<StorageRow> {
             kib: filter.total_kib,
             relative_to_llc: filter.relative_to_llc,
         },
-        StorageRow {
-            structure: "tag table, same capacity (1024x8)",
-            entries: table.entries() as u64,
-            kib: table_bits as f64 / 8.0 / 1024.0,
-            relative_to_llc: table_bits as f64 / llc_bits as f64,
-        },
-        StorageRow {
-            structure: "directory extension (per LLC line)",
-            entries: full.entries() as u64,
-            kib: full_bits as f64 / 8.0 / 1024.0,
-            relative_to_llc: full_bits as f64 / llc_bits as f64,
-        },
+        table_row("tag table, same capacity (1024x8)", 1024, 8),
+        table_row("directory extension (per LLC line)", 65_536, 1),
     ]
 }
 
@@ -142,53 +138,50 @@ fn flushing_distinguishability(defense: &str) -> f64 {
     let multiply_llc = hierarchy.llc_set_of(layout.multiply);
     let llc_sets = hierarchy.llc_sets() as u64;
 
-    if defense == "directory" {
-        // --- Directory baseline under deterministic record flushing ---
-        let dir_config = DirectoryMonitorConfig::paper_comparable();
-        let mut dir_monitor = DirectoryMonitor::new(dir_config);
+    let (backend, mut flusher): (_, Box<dyn FnMut(usize) -> Vec<Addr>>) = if defense == "directory"
+    {
+        // Deterministic record flushing: `b` fresh lines of each leaky
+        // line's table set per window, avoiding the probed LLC sets.
+        let table = MonitorConfig::paper_default().filter;
         let avoid = move |l: LineAddr| {
             let set = (l.0 % llc_sets) as usize;
             set == square_llc || set == multiply_llc
         };
-        let mut flush_sq = TableFlusher::new(&dir_config, layout.square.line(64), 0x60_0000_0000);
-        let mut flush_mu = TableFlusher::new(&dir_config, layout.multiply.line(64), 0x68_0000_0000);
-        let outcome = PrimeProbeAttack::new(config).run_with_flusher(
-            &mut hierarchy,
-            victim,
-            &mut dir_monitor,
-            &mut |_| {
-                let mut v = flush_sq.next_round(avoid);
-                v.extend(flush_mu.next_round(avoid));
-                v
-            },
-        );
-        outcome.trace.recover_key().distinguishability
+        let mut flush_sq = TableFlusher::new(&table, layout.square.line(64), 0x60_0000_0000);
+        let mut flush_mu = TableFlusher::new(&table, layout.multiply.line(64), 0x68_0000_0000);
+        let flusher = move |_| {
+            let mut v = flush_sq.next_round(avoid);
+            v.extend(flush_mu.next_round(avoid));
+            v
+        };
+        (FilterBackend::Directory, Box::new(flusher))
     } else {
-        // --- PiPoMonitor under the same per-window flushing budget ---
-        let mut pipo =
-            PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid configuration");
+        // Best effort against the filter: a random flood of the same size
+        // (16 fresh lines/window; deterministic targeting is impossible and
+        // expected eviction needs b*l = 8192 fills).
         let mut rng = StdRng::seed_from_u64(13);
-        let outcome = PrimeProbeAttack::new(config).run_with_flusher(
-            &mut hierarchy,
-            victim,
-            &mut pipo,
-            &mut |_| {
-                // Best effort against the filter: a random flood of the same
-                // size (16 fresh lines/window; deterministic targeting is
-                // impossible and expected eviction needs b*l = 8192 fills).
-                let mut v = Vec::with_capacity(16);
-                while v.len() < 16 {
-                    let line = (rng.gen::<u64>() >> 8) | (1 << 40);
-                    let set = (line % llc_sets) as usize;
-                    if set != square_llc && set != multiply_llc {
-                        v.push(cache_sim::Addr(line * 64));
-                    }
+        let flusher = move |_| {
+            let mut v = Vec::with_capacity(16);
+            while v.len() < 16 {
+                let line = (rng.gen::<u64>() >> 8) | (1 << 40);
+                let set = (line % llc_sets) as usize;
+                if set != square_llc && set != multiply_llc {
+                    v.push(Addr(line * 64));
                 }
-                v
-            },
-        );
-        outcome.trace.recover_key().distinguishability
-    }
+            }
+            v
+        };
+        (FilterBackend::Auto, Box::new(flusher))
+    };
+    let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default().with_backend(backend))
+        .expect("valid configuration");
+    let outcome = PrimeProbeAttack::new(config).run_with_flusher(
+        &mut hierarchy,
+        victim,
+        &mut monitor,
+        &mut *flusher,
+    );
+    outcome.trace.recover_key().distinguishability
 }
 
 fn print_flushing(results: &[f64]) {

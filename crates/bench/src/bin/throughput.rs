@@ -4,8 +4,8 @@
 //! Measured configurations:
 //!
 //! * `baseline` / `directory_monitor` / `pipomonitor` — the paper's 4-core
-//!   Table II machine running mix7, with no observer, the directory-table
-//!   baseline, and PiPoMonitor respectively.
+//!   Table II machine running mix7, with no observer, PiPoMonitor recording
+//!   in the directory-table baseline, and PiPoMonitor respectively.
 //! * `pipomonitor_8c` / `pipomonitor_16c` / `pipomonitor_32c` — the same
 //!   monitored machine scaled to more cores (mix7 benchmarks assigned
 //!   round-robin, each core with its own disjoint address region). They
@@ -38,13 +38,14 @@
 
 use std::time::Instant;
 
+use auto_cuckoo::FilterBackend;
 use cache_sim::{
     Access, AccessSource, Addr, CoreId, NullObserver, SimReport, System, SystemConfig,
     TrafficObserver,
 };
 use pipo_bench::Json;
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
-use pipomonitor::{DirectoryMonitor, DirectoryMonitorConfig, MonitorConfig, PiPoMonitor};
+use pipomonitor::{MonitorConfig, PiPoMonitor};
 
 const DEFAULT_INSTRUCTIONS: u64 = 2_000_000;
 const MIX: &str = "mix7";
@@ -143,6 +144,12 @@ fn run_config<O: TrafficObserver>(
 
 fn pipo() -> PiPoMonitor {
     PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config")
+}
+
+/// PiPoMonitor recording in the prior-work directory table.
+fn directory() -> PiPoMonitor {
+    let config = MonitorConfig::paper_default().with_backend(FilterBackend::Directory);
+    PiPoMonitor::new(config).expect("valid config")
 }
 
 /// Prices access *generation* standalone: drains the four mix7
@@ -305,13 +312,7 @@ fn main() {
 
     let runs = [
         run_config("baseline", 4, || NullObserver, instructions, samples),
-        run_config(
-            "directory_monitor",
-            4,
-            || DirectoryMonitor::new(DirectoryMonitorConfig::paper_comparable()),
-            instructions,
-            samples,
-        ),
+        run_config("directory_monitor", 4, directory, instructions, samples),
         run_config("pipomonitor", 4, pipo, instructions, samples),
         run_config("pipomonitor_8c", 8, pipo, instructions, samples),
         run_config("pipomonitor_16c", 16, pipo, instructions, samples),

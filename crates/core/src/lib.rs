@@ -45,13 +45,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod monitor;
 pub mod overhead;
 pub mod prefetch;
 
-pub use baseline::{DirectoryMonitor, DirectoryMonitorConfig, DirectoryMonitorStats};
 pub use config::{BuildMonitorError, MonitorConfig};
 pub use monitor::{MonitorStats, PiPoMonitor};
 pub use overhead::{area_estimate_mm2, OverheadReport};

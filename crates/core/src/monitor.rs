@@ -236,7 +236,11 @@ mod tests {
 
     #[test]
     fn every_backend_captures_the_pattern() {
-        for backend in auto_cuckoo::FilterBackend::ALL {
+        use auto_cuckoo::FilterBackend;
+        for backend in FilterBackend::ALL
+            .into_iter()
+            .chain([FilterBackend::Directory])
+        {
             let cfg = MonitorConfig::paper_default().with_backend(backend);
             let mut m = PiPoMonitor::new(cfg).expect("valid config");
             let line = LineAddr(42);

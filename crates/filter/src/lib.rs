@@ -23,8 +23,9 @@
 //! Every entry carries a saturating `Security` re-access counter used to
 //! detect Ping-Pong patterns. The monitor drives any backend through the
 //! [`PatternStore`] trait; [`BloomPatternStore`] and [`XorPatternStore`] are
-//! the non-cuckoo alternatives, and [`build_store`] builds any of them from a
-//! [`FilterBackend`] tag.
+//! the non-cuckoo alternatives, [`DirectoryPatternStore`] is the prior-work
+//! full-tag table the paper compares against, and [`build_store`] builds any
+//! of them from a [`FilterBackend`] tag.
 //!
 //! # Examples
 //!
@@ -53,6 +54,7 @@
 pub mod analysis;
 pub mod bloom;
 pub mod cuckoo;
+pub mod directory;
 pub mod entry;
 pub mod hash;
 pub mod params;
@@ -65,6 +67,7 @@ pub use analysis::{
 };
 pub use bloom::BloomPatternStore;
 pub use cuckoo::{CuckooFilter, DeleteOutcome};
+pub use directory::DirectoryPatternStore;
 pub use entry::Entry;
 pub use hash::{fingerprint_of, DetRng, IndexPair};
 pub use params::{FilterParams, FilterParamsBuilder, ParamsError};

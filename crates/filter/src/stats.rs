@@ -16,7 +16,8 @@ pub struct FilterStats {
     pub inserts: u64,
     /// Total relocations performed across all insertions.
     pub kicks: u64,
-    /// Insertions that ended in an autonomic deletion.
+    /// Insertions that dropped a resident record: the Auto-Cuckoo filter's
+    /// autonomic deletion, or the directory table's LRU eviction.
     pub autonomic_deletions: u64,
     /// Queries whose response reached `secThr` (Ping-Pong captures).
     pub captures: u64,

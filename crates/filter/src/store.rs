@@ -19,14 +19,16 @@
 //!   [`memory_bytes`](PatternStore::memory_bytes) — uniform observability so
 //!   harnesses can compare backends on false alarms vs. memory vs. speed.
 //!
-//! Four backends implement the trait, each in its own module: the paper's
-//! Auto-Cuckoo filter and the vulnerable classic baseline (one
+//! Four selectable backends implement the trait, each in its own module:
+//! the paper's Auto-Cuckoo filter and the vulnerable classic baseline (one
 //! [`CuckooFilter`] table under two overflow policies), a blocked spectral
 //! Bloom store ([`BloomPatternStore`](crate::BloomPatternStore)), and a
 //! xor-filter store with periodic rebuild
-//! ([`XorPatternStore`](crate::XorPatternStore)). [`build_store`] constructs
-//! any of them from a [`FilterBackend`] tag plus the shared [`FilterParams`]
-//! geometry.
+//! ([`XorPatternStore`](crate::XorPatternStore)). A fifth, the prior-work
+//! directory table ([`DirectoryPatternStore`](crate::DirectoryPatternStore)),
+//! is the recording structure PiPoMonitor is compared against.
+//! [`build_store`] constructs any of them from a [`FilterBackend`] tag plus
+//! the shared [`FilterParams`] geometry.
 
 use std::fmt;
 use std::str::FromStr;
@@ -43,8 +45,8 @@ use crate::stats::FilterStats;
 ///
 /// The [`kicks`](Self::kicks) and
 /// [`autonomic_deletion`](Self::autonomic_deletion) fields describe cuckoo
-/// relocation mechanics; backends without relocation (Bloom, xor) report
-/// `0` / `None`.
+/// relocation mechanics; backends without relocation (Bloom, xor, directory)
+/// report `0` / `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// `Security` value of the record after this query.
@@ -83,10 +85,16 @@ pub enum FilterBackend {
     /// Xor-filter store: exact recent window + periodically rebuilt
     /// xor-compressed history.
     Xor,
+    /// The prior-work full-tag directory table,
+    /// [`DirectoryPatternStore`](crate::DirectoryPatternStore). It is the
+    /// comparison target, not a PiPoMonitor design, so it is not in
+    /// [`ALL`](Self::ALL) and does not parse from a CLI name.
+    Directory,
 }
 
 impl FilterBackend {
-    /// All selectable backends, in CLI enumeration order.
+    /// All selectable backends, in CLI enumeration order
+    /// ([`Directory`](Self::Directory) is not selectable).
     pub const ALL: [FilterBackend; 4] = [
         FilterBackend::Auto,
         FilterBackend::Classic,
@@ -94,7 +102,8 @@ impl FilterBackend {
         FilterBackend::Xor,
     ];
 
-    /// The backend's CLI name (`auto`, `classic`, `bloom`, `xor`).
+    /// The backend's CLI name (`auto`, `classic`, `bloom`, `xor`), or
+    /// `directory` for the comparison table.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -102,6 +111,7 @@ impl FilterBackend {
             FilterBackend::Classic => "classic",
             FilterBackend::Bloom => "bloom",
             FilterBackend::Xor => "xor",
+            FilterBackend::Directory => "directory",
         }
     }
 }
@@ -233,6 +243,7 @@ pub fn build_store(
         FilterBackend::Classic => Box::new(CuckooFilter::classic(params)?),
         FilterBackend::Bloom => Box::new(crate::bloom::BloomPatternStore::new(params)?),
         FilterBackend::Xor => Box::new(crate::xor::XorPatternStore::new(params)?),
+        FilterBackend::Directory => Box::new(crate::directory::DirectoryPatternStore::new(params)?),
     })
 }
 
@@ -246,6 +257,10 @@ mod tests {
             assert_eq!(backend.name().parse::<FilterBackend>(), Ok(backend));
             assert_eq!(backend.to_string(), backend.name());
         }
+        // The comparison table has a name but is not a CLI value.
+        assert_eq!(FilterBackend::Directory.to_string(), "directory");
+        assert!(!FilterBackend::ALL.contains(&FilterBackend::Directory));
+        assert!("directory".parse::<FilterBackend>().is_err());
         let err = "blom".parse::<FilterBackend>().unwrap_err();
         assert!(err.to_string().contains("blom"));
         assert!(err.to_string().contains("bloom"));
@@ -253,7 +268,10 @@ mod tests {
 
     #[test]
     fn build_store_constructs_every_backend() {
-        for backend in FilterBackend::ALL {
+        for backend in FilterBackend::ALL
+            .into_iter()
+            .chain([FilterBackend::Directory])
+        {
             let mut store =
                 build_store(backend, FilterParams::paper_default()).expect("valid params");
             assert_eq!(store.backend(), backend);
@@ -272,7 +290,10 @@ mod tests {
 
     #[test]
     fn promotion_reaches_capture_on_every_backend() {
-        for backend in FilterBackend::ALL {
+        for backend in FilterBackend::ALL
+            .into_iter()
+            .chain([FilterBackend::Directory])
+        {
             let mut store =
                 build_store(backend, FilterParams::paper_default()).expect("valid params");
             let thr = store.security_threshold();

@@ -116,7 +116,7 @@ proptest! {
         item in any::<u64>(),
         repeats in 1usize..12,
     ) {
-        for backend in FilterBackend::ALL {
+        for backend in FilterBackend::ALL.into_iter().chain([FilterBackend::Directory]) {
             let mut store = build_store(backend, params).expect("valid params");
             let mut oracle = ScalarOracle::new(params.security_threshold());
             for round in 0..repeats {

@@ -2,17 +2,19 @@
 //! flushes the victim's record from the defense's recording structure each
 //! attack window.
 //!
-//! * Against the prior-work **directory table**, `ways` fresh conflicting
-//!   addresses per window deterministically evict the record — detection
-//!   never triggers and the attack succeeds *despite* the defense.
+//! * Against the prior-work **directory table** (PiPoMonitor recording in
+//!   `FilterBackend::Directory`), `b` fresh conflicting addresses per window
+//!   deterministically evict the record — detection never triggers and the
+//!   attack succeeds *despite* the defense.
 //! * Against the **Auto-Cuckoo filter**, the same (and even a much larger)
 //!   per-window budget cannot deterministically evict the record (expected
 //!   cost `b·l` = 8192 accesses); the line is captured and the channel
 //!   floods shut.
 
+use auto_cuckoo::FilterBackend;
 use cache_sim::{Hierarchy, SystemConfig};
 use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, TableFlusher, VictimLayout};
-use pipomonitor::{DirectoryMonitor, DirectoryMonitorConfig, MonitorConfig, PiPoMonitor};
+use pipomonitor::{MonitorConfig, PiPoMonitor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,6 +25,12 @@ fn attack_config() -> AttackConfig {
         iterations: WINDOWS,
         ..AttackConfig::paper_default()
     }
+}
+
+/// PiPoMonitor recording in the prior-work directory table.
+fn directory_monitor() -> PiPoMonitor {
+    PiPoMonitor::new(MonitorConfig::paper_default().with_backend(FilterBackend::Directory))
+        .expect("valid")
 }
 
 fn victim() -> SquareAndMultiply {
@@ -39,16 +47,16 @@ fn flushing_bypasses_the_directory_baseline() {
     let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
     let victim = victim();
     let layout = *victim.layout();
-    let dir_config = DirectoryMonitorConfig::paper_comparable();
-    let mut monitor = DirectoryMonitor::new(dir_config);
+    let mut monitor = directory_monitor();
+    let table = monitor.config().filter;
 
     // Flush both leaky lines' table records every window, avoiding the
     // attacker's own probe LLC sets so the flush does not pollute probes.
     let square_llc = hierarchy.llc_set_of(layout.square);
     let multiply_llc = hierarchy.llc_set_of(layout.multiply);
     let llc_sets = hierarchy.llc_sets() as u64;
-    let mut flush_sq = TableFlusher::new(&dir_config, layout.square.line(64), 0x60_0000_0000);
-    let mut flush_mu = TableFlusher::new(&dir_config, layout.multiply.line(64), 0x68_0000_0000);
+    let mut flush_sq = TableFlusher::new(&table, layout.square.line(64), 0x60_0000_0000);
+    let mut flush_mu = TableFlusher::new(&table, layout.multiply.line(64), 0x68_0000_0000);
     let avoid = move |l: cache_sim::LineAddr| {
         let set = (l.0 % llc_sets) as usize;
         set == square_llc || set == multiply_llc
@@ -76,13 +84,13 @@ fn flushing_bypasses_the_directory_baseline() {
         recovery.distinguishability
     );
     for line in [layout.square.line(64), layout.multiply.line(64)] {
-        let security = monitor.security_of(line);
+        let security = monitor.pattern_store().security_of(line.0);
         assert!(
             security.is_none() || security < Some(3),
             "victim record must never saturate: {security:?}"
         );
     }
-    assert!(monitor.stats().record_evictions > 0);
+    assert!(monitor.pattern_store().stats_snapshot().autonomic_deletions > 0);
 }
 
 #[test]
@@ -147,7 +155,7 @@ fn same_budget_flushing_fails_against_pipomonitor() {
 fn directory_baseline_defends_naive_attacks() {
     let config = attack_config();
     let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let mut monitor = DirectoryMonitor::new(DirectoryMonitorConfig::paper_comparable());
+    let mut monitor = directory_monitor();
     let outcome = PrimeProbeAttack::new(config).run(&mut hierarchy, victim(), &mut monitor);
     assert!(monitor.stats().captures > 0);
     let observed = outcome

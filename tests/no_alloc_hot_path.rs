@@ -226,12 +226,16 @@ fn steady_state_run_allocates_nothing_per_access() {
 
     // --- Every PatternStore backend's query path, in isolation ---
     // The monitored-system sections above run the default (auto) backend;
-    // this pins the stricter store-level contract for the whole zoo: after a
+    // this pins the stricter store-level contract for the whole zoo, the
+    // directory comparison table included: after a
     // warm-up that reaches steady state (for `xor`, that includes several
     // live-window freezes, whose peeling runs in scratch preallocated at
     // construction), a window of queries allocates EXACTLY zero — not a
     // small constant, zero.
-    for backend in FilterBackend::ALL {
+    for backend in FilterBackend::ALL
+        .into_iter()
+        .chain([FilterBackend::Directory])
+    {
         let mut store = build_store(backend, FilterParams::paper_default()).expect("valid params");
         // Mixed traffic: a hot set being promoted plus a distinct-line
         // stream that keeps inserting (and, per backend, kicking,

@@ -27,6 +27,7 @@
 mod common;
 
 use auto_cuckoo::hash::mix64;
+use auto_cuckoo::{FilterBackend, FilterParams};
 use cache_sim::{
     CoreId, Cycle, Hierarchy, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
 };
@@ -36,43 +37,42 @@ use pipo_attacks::{
     VictimLayout,
 };
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
-use pipomonitor::{DirectoryMonitor, DirectoryMonitorConfig, MonitorConfig, PiPoMonitor};
+use pipomonitor::{MonitorConfig, PiPoMonitor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 // --- The directory-table defense: the only lines tied to its API ---
 
 /// The directory-table defense over an `sets × ways` table, `secThr = 3`.
-fn directory(sets: usize, ways: usize) -> DirectoryMonitor {
-    DirectoryMonitor::new(DirectoryMonitorConfig {
-        sets,
-        ways,
-        threshold: 3,
-        prefetch_delay: 50,
-    })
+fn directory(sets: usize, ways: usize) -> PiPoMonitor {
+    let table = FilterParams::builder()
+        .buckets(sets)
+        .entries_per_bucket(ways)
+        .build()
+        .expect("valid table geometry");
+    let config = MonitorConfig::paper_default()
+        .with_filter(table)
+        .with_backend(FilterBackend::Directory);
+    PiPoMonitor::new(config).expect("valid config")
 }
 
-fn security_of(monitor: &DirectoryMonitor, line: u64) -> Option<u8> {
-    monitor.security_of(LineAddr(line))
+fn security_of(monitor: &PiPoMonitor, line: u64) -> Option<u8> {
+    monitor.pattern_store().security_of(line)
 }
 
 /// `(captures, prefetches scheduled, record evictions)`.
-fn counts(monitor: &DirectoryMonitor) -> [u64; 3] {
+fn counts(monitor: &PiPoMonitor) -> [u64; 3] {
     let stats = monitor.stats();
     [
         stats.captures,
         stats.prefetches_scheduled,
-        stats.record_evictions,
+        monitor.pattern_store().stats_snapshot().autonomic_deletions,
     ]
 }
 
 /// A record flusher for `target` against the paper-capacity table.
 fn table_flusher(target: LineAddr, attacker_base: u64) -> TableFlusher {
-    TableFlusher::new(
-        &DirectoryMonitorConfig::paper_comparable(),
-        target,
-        attacker_base,
-    )
+    TableFlusher::new(&FilterParams::paper_default(), target, attacker_base)
 }
 
 // --- Digests ---
