@@ -1,6 +1,13 @@
 //! Reproduces Fig. 6: the attacker's view of the victim's square/multiply
 //! usage, on the baseline system and under PiPoMonitor.
 //!
+//! The attacker runs in lockstep with the victim, one key bit per probe
+//! window, so each window's truth is a single key bit and the random key's
+//! zeros show. (With several bits per window the truth is their OR, almost
+//! always 1, and both panels would print the same all-ones rows.) The demo
+//! asserts the shape `tests/attack_defense.rs` pins: the baseline reads the
+//! key cleanly, and the defense removes a large share of the channel.
+//!
 //! Run with: `cargo run --example attack_demo`
 
 use cache_sim::{Hierarchy, NullObserver, SystemConfig};
@@ -12,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = 2021;
     let config = AttackConfig {
         iterations: bits,
-        ..AttackConfig::paper_default()
+        ..AttackConfig::lockstep()
     };
 
     println!("=== Fig. 6(a): baseline (no defense) ===");
@@ -21,10 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline = NullObserver;
     let outcome = PrimeProbeAttack::new(config).run(&mut hierarchy, victim, &mut baseline);
     println!("{}", outcome.trace.render());
-    let r = outcome.trace.recover_key();
+    let undefended = outcome.trace.recover_key();
     println!(
         "key recovery accuracy {:.3}, distinguishability {:.3}\n",
-        r.accuracy, r.distinguishability
+        undefended.accuracy, undefended.distinguishability
     );
 
     println!("=== Fig. 6(b): PiPoMonitor deployed ===");
@@ -33,11 +40,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default())?;
     let outcome = PrimeProbeAttack::new(config).run(&mut hierarchy, victim, &mut monitor);
     println!("{}", outcome.trace.render());
-    let r = outcome.trace.recover_key();
+    let defended = outcome.trace.recover_key();
     println!(
         "key recovery accuracy {:.3}, distinguishability {:.3}",
-        r.accuracy, r.distinguishability
+        defended.accuracy, defended.distinguishability
     );
     println!("monitor stats: {:?}", monitor.stats());
+
+    assert!(
+        undefended.distinguishability > 0.99,
+        "the baseline attack must read the key: distinguishability {}",
+        undefended.distinguishability
+    );
+    assert!(
+        defended.distinguishability < undefended.distinguishability - 0.3,
+        "the defense must remove a large share of the channel: {} vs {}",
+        defended.distinguishability,
+        undefended.distinguishability
+    );
     Ok(())
 }
