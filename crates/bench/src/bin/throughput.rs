@@ -51,24 +51,6 @@ const DEFAULT_INSTRUCTIONS: u64 = 2_000_000;
 const MIX: &str = "mix7";
 const SEED: u64 = 42;
 
-/// Monitored 4-core mix7 throughput *before* the branchless fingerprint
-/// probe kernel and batched access generation landed: this harness's
-/// `pipomonitor` configuration built from the pre-kernel HEAD, 20M
-/// instructions, 5 samples per run, median of three runs interleaved
-/// back-to-back with the post-kernel binary on the same host (the host
-/// shows ±15% drift between non-adjacent runs, so only interleaved
-/// before/after pairs are comparable). The `probe_kernel` section of the
-/// emitted JSON reports this pair as the recorded speedup and the current
-/// run's rate alongside it.
-const PRE_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC: f64 = 15_093_837.6;
-
-/// The *after* half of the same interleaved measurement: the post-kernel
-/// build's `pipomonitor` rate, identical protocol, same session as the
-/// before runs. `after / before` = 1.51 is the recorded kernel speedup;
-/// comparing a fresh run against the recorded before is only indicative
-/// (cross-session host drift exceeds the effect of a small regression).
-const POST_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC: f64 = 22_748_314.8;
-
 const USAGE: &str = "\
 usage: throughput [total_instructions] [--label NAME] [--out PATH] [--compare PATH]
                   [--samples N] [--help]
@@ -382,41 +364,6 @@ fn main() {
                  batched refill path; scheduler: L1-hit-only 4-core run (includes \
                  the L1 fast path); probe = baseline - generation - scheduler; \
                  observer = pipomonitor - baseline",
-            ),
-    );
-
-    // Perf anchor for the branchless probe kernel + batched generation PR:
-    // monitored 4-core throughput against the recorded pre-kernel rate.
-    doc = doc.field(
-        "probe_kernel",
-        Json::object()
-            .field(
-                "before_accesses_per_sec",
-                PRE_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC,
-            )
-            .field(
-                "after_accesses_per_sec",
-                POST_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC,
-            )
-            .field(
-                "speedup",
-                round(
-                    POST_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC
-                        / PRE_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC,
-                    2,
-                ),
-            )
-            .field("target_speedup", 1.5)
-            .field("run_accesses_per_sec", round(rate("pipomonitor"), 1))
-            .field(
-                "note",
-                "pipomonitor throughput before vs after the SWAR fingerprint probe \
-                 kernel + batched access generation. Both sides of the recorded \
-                 pair come from one interleaved session (pre-kernel and post-kernel \
-                 binaries alternated on the same host; 20M instructions, 5 samples \
-                 per run, median of three runs each) because the host drifts ±15% \
-                 between non-adjacent runs. run_accesses_per_sec is this run's \
-                 live rate, comparable to the pair only within that noise band.",
             ),
     );
 
