@@ -24,6 +24,8 @@
 //! a `--filter` value: it is the comparison target, not a PiPoMonitor
 //! design.
 
+use std::ops::Range;
+
 use crate::hash::mix64;
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
@@ -111,10 +113,11 @@ impl DirectoryPatternStore {
         (mix64(item ^ 0xd1e_7ab1e) & params.bucket_mask()) as usize
     }
 
-    fn set(&self, item: u64) -> &[Record] {
+    /// The table slots of `item`'s set.
+    fn set_slots(&self, item: u64) -> Range<usize> {
         let ways = self.params.entries_per_bucket();
         let base = Self::set_of(item, &self.params) * ways;
-        &self.table[base..base + ways]
+        base..base + ways
     }
 }
 
@@ -126,9 +129,8 @@ impl PatternStore for DirectoryPatternStore {
         self.stats.queries += 1;
         self.clock += 1;
         let thr = self.params.security_threshold();
-        let ways = self.params.entries_per_bucket();
-        let base = Self::set_of(item, &self.params) * ways;
-        let set = &mut self.table[base..base + ways];
+        let slots = self.set_slots(item);
+        let set = &mut self.table[slots];
 
         if let Some(record) = set.iter_mut().find(|r| r.valid && r.line == item) {
             record.security = (record.security + 1).min(thr);
@@ -149,7 +151,7 @@ impl PatternStore for DirectoryPatternStore {
         }
 
         let way = set.iter().position(|r| !r.valid).unwrap_or_else(|| {
-            (0..ways)
+            (0..set.len())
                 .min_by_key(|&w| set[w].stamp)
                 .expect("a set has at least one way")
         });
@@ -177,11 +179,13 @@ impl PatternStore for DirectoryPatternStore {
 
     /// Exact: the table holds full tags, so there are no false merges.
     fn contains(&self, item: u64) -> bool {
-        self.set(item).iter().any(|r| r.valid && r.line == item)
+        self.table[self.set_slots(item)]
+            .iter()
+            .any(|r| r.valid && r.line == item)
     }
 
     fn security_of(&self, item: u64) -> Option<u8> {
-        self.set(item)
+        self.table[self.set_slots(item)]
             .iter()
             .find(|r| r.valid && r.line == item)
             .map(|r| r.security)
