@@ -26,8 +26,9 @@
 //!   region separated by idle gaps.
 //!
 //! `--trace PATH` adds a cell replaying a recorded `pipo-trace` file — v1
-//! text or v2 binary, sniffed by magic; v2 replays through the streaming
-//! [`V2Replay`] decoder. Its region is the trace's own line-address span.
+//! text or v2 binary, sniffed by magic. The file is decoded once, at load,
+//! and both of the cell's systems replay the decoded [`Trace`]. Its region
+//! is the trace's own line-address span.
 //!
 //! Run: `cargo run --release -p pipo-bench --bin trace_replay -- \
 //!       [instructions_per_core] [--json PATH] [--sequential | --threads N] \
@@ -35,16 +36,13 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use cache_sim::{
     AccessSource, CoreId, Cycle, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
 };
 use pipo_attacks::OccupancyChannelSource;
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
-use pipo_workloads::{
-    benchmark, is_v2, BurstySource, NoisyNeighborSource, ProfileSource, Trace, V2Replay,
-};
+use pipo_workloads::{benchmark, is_v2, BurstySource, NoisyNeighborSource, ProfileSource, Trace};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
 const SEED: u64 = 2126;
@@ -70,9 +68,6 @@ enum Workload {
     Bursty,
     TraceFile {
         path: String,
-        /// Raw file bytes (shared into each `V2Replay`).
-        bytes: Arc<[u8]>,
-        /// Parsed trace (for the v1 replay path and the region span).
         trace: Trace,
         format: &'static str,
     },
@@ -142,13 +137,7 @@ impl Workload {
                 1,
                 SEED,
             )),
-            Workload::TraceFile { bytes, trace, .. } => {
-                if is_v2(bytes) {
-                    Box::new(V2Replay::new(Arc::clone(bytes)).expect("validated at load"))
-                } else {
-                    Box::new(trace.replay())
-                }
-            }
+            Workload::TraceFile { trace, .. } => Box::new(trace.replay()),
         }
     }
 }
@@ -313,7 +302,6 @@ fn load_workloads(trace_path: Option<&str>) -> Vec<Workload> {
         let format = if is_v2(&bytes) { "v2" } else { "v1" };
         workloads.push(Workload::TraceFile {
             path: path.to_string(),
-            bytes: bytes.into(),
             trace,
             format,
         });

@@ -48,9 +48,6 @@ pub use mixes::{all_mixes, Mix};
 pub use profile::BenchProfile;
 pub use scenarios::{BurstySource, NoisyNeighborSource};
 pub use spec::{benchmark, benchmark_names};
-pub use synthetic::{PointerChaseSource, StrideSource, UniformRandomSource};
+pub use synthetic::{PointerChaseSource, StrideSource};
 pub use trace::{ParseTraceError, Trace, TraceReplay};
-pub use trace_v2::{
-    decode_trace, encode_trace, is_v2, load_trace, DecodeTraceError, LoadTraceError, V2Replay,
-    V2Writer, TRACE_V2_MAGIC,
-};
+pub use trace_v2::{is_v2, DecodeTraceError, LoadTraceError, TRACE_V2_MAGIC};

@@ -1,6 +1,6 @@
 //! Simple synthetic streams for tests, microbenchmarks, and ablations.
 
-use cache_sim::{Access, AccessKind, AccessSource, Addr};
+use cache_sim::{Access, AccessSource, Addr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,51 +40,6 @@ impl AccessSource for StrideSource {
     fn next_access(&mut self) -> Option<Access> {
         self.addr = self.addr.wrapping_add(self.stride);
         Some(Access::read(Addr(self.addr)).after(self.think))
-    }
-}
-
-/// Uniform random accesses over a region of `lines` cache lines.
-#[derive(Debug, Clone)]
-pub struct UniformRandomSource {
-    base_line: u64,
-    lines: u64,
-    think: u64,
-    write_fraction: f64,
-    rng: StdRng,
-}
-
-impl UniformRandomSource {
-    /// Uniform reads/writes over `lines` lines starting at line `base_line`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines == 0`.
-    #[must_use]
-    pub fn new(base_line: u64, lines: u64, think: u64, write_fraction: f64, seed: u64) -> Self {
-        assert!(lines > 0, "region must contain at least one line");
-        Self {
-            base_line,
-            lines,
-            think,
-            write_fraction,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl AccessSource for UniformRandomSource {
-    fn next_access(&mut self) -> Option<Access> {
-        let line = self.base_line + self.rng.gen_range(0..self.lines);
-        let kind = if self.rng.gen::<f64>() < self.write_fraction {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        Some(Access {
-            addr: Addr(line * 64),
-            kind,
-            think_cycles: self.think,
-        })
     }
 }
 
@@ -155,22 +110,6 @@ mod tests {
         let mut s = StrideSource::new(0, 128, 1);
         assert_eq!(s.next_access().expect("infinite").addr.0, 128);
         assert_eq!(s.next_access().expect("infinite").addr.0, 256);
-    }
-
-    #[test]
-    fn uniform_random_stays_in_region() {
-        let mut s = UniformRandomSource::new(100, 50, 0, 0.5, 3);
-        for _ in 0..1000 {
-            let a = s.next_access().expect("infinite");
-            let line = a.addr.0 / 64;
-            assert!((100..150).contains(&line));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one line")]
-    fn uniform_random_rejects_empty_region() {
-        let _ = UniformRandomSource::new(0, 0, 0, 0.0, 1);
     }
 
     #[test]

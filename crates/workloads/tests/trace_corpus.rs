@@ -10,8 +10,8 @@
 
 use std::path::PathBuf;
 
-use cache_sim::{AccessSource, CoreId, NullObserver, System, SystemConfig};
-use pipo_workloads::{is_v2, load_trace, Trace, V2Replay};
+use cache_sim::{CoreId, NullObserver, System, SystemConfig};
+use pipo_workloads::{is_v2, Trace};
 
 fn corpus() -> Vec<(String, Vec<u8>)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("traces");
@@ -54,7 +54,7 @@ fn corpus_is_bundled_and_well_formed() {
                 "{name} missing the format header"
             );
         }
-        let trace = load_trace(bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let trace = Trace::from_bytes(bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(!trace.is_empty(), "{name} holds no accesses");
         assert!(trace.len() >= 100, "{name} is too short to exercise replay");
     }
@@ -63,7 +63,7 @@ fn corpus_is_bundled_and_well_formed() {
 #[test]
 fn corpus_round_trips_through_both_serialisers() {
     for (name, bytes) in corpus() {
-        let trace = load_trace(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         // v1 text round trip.
         let reparsed: Trace = trace
             .to_text()
@@ -92,7 +92,7 @@ fn v2_corpus_compresses_at_least_4x_vs_v1_text() {
         if !name.ends_with(".trace2") {
             continue;
         }
-        let trace = load_trace(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         let v1_len = trace.to_text().len();
         let ratio = v1_len as f64 / bytes.len() as f64;
         assert!(
@@ -114,17 +114,10 @@ fn v2_corpus_compresses_at_least_4x_vs_v1_text() {
 #[test]
 fn corpus_replays_deterministically_through_the_simulator() {
     for (name, bytes) in corpus() {
-        let trace = load_trace(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         let replay_once = || {
             let mut system = System::new(SystemConfig::small_test(), NullObserver);
-            // v2 files replay through the streaming decoder (the path the
-            // trace_replay harness uses); v1 through the in-memory replay.
-            let source: Box<dyn AccessSource + Send> = if is_v2(&bytes) {
-                Box::new(V2Replay::new(&bytes[..]).expect("validated corpus file"))
-            } else {
-                Box::new(trace.replay())
-            };
-            system.set_source(CoreId(0), source);
+            system.set_source(CoreId(0), Box::new(trace.replay()));
             // More instructions than the trace holds: the run ends when the
             // replay is exhausted, covering the full file.
             let report = system.run(u64::MAX);
@@ -133,18 +126,5 @@ fn corpus_replays_deterministically_through_the_simulator() {
         let first = replay_once();
         assert_eq!(first, replay_once(), "{name} must replay identically");
         assert!(first.0[0] > 0, "{name} replay advanced the core clock");
-
-        // And the streaming decoder yields exactly the decoded access list.
-        if is_v2(&bytes) {
-            let mut streamed = V2Replay::new(&bytes[..]).expect("validated corpus file");
-            for (i, &expected) in trace.accesses().iter().enumerate() {
-                assert_eq!(
-                    streamed.next_access(),
-                    Some(expected),
-                    "{name}: streaming divergence at access {i}"
-                );
-            }
-            assert_eq!(streamed.next_access(), None, "{name}: trailing accesses");
-        }
     }
 }

@@ -4,8 +4,8 @@
 //! corruptions at known offsets); this suite attacks the same code with
 //! randomized inputs: arbitrary access streams — mixed address magnitudes,
 //! kinds, and think gaps, with lengths straddling the frame size — must
-//! encode→decode bit-identically, convert v1→v2→v1 losslessly, stream
-//! through `V2Replay` exactly as decoded (including under arbitrary
+//! encode→decode bit-identically, convert v1→v2→v1 losslessly, replay
+//! through `Trace::replay` exactly as decoded (including under arbitrary
 //! `refill` batch sizes), and survive truncation and byte-flip corruption
 //! without panicking.
 //!
@@ -13,7 +13,7 @@
 //! shrinking), so any failure here reproduces exactly.
 
 use cache_sim::{Access, AccessSource, Addr};
-use pipo_workloads::{decode_trace, encode_trace, Trace, V2Replay, V2Writer, TRACE_V2_MAGIC};
+use pipo_workloads::{Trace, TRACE_V2_MAGIC};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -58,31 +58,16 @@ fn trace_of(accesses: &[Access]) -> Trace {
 }
 
 proptest! {
-    /// Encode→decode is bit-identical for arbitrary streams, through both
-    /// the `Trace` convenience wrappers and the free functions.
+    /// Encode→decode is bit-identical for arbitrary streams.
     #[test]
     fn encode_decode_round_trips(accesses in arb_stream()) {
         let trace = trace_of(&accesses);
         let bytes = trace.to_v2();
-        prop_assert_eq!(&bytes, &encode_trace(&trace));
-        let decoded = decode_trace(&bytes).expect("own encoding decodes");
+        let decoded = Trace::from_v2(&bytes).expect("own encoding decodes");
         prop_assert_eq!(&decoded, &trace);
-        prop_assert_eq!(Trace::from_v2(&bytes).expect("wrapper decodes"), trace);
         // The encoder is canonical: re-encoding the decoded trace
         // reproduces the bytes (what lets the corpus pin byte identity).
-        prop_assert_eq!(encode_trace(&decoded), bytes);
-    }
-
-    /// The streaming writer produces the same bytes as the one-shot
-    /// encoder, regardless of how the pushes interleave with frame fills.
-    #[test]
-    fn streaming_writer_matches_one_shot_encoder(accesses in arb_stream()) {
-        let mut writer = V2Writer::new();
-        for &a in &accesses {
-            writer.push(a);
-        }
-        prop_assert_eq!(writer.len(), accesses.len() as u64);
-        prop_assert_eq!(writer.finish(), encode_trace(&trace_of(&accesses)));
+        prop_assert_eq!(decoded.to_v2(), bytes);
     }
 
     /// v1→v2→v1: any stream that went through the text serialiser converts
@@ -98,24 +83,24 @@ proptest! {
         prop_assert_eq!(back.to_text(), text);
     }
 
-    /// The streaming replay yields exactly the decoded access list, and
-    /// `refill` with arbitrary batch sizes is prefix-identical to repeated
-    /// `next_access` (the `AccessSource` contract the cores rely on).
+    /// Replaying the decoded trace yields exactly the encoded access list,
+    /// and `refill` with arbitrary batch sizes is prefix-identical to
+    /// repeated `next_access` (the `AccessSource` contract the cores rely
+    /// on).
     #[test]
     fn streaming_replay_matches_decode(
         accesses in arb_stream(),
         batch_seed in any::<u64>(),
     ) {
-        let trace = trace_of(&accesses);
-        let bytes = trace.to_v2();
-        let mut one_by_one = V2Replay::new(&bytes[..]).expect("validated");
-        prop_assert_eq!(one_by_one.len(), accesses.len() as u64);
+        let decoded = Trace::from_v2(&trace_of(&accesses).to_v2()).expect("own encoding decodes");
+        prop_assert_eq!(decoded.len(), accesses.len());
+        let mut one_by_one = decoded.replay();
         for (i, &expected) in accesses.iter().enumerate() {
             prop_assert_eq!(one_by_one.next_access(), Some(expected), "access {}", i);
         }
         prop_assert_eq!(one_by_one.next_access(), None);
 
-        let mut batched = V2Replay::new(&bytes[..]).expect("validated");
+        let mut batched = decoded.replay();
         let mut buf = Vec::new();
         let mut got = Vec::new();
         let mut round = batch_seed;
@@ -138,7 +123,7 @@ proptest! {
     /// mid-frame, or exactly on a frame boundary — and never panics.
     #[test]
     fn truncation_is_always_detected(accesses in arb_stream(), cut_seed in any::<u64>()) {
-        let bytes = encode_trace(&trace_of(&accesses));
+        let bytes = trace_of(&accesses).to_v2();
         // A spread of cuts: the header region, and pseudo-random interior
         // points (which straddle frame boundaries as lengths vary).
         let mut cuts = vec![0, 1, TRACE_V2_MAGIC.len(), bytes.len() - 1];
@@ -148,7 +133,7 @@ proptest! {
             cuts.push((state >> 32) as usize % bytes.len());
         }
         for cut in cuts {
-            let result = decode_trace(&bytes[..cut]);
+            let result = Trace::from_v2(&bytes[..cut]);
             prop_assert!(
                 result.is_err(),
                 "truncation at {} of {} decoded to {:?} accesses",
@@ -164,7 +149,7 @@ proptest! {
     /// yield a different valid stream). Flips inside the magic must error.
     #[test]
     fn corruption_never_panics(accesses in arb_stream(), flip_seed in any::<u64>()) {
-        let bytes = encode_trace(&trace_of(&accesses));
+        let bytes = trace_of(&accesses).to_v2();
         let mut state = flip_seed;
         for _ in 0..16 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -172,14 +157,14 @@ proptest! {
             let bit = 1u8 << (state % 8);
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= bit;
-            let result = decode_trace(&corrupt);
+            let result = Trace::from_v2(&corrupt);
             if pos < TRACE_V2_MAGIC.len() {
                 prop_assert!(result.is_err(), "magic flip at {} must be rejected", pos);
             } else if let Ok(decoded) = result {
                 // Whatever decoded must itself round-trip (the decoder
                 // never fabricates an unencodable trace).
                 prop_assert_eq!(
-                    decode_trace(&encode_trace(&decoded)).expect("re-decodes"),
+                    Trace::from_v2(&decoded.to_v2()).expect("re-decodes"),
                     decoded
                 );
             }
@@ -187,7 +172,7 @@ proptest! {
     }
 }
 
-/// Frame-boundary lengths hit the encoder's fill/flush edges exactly; the
+/// Frame-boundary lengths hit the encoder's frame edges exactly; the
 /// proptest lengths cover them statistically, this covers them by name.
 #[test]
 fn boundary_lengths_round_trip() {
@@ -214,22 +199,10 @@ fn boundary_lengths_round_trip() {
             };
             trace.push(access.after(i as u64 % 7));
         }
-        let bytes = trace.to_v2();
         assert_eq!(
-            Trace::from_v2(&bytes).expect("decodes"),
+            Trace::from_v2(&trace.to_v2()).expect("decodes"),
             trace,
             "length {len} round trip"
         );
-        let mut replay = V2Replay::new(&bytes[..]).expect("validated");
-        assert_eq!(replay.len(), len as u64);
-        assert_eq!(replay.is_empty(), len == 0);
-        for (i, &expected) in trace.accesses().iter().enumerate() {
-            assert_eq!(
-                replay.next_access(),
-                Some(expected),
-                "length {len} access {i}"
-            );
-        }
-        assert_eq!(replay.next_access(), None, "length {len} must end");
     }
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use auto_cuckoo::{build_store, FilterBackend, FilterParams};
 use cache_sim::{Access, Addr, CoreId, NullObserver, System, SystemConfig};
-use pipo_workloads::{benchmark, mixes::mix_by_name, ProfileSource, Trace, V2Replay};
+use pipo_workloads::{benchmark, mixes::mix_by_name, ProfileSource, Trace};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
 struct CountingAlloc;
@@ -185,11 +185,10 @@ fn steady_state_run_allocates_nothing_per_access() {
         "per-run batched constant too large: {window1}"
     );
 
-    // --- v2 streaming trace replay ---
-    // `V2Replay` decodes one frame at a time into scratch buffers sized to
-    // their maximum during the construction-time validation pass, so
-    // steady-state replay — varint decoding, delta reconstruction, and the
-    // batched refill into the core's buffer — must allocate nothing.
+    // --- Recorded-trace replay ---
+    // A v2 trace is decoded once, up front, into a `Trace`; replaying it —
+    // and the batched refill into the core's buffer — must allocate
+    // nothing in steady state.
     let mut trace = Trace::new();
     for i in 0..40_000u64 {
         let access = if i % 5 == 0 {
@@ -199,12 +198,9 @@ fn steady_state_run_allocates_nothing_per_access() {
         };
         trace.push(access.after(2));
     }
-    let bytes = trace.to_v2();
+    let decoded = Trace::from_v2(&trace.to_v2()).expect("own encoding decodes");
     let mut system = System::new(SystemConfig::paper_default(), NullObserver);
-    system.set_source(
-        CoreId(0),
-        Box::new(V2Replay::new(&bytes[..]).expect("own encoding decodes")),
-    );
+    system.set_source(CoreId(0), Box::new(decoded.replay()));
     // Cumulative windows stay well inside the trace (40k accesses at 3
     // retired instructions each outlast 120k instructions).
     system.run(20_000);
@@ -217,11 +213,11 @@ fn steady_state_run_allocates_nothing_per_access() {
 
     assert_eq!(
         window1, window2,
-        "v2 streaming-replay windows must have identical allocation counts"
+        "trace-replay windows must have identical allocation counts"
     );
     assert!(
         window1 <= 8,
-        "per-run v2 replay constant too large: {window1}"
+        "per-run trace replay constant too large: {window1}"
     );
 
     // --- Every PatternStore backend's query path, in isolation ---
