@@ -12,9 +12,7 @@
 //! consecutive LLC sets, each loaded with `ways + 1` colliding lines
 //! (spaced by the set count so they index the same set), visited way-major
 //! so each set's lines cycle through in LRU-pathological order. It is fully
-//! deterministic (no RNG) and overrides
-//! [`refill`](cache_sim::AccessSource::refill) with the identical
-//! recurrence, so batched and scalar replay are bit-identical.
+//! deterministic (no RNG).
 
 use cache_sim::{Access, AccessSource, Addr};
 
@@ -116,16 +114,6 @@ impl AccessSource for OccupancyChannelSource {
         let line = self.cursor_line();
         self.advance();
         Some(Access::read(Addr(line * LINE_SIZE)).after(self.think))
-    }
-
-    /// Batched generation with the identical cursor recurrence, so the
-    /// stream is bit-identical however the caller mixes entry points.
-    fn refill(&mut self, buf: &mut Vec<Access>, max: usize) {
-        for _ in 0..max {
-            let line = self.cursor_line();
-            self.advance();
-            buf.push(Access::read(Addr(line * LINE_SIZE)).after(self.think));
-        }
     }
 }
 

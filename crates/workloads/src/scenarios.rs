@@ -12,10 +12,10 @@
 //!   large think time on the first access of each burst). Bursts stress the
 //!   monitor's prefetch queue; gaps let the hierarchy drain.
 //!
-//! Both are deterministic for a given seed and override
-//! [`refill`](AccessSource::refill) with draw-for-draw identical logic, so
-//! batched and scalar replay produce bit-identical streams (the refill
-//! prefix-identity contract, pinned in `tests/workload_statistics.rs`).
+//! Both are deterministic for a given seed, and batched
+//! [`refill`](AccessSource::refill) produces the same stream as repeated
+//! `next_access` (the refill prefix-identity contract, pinned in
+//! `tests/workload_statistics.rs`).
 
 use cache_sim::{Access, AccessKind, AccessSource, Addr};
 use rand::distributions::Uniform;
@@ -192,11 +192,13 @@ impl BurstySource {
             remaining: 0,
         }
     }
+}
 
-    /// One access, with the draw order (burst draw when opening, line draw,
-    /// write draw) fixed for `refill` reproducibility.
-    #[inline]
-    fn generate(&mut self) -> Access {
+impl AccessSource for BurstySource {
+    /// Draws in a fixed order (the burst length when opening a burst, then
+    /// the line, then the write test), which the recorded
+    /// `bursty_spike.trace2` pins.
+    fn next_access(&mut self) -> Option<Access> {
         let think = if self.remaining == 0 {
             self.remaining = self.burst_dist.sample(&mut self.rng);
             self.gap_cycles
@@ -210,25 +212,11 @@ impl BurstySource {
         } else {
             AccessKind::Read
         };
-        Access {
+        Some(Access {
             addr: Addr(line * LINE_SIZE),
             kind,
             think_cycles: think,
-        }
-    }
-}
-
-impl AccessSource for BurstySource {
-    fn next_access(&mut self) -> Option<Access> {
-        Some(self.generate())
-    }
-
-    /// Batched generation via the same per-access recurrence.
-    fn refill(&mut self, buf: &mut Vec<Access>, max: usize) {
-        for _ in 0..max {
-            let access = self.generate();
-            buf.push(access);
-        }
+        })
     }
 }
 
