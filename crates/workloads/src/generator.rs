@@ -19,7 +19,7 @@ const THRASH_OFFSET_LINES: u64 = 1 << 26;
 const STREAM_OFFSET_LINES: u64 = 1 << 28;
 /// LLC set count of the paper's Table II configuration; thrash-tier lines
 /// are spaced by this so they collide in a single LLC set.
-const DEFAULT_LLC_SETS: u64 = 4096;
+const LLC_SETS: u64 = 4096;
 
 /// The cut-off that turns a probability test into an integer compare:
 /// `ceil(p · 2^53)`.
@@ -81,7 +81,6 @@ pub struct ProfileSource {
     churn_base: u64,
     thrash_base: u64,
     stream_base: u64,
-    llc_sets: u64,
     /// Precomputed hot-tier line distribution (`0..hot_lines`); drawn on
     /// ~90% of accesses, so the division is strength-reduced once here
     /// instead of per draw.
@@ -102,29 +101,13 @@ impl ProfileSource {
     /// Creates the stream for `profile` running on core `core_index` with a
     /// deterministic `seed`, assuming the paper's 4096-set LLC for the
     /// thrash tier.
-    #[must_use]
-    pub fn new(profile: &BenchProfile, core_index: usize, seed: u64) -> Self {
-        Self::with_llc_sets(profile, core_index, seed, DEFAULT_LLC_SETS)
-    }
-
-    /// Like [`new`](Self::new) but for an LLC with `llc_sets` sets, so the
-    /// thrash tier conflicts in one set on scaled-down configurations.
     ///
     /// # Panics
     ///
-    /// Panics if the profile is invalid or `llc_sets` is not a power of two.
+    /// Panics if the profile is invalid.
     #[must_use]
-    pub fn with_llc_sets(
-        profile: &BenchProfile,
-        core_index: usize,
-        seed: u64,
-        llc_sets: u64,
-    ) -> Self {
+    pub fn new(profile: &BenchProfile, core_index: usize, seed: u64) -> Self {
         profile.assert_valid();
-        assert!(
-            llc_sets.is_power_of_two(),
-            "LLC set count must be a power of two"
-        );
         let region = (core_index as u64 + 1) * CORE_REGION_LINES;
         let p = profile;
         Self {
@@ -135,7 +118,6 @@ impl ProfileSource {
             churn_base: region + CHURN_OFFSET_LINES,
             thrash_base: region + THRASH_OFFSET_LINES,
             stream_base: region + STREAM_OFFSET_LINES,
-            llc_sets,
             hot_dist: Uniform::new(0, profile.hot_lines),
             think_dist: Uniform::new_inclusive(0, profile.think_mean * 2),
             hot_cut: cut_off(p.p_hot),
@@ -172,7 +154,7 @@ impl ProfileSource {
             // the same lines are re-fetched from memory within a short
             // window — the benign Ping-Pong pattern.
             cursors.thrash = wrap_incr(cursors.thrash, p.thrash_lines);
-            self.thrash_base + cursors.thrash * self.llc_sets
+            self.thrash_base + cursors.thrash * LLC_SETS
         } else {
             // Streaming through a footprint much larger than the LLC.
             cursors.stream = wrap_incr(cursors.stream, p.stream_lines);
@@ -324,7 +306,7 @@ mod tests {
                     src.churn_base + pos.churn
                 } else if r < p.p_hot + p.p_churn + p.p_thrash {
                     pos.thrash = (pos.thrash + 1) % p.thrash_lines;
-                    src.thrash_base + pos.thrash * DEFAULT_LLC_SETS
+                    src.thrash_base + pos.thrash * LLC_SETS
                 } else {
                     pos.stream = (pos.stream + 1) % p.stream_lines;
                     src.stream_base + pos.stream
