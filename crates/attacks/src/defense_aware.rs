@@ -14,7 +14,10 @@
 //!   `b`, reaching `b^(MNK+1)` (32768 for the paper's b = 8, MNK = 4).
 
 use auto_cuckoo::hash::candidate_buckets;
-use auto_cuckoo::{CuckooFilter, DirectoryPatternStore, FilterParams, PatternStore};
+use auto_cuckoo::{
+    brute_force_expected_fills, reverse_eviction_set_size, CuckooFilter, DirectoryPatternStore,
+    FilterParams, PatternStore,
+};
 use cache_sim::{Addr, LineAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,7 +113,7 @@ pub fn brute_force_eviction(params: FilterParams, trials: usize, seed: u64) -> B
     BruteForceResult {
         fills_per_trial,
         mean_fills,
-        expected_fills: (params.buckets() * params.entries_per_bucket()) as u64,
+        expected_fills: brute_force_expected_fills(&params),
     }
 }
 
@@ -168,15 +171,10 @@ pub fn reverse_engineering_attack(
         }
         total += fills;
     }
-    let b = params.entries_per_bucket() as u64;
-    let mut bound = 1u64;
-    for _ in 0..=params.max_kicks() {
-        bound = bound.saturating_mul(b);
-    }
     ReverseAttackResult {
         max_kicks: params.max_kicks(),
         mean_fills: total as f64 / trials.max(1) as f64,
-        eviction_set_bound: bound,
+        eviction_set_bound: reverse_eviction_set_size(&params),
     }
 }
 
