@@ -13,6 +13,9 @@
 
 use std::process::Command;
 
+use pipo_bench::Json;
+use pipo_workloads::Trace;
+
 /// Every harness binary. `throughput` has its own parser (different flag
 /// surface) but must honour the same reject/exit-2 contract.
 const BINARIES: &[&str] = &[
@@ -291,23 +294,100 @@ fn trace_replay_rejects_a_missing_or_corrupt_trace() {
         "error must name the path, got:\n{stderr}"
     );
 
-    // A file that is neither v2 binary nor parsable v1 text.
-    let corrupt = format!(
-        "{}/cli_corrupt_{}.trace",
+    // A file that is neither v2 binary nor parsable v1 text, and a v2 file
+    // cut short (`Trace::from_v2` is the only check v2 input passes).
+    let mut truncated =
+        std::fs::read(corpus_trace("mix_gcc_prefix.trace2")).expect("read corpus file");
+    truncated.truncate(truncated.len() / 2);
+    for (extension, contents) in [
+        ("trace", b"X 0xZZ not-a-trace\n".to_vec()),
+        ("trace2", truncated),
+    ] {
+        let corrupt = format!(
+            "{}/cli_corrupt_{}.{extension}",
+            std::env::temp_dir().display(),
+            std::process::id()
+        );
+        std::fs::write(&corrupt, contents).expect("write temp file");
+        let output = Command::new(bin_path("trace_replay"))
+            .args(["1", "--trace", &corrupt])
+            .output()
+            .expect("spawn trace_replay");
+        std::fs::remove_file(&corrupt).ok();
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "corrupt trace {corrupt} must exit 2"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("error:") && stderr.contains(&corrupt),
+            "corrupt-trace error must name the path, got:\n{stderr}"
+        );
+    }
+}
+
+/// A trace cell's results depend on the recorded accesses, not on the file
+/// format: the v1 corpus file and its v2 re-encoding produce the same cell.
+#[test]
+fn trace_cell_does_not_depend_on_the_file_format() {
+    let v1 = corpus_trace("stride_l1.trace");
+    let trace = Trace::from_bytes(&std::fs::read(&v1).expect("read corpus file"))
+        .expect("corpus file parses");
+    let stem = format!(
+        "{}/cli_format_{}",
         std::env::temp_dir().display(),
         std::process::id()
     );
-    std::fs::write(&corrupt, "X 0xZZ not-a-trace\n").expect("write temp file");
-    let output = Command::new(bin_path("trace_replay"))
-        .args(["1", "--trace", &corrupt])
-        .output()
-        .expect("spawn trace_replay");
-    std::fs::remove_file(&corrupt).ok();
-    assert_eq!(output.status.code(), Some(2), "corrupt trace must exit 2");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("error:") && stderr.contains(".trace"),
-        "corrupt-trace error must be reported, got:\n{stderr}"
+    let v2 = format!("{stem}.trace2");
+    std::fs::write(&v2, trace.to_v2()).expect("write temp file");
+
+    // The trace cell of a `--json` run, split into its format field and the
+    // fields that must not depend on the format.
+    let trace_cell = |path: &str, format: &str| {
+        let json = format!("{stem}_{format}.json");
+        let output = Command::new(bin_path("trace_replay"))
+            .args(["20000", "--sequential", "--trace", path, "--json", &json])
+            .output()
+            .expect("spawn trace_replay");
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "trace_replay --trace {path} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let text = std::fs::read_to_string(&json).expect("--json output");
+        std::fs::remove_file(&json).ok();
+        let doc = Json::parse(&text).expect("valid JSON document");
+        let cell = doc
+            .get("cells")
+            .and_then(Json::as_array)
+            .and_then(|cells| {
+                cells
+                    .iter()
+                    .find(|c| c.get("kind").and_then(Json::as_str) == Some("trace"))
+            })
+            .cloned()
+            .expect("a trace cell");
+        assert_eq!(
+            cell.get("trace_format").and_then(Json::as_str),
+            Some(format),
+            "{path}"
+        );
+        let Json::Object(fields) = cell else {
+            panic!("cell is not an object: {cell:?}")
+        };
+        fields
+            .into_iter()
+            .filter(|(key, _)| key != "scenario" && key != "trace_format")
+            .collect::<Vec<_>>()
+    };
+    let from_v1 = trace_cell(&v1, "v1");
+    let from_v2 = trace_cell(&v2, "v2");
+    std::fs::remove_file(&v2).ok();
+    assert_eq!(
+        from_v1, from_v2,
+        "the trace cell must not depend on the format"
     );
 }
 
