@@ -342,8 +342,9 @@ fn trace_cell_does_not_depend_on_the_file_format() {
     let v2 = format!("{stem}.trace2");
     std::fs::write(&v2, trace.to_v2()).expect("write temp file");
 
-    // The trace cell of a `--json` run, split into its format field and the
-    // fields that must not depend on the format.
+    // Runs `trace_replay` on `path`, checks the trace cell's `trace_format`,
+    // and returns the cell's fields except that one and `scenario` (the
+    // path).
     let trace_cell = |path: &str, format: &str| {
         let json = format!("{stem}_{format}.json");
         let output = Command::new(bin_path("trace_replay"))
