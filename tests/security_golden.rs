@@ -16,6 +16,12 @@
 //!   attack, the same-budget random flood against PiPoMonitor, and
 //!   Evict+Reload at 1 and 4 key bits per window, baseline and defended.
 //!   Observations, truth and the end cycle are folded.
+//! * **(d) Plain Prime+Probe**, the attack `fig6_attack`, `ablation_delay`,
+//!   `ablation_replacement` and `attack_demo` run: 100 windows at the paper
+//!   window (4 key bits) and lockstep (1 bit), baseline and defended, key
+//!   seed 2021; defended with a 6000-cycle prefetch delay; and defended on
+//!   a random-replacement machine with key seed 99. The trace and end cycle
+//!   are folded, and for a defended run the monitor's counts too.
 //!
 //! The table's set index is recomputed here from its public formula, so a
 //! change to the indexing moves the flood out of the target's set and
@@ -29,7 +35,8 @@ mod common;
 use auto_cuckoo::hash::mix64;
 use auto_cuckoo::{FilterBackend, FilterParams};
 use cache_sim::{
-    CoreId, Cycle, Hierarchy, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
+    CoreId, Cycle, Hierarchy, LineAddr, NullObserver, Replacement, System, SystemConfig,
+    TrafficObserver,
 };
 use common::fingerprint;
 use pipo_attacks::{
@@ -87,6 +94,14 @@ const ATTACK_GOLDEN: [(&str, u64); 6] = [
     ("evict_reload_1bit_defended", 0xf048f4f2abe52074),
     ("evict_reload_4bit_baseline", 0xaaf946d16b242104),
     ("evict_reload_4bit_defended", 0x619f9688a9217ad4),
+];
+const PRIME_PROBE_GOLDEN: [(&str, u64); 6] = [
+    ("paper_window_baseline", 0xc0154934ffd30e1b),
+    ("paper_window_defended", 0xb6595b40b3b5a3e8),
+    ("lockstep_baseline", 0xcf38118ecd874e4e),
+    ("lockstep_defended", 0x1162adadfb3cf2f1),
+    ("delay_6000_defended", 0x7c71a3cc18ca1533),
+    ("random_replacement_defended", 0x182b38be62096b1d),
 ];
 
 /// FNV-1a over little-endian 64-bit words.
@@ -383,4 +398,77 @@ fn attack_loops_match_the_golden_digests() {
     ];
     report("ATTACK_GOLDEN", &got);
     assert_eq!(got, ATTACK_GOLDEN);
+}
+
+// --- (d) Plain Prime+Probe ---
+
+/// Plain Prime+Probe over 100 windows of `bits_per_window` key bits on
+/// `system`, key seed `seed`; `defense` is `None` for the unprotected
+/// baseline.
+fn prime_probe_attack(
+    bits_per_window: usize,
+    system: SystemConfig,
+    defense: Option<MonitorConfig>,
+    seed: u64,
+) -> u64 {
+    let config = AttackConfig {
+        iterations: 100,
+        bits_per_window,
+        ..AttackConfig::paper_default()
+    };
+    let victim = SquareAndMultiply::with_random_key(
+        VictimLayout::default_layout(),
+        100 * bits_per_window,
+        seed,
+    );
+    let mut hierarchy = Hierarchy::new(system);
+    let attack = PrimeProbeAttack::new(config);
+    let mut digest = Digest::new();
+    if let Some(defense) = defense {
+        let mut monitor = PiPoMonitor::new(defense).expect("valid");
+        let outcome = attack.run(&mut hierarchy, victim, &mut monitor);
+        digest.outcome(&outcome.trace, outcome.end_cycle);
+        digest.words(&counts(&monitor));
+    } else {
+        let outcome = attack.run(&mut hierarchy, victim, &mut NullObserver);
+        digest.outcome(&outcome.trace, outcome.end_cycle);
+    }
+    digest.0
+}
+
+#[test]
+fn prime_probe_matches_the_golden_digests() {
+    let paper = SystemConfig::paper_default;
+    let defended = Some(MonitorConfig::paper_default());
+    let mut random = SystemConfig::paper_default();
+    random.replacement = Replacement::Random { seed: 5 };
+    let delayed = Some(MonitorConfig::paper_default().with_prefetch_delay(6000));
+    let got = vec![
+        (
+            "paper_window_baseline",
+            prime_probe_attack(4, paper(), None, 2021),
+        ),
+        (
+            "paper_window_defended",
+            prime_probe_attack(4, paper(), defended, 2021),
+        ),
+        (
+            "lockstep_baseline",
+            prime_probe_attack(1, paper(), None, 2021),
+        ),
+        (
+            "lockstep_defended",
+            prime_probe_attack(1, paper(), defended, 2021),
+        ),
+        (
+            "delay_6000_defended",
+            prime_probe_attack(4, paper(), delayed, 2021),
+        ),
+        (
+            "random_replacement_defended",
+            prime_probe_attack(4, random, defended, 99),
+        ),
+    ];
+    report("PRIME_PROBE_GOLDEN", &got);
+    assert_eq!(got, PRIME_PROBE_GOLDEN);
 }
