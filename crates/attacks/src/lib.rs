@@ -5,7 +5,8 @@
 //! * **Prime+Probe** (§VI-A, Fig. 6): a cross-core attacker primes the LLC
 //!   sets of a square-and-multiply victim's `square`/`multiply` lines,
 //!   lets the victim run, and probes for evictions every 5000 cycles to read
-//!   the key bit by bit.
+//!   the key bit by bit. An [`AttackCell`] is the one way to run it, and
+//!   Evict+Reload, against an unprotected or a defended machine.
 //! * **Brute force** (§VI-B): a defense-aware adversary floods the
 //!   Auto-Cuckoo filter with fresh addresses to evict the victim's record
 //!   before it shapes into a Ping-Pong. Expected cost: `b·l` fills.
@@ -22,20 +23,18 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod attack;
 pub mod defense_aware;
-pub mod evict_reload;
 pub mod eviction;
 pub mod occupancy;
-pub mod prime_probe;
 pub mod victim;
 
 pub use analysis::{infer_key_bits, KeyRecovery, ProbeTrace};
+pub use attack::{Attack, AttackCell, AttackConfig, AttackOutcome, AttackRun, Flush};
 pub use defense_aware::{
     brute_force_eviction, reverse_engineering_attack, BruteForceResult, ReverseAttackResult,
     TableFlusher,
 };
-pub use evict_reload::EvictReloadAttack;
 pub use eviction::EvictionSet;
 pub use occupancy::OccupancyChannelSource;
-pub use prime_probe::{AttackConfig, AttackOutcome, PrimeProbeAttack};
 pub use victim::{SquareAndMultiply, VictimLayout};

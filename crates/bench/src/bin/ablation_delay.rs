@@ -12,10 +12,9 @@
 //! Run: `cargo run --release -p pipo-bench --bin ablation_delay -- \
 //!       [probe_windows] [--json PATH] [--sequential | --threads N]`
 
-use cache_sim::{Hierarchy, SystemConfig};
-use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, VictimLayout};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, AttackRun, Flush};
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
-use pipomonitor::{MonitorConfig, PiPoMonitor};
+use pipomonitor::MonitorConfig;
 
 const DELAYS: [u64; 9] = [0, 10, 50, 200, 1000, 3000, 4900, 6000, 20_000];
 const SEED: u64 = 2021;
@@ -45,18 +44,14 @@ fn main() {
         "delay", "observed frac", "distinguishability", "prefetches"
     );
 
-    let results = run_cells(args.mode, &DELAYS, |_, &delay| {
-        let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-        let victim = SquareAndMultiply::with_random_key(
-            VictimLayout::default_layout(),
-            windows * config.bits_per_window,
-            SEED,
-        );
-        let monitor_config = MonitorConfig::paper_default()
+    let cells = DELAYS.map(|delay| {
+        let defense = MonitorConfig::paper_default()
             .with_prefetch_delay(delay)
             .with_backend(backend);
-        let mut monitor = PiPoMonitor::new(monitor_config).expect("valid configuration");
-        let outcome = PrimeProbeAttack::new(config).run(&mut hierarchy, victim, &mut monitor);
+        AttackCell::new(Attack::PrimeProbe(Flush::None), config, Some(defense), SEED)
+    });
+    let results = run_cells(args.mode, &cells, |_, cell| {
+        let AttackRun { outcome, monitor } = cell.run();
         let observed = outcome
             .trace
             .observations()
@@ -67,7 +62,7 @@ fn main() {
         DelayResult {
             observed_fraction: observed as f64 / outcome.trace.len() as f64,
             distinguishability: recovery.distinguishability,
-            prefetches: monitor.stats().prefetches_scheduled,
+            prefetches: monitor.expect("defended cell").stats().prefetches_scheduled,
         }
     });
 

@@ -13,45 +13,15 @@
 //!       [instructions] [--json PATH] [--sequential | --threads N] \
 //!       [--store PATH]`
 
-use auto_cuckoo::FilterBackend;
-use cache_sim::{Hierarchy, NullObserver, Replacement, SystemConfig};
-use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, VictimLayout};
+use cache_sim::{Replacement, SystemConfig};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
 use pipo_bench::{
     emit_json, finish_store, run_cells, sweep_document, HarnessArgs, Json, MixCell, Sweep,
 };
 use pipo_workloads::all_mixes;
-use pipomonitor::{MonitorConfig, PiPoMonitor};
+use pipomonitor::MonitorConfig;
 
 const SEED: u64 = 42;
-
-fn attack_under(replacement: Replacement, backend: FilterBackend) -> (f64, f64) {
-    let config = AttackConfig {
-        iterations: 100,
-        ..AttackConfig::paper_default()
-    };
-    let mut cfg = SystemConfig::paper_default();
-    cfg.replacement = replacement;
-    let mut hierarchy = Hierarchy::new(cfg.clone());
-    let victim = SquareAndMultiply::with_random_key(
-        VictimLayout::default_layout(),
-        100 * config.bits_per_window,
-        99,
-    );
-    let mut baseline = NullObserver;
-    let base = PrimeProbeAttack::new(config)
-        .run(&mut hierarchy, victim.clone(), &mut baseline)
-        .trace
-        .recover_key();
-
-    let mut hierarchy = Hierarchy::new(cfg);
-    let mut monitor =
-        PiPoMonitor::new(MonitorConfig::paper_default().with_backend(backend)).expect("valid");
-    let defended = PrimeProbeAttack::new(config)
-        .run(&mut hierarchy, victim, &mut monitor)
-        .trace
-        .recover_key();
-    (base.distinguishability, defended.distinguishability)
-}
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -63,13 +33,28 @@ fn main() {
         ("random", Replacement::Random { seed: 5 }),
     ];
 
+    // The baseline and defended attack distinguishability per policy.
+    let config = AttackConfig {
+        iterations: 100,
+        ..AttackConfig::paper_default()
+    };
     let attack_results = run_cells(args.mode, &policies, |_, &(_, policy)| {
-        attack_under(policy, backend)
+        let mut system = SystemConfig::paper_default();
+        system.replacement = policy;
+        [
+            None,
+            Some(MonitorConfig::paper_default().with_backend(backend)),
+        ]
+        .map(|defense| {
+            let cell = AttackCell::new(Attack::PrimeProbe(Flush::None), config, defense, 99);
+            let run = cell.on_system(system.clone()).run();
+            run.outcome.trace.recover_key().distinguishability
+        })
     });
 
     println!("replacement ablation — attack channel distinguishability");
     println!("{:>10} {:>14} {:>14}", "policy", "baseline", "with monitor");
-    for ((name, _), (base, defended)) in policies.iter().zip(&attack_results) {
+    for ((name, _), [base, defended]) in policies.iter().zip(&attack_results) {
         println!("{name:>10} {base:>14.3} {defended:>14.3}");
     }
 
@@ -110,7 +95,7 @@ fn main() {
         .iter()
         .zip(&attack_results)
         .zip(&mix_runs)
-        .map(|(((name, _), (base, defended)), run)| {
+        .map(|(((name, _), [base, defended]), run)| {
             run.to_json()
                 .field("policy", *name)
                 .field("attack_distinguishability_baseline", *base)

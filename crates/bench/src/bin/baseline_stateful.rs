@@ -13,12 +13,9 @@
 //!       [--json PATH] [--sequential | --threads N]`
 
 use auto_cuckoo::{build_store, FilterBackend, FilterParams, StorageOverhead};
-use cache_sim::{Addr, Hierarchy, LineAddr, SystemConfig};
-use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, TableFlusher, VictimLayout};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
-use pipomonitor::{MonitorConfig, PiPoMonitor};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pipomonitor::MonitorConfig;
 
 const WINDOWS: usize = 150;
 
@@ -38,8 +35,8 @@ fn main() {
     let storage = storage_rows();
     print_storage(&storage);
     println!();
-    let flushing = run_cells(args.mode, &["directory", "pipomonitor"], |_, defense| {
-        flushing_distinguishability(defense)
+    let flushing = run_cells(args.mode, &flushing_cells(), |_, cell| {
+        cell.run().outcome.trace.recover_key().distinguishability
     });
     print_flushing(&flushing);
 
@@ -122,66 +119,22 @@ fn print_storage(rows: &[StorageRow]) {
     println!("paper: filter = 15 KB (0.37%), an order of magnitude below stateful prior work");
 }
 
-/// Runs the Prime+Probe attack with a per-window record-flushing budget
-/// against one defense and returns the channel distinguishability.
-fn flushing_distinguishability(defense: &str) -> f64 {
+/// Prime+Probe with a per-window record-flushing budget of 16 lines against
+/// each defense. The directory table's records are flushed
+/// deterministically (`b` fresh lines of each leaky line's table set); the
+/// filter's cannot be targeted, so the best same-budget attack is a random
+/// flood, and expected eviction needs `b·l` = 8192 fills.
+fn flushing_cells() -> [AttackCell; 2] {
     let config = AttackConfig {
         iterations: WINDOWS,
         ..AttackConfig::paper_default()
     };
-    let key_bits = WINDOWS * config.bits_per_window;
-
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = SquareAndMultiply::with_random_key(VictimLayout::default_layout(), key_bits, 77);
-    let layout = *victim.layout();
-    let square_llc = hierarchy.llc_set_of(layout.square);
-    let multiply_llc = hierarchy.llc_set_of(layout.multiply);
-    let llc_sets = hierarchy.llc_sets() as u64;
-
-    let (backend, mut flusher): (_, Box<dyn FnMut(usize) -> Vec<Addr>>) = if defense == "directory"
-    {
-        // Deterministic record flushing: `b` fresh lines of each leaky
-        // line's table set per window, avoiding the probed LLC sets.
-        let table = MonitorConfig::paper_default().filter;
-        let avoid = move |l: LineAddr| {
-            let set = (l.0 % llc_sets) as usize;
-            set == square_llc || set == multiply_llc
-        };
-        let mut flush_sq = TableFlusher::new(&table, layout.square.line(64), 0x60_0000_0000);
-        let mut flush_mu = TableFlusher::new(&table, layout.multiply.line(64), 0x68_0000_0000);
-        let flusher = move |_| {
-            let mut v = flush_sq.next_round(avoid);
-            v.extend(flush_mu.next_round(avoid));
-            v
-        };
-        (FilterBackend::Directory, Box::new(flusher))
-    } else {
-        // Best effort against the filter: a random flood of the same size
-        // (16 fresh lines/window; deterministic targeting is impossible and
-        // expected eviction needs b*l = 8192 fills).
-        let mut rng = StdRng::seed_from_u64(13);
-        let flusher = move |_| {
-            let mut v = Vec::with_capacity(16);
-            while v.len() < 16 {
-                let line = (rng.gen::<u64>() >> 8) | (1 << 40);
-                let set = (line % llc_sets) as usize;
-                if set != square_llc && set != multiply_llc {
-                    v.push(Addr(line * 64));
-                }
-            }
-            v
-        };
-        (FilterBackend::Auto, Box::new(flusher))
-    };
-    let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default().with_backend(backend))
-        .expect("valid configuration");
-    let outcome = PrimeProbeAttack::new(config).run_with_flusher(
-        &mut hierarchy,
-        victim,
-        &mut monitor,
-        &mut *flusher,
-    );
-    outcome.trace.recover_key().distinguishability
+    let directory = MonitorConfig::paper_default().with_backend(FilterBackend::Directory);
+    [
+        (Flush::Table, directory),
+        (Flush::Random, MonitorConfig::paper_default()),
+    ]
+    .map(|(flush, defense)| AttackCell::new(Attack::PrimeProbe(flush), config, Some(defense), 77))
 }
 
 fn print_flushing(results: &[f64]) {

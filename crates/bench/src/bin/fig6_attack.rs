@@ -12,10 +12,9 @@
 //! Run: `cargo run --release -p pipo-bench --bin fig6_attack -- \
 //!       [windows] [--json PATH] [--sequential | --threads N]`
 
-use cache_sim::{Hierarchy, NullObserver, SystemConfig};
-use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, VictimLayout};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
-use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
+use pipomonitor::{MonitorConfig, MonitorStats};
 
 const SEED: u64 = 2021;
 
@@ -36,30 +35,21 @@ fn main() {
         iterations: windows,
         ..AttackConfig::paper_default()
     };
-    let key_bits = windows * config.bits_per_window;
 
     let panels = ["baseline", "pipomonitor"];
-    let results = run_cells(args.mode, &panels, |_, panel| {
-        let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-        let victim =
-            SquareAndMultiply::with_random_key(VictimLayout::default_layout(), key_bits, SEED);
-        let attack = PrimeProbeAttack::new(config);
-        let (outcome, monitor_stats) = if *panel == "baseline" {
-            let mut baseline = NullObserver;
-            (attack.run(&mut hierarchy, victim, &mut baseline), None)
-        } else {
-            let mut monitor =
-                PiPoMonitor::new(MonitorConfig::paper_default().with_backend(backend))
-                    .expect("valid configuration");
-            let outcome = attack.run(&mut hierarchy, victim, &mut monitor);
-            (outcome, Some(*monitor.stats()))
-        };
-        let recovery = outcome.trace.recover_key();
+    let cells = [
+        None,
+        Some(MonitorConfig::paper_default().with_backend(backend)),
+    ]
+    .map(|defense| AttackCell::new(Attack::PrimeProbe(Flush::None), config, defense, SEED));
+    let results = run_cells(args.mode, &cells, |_, cell| {
+        let run = cell.run();
+        let recovery = run.outcome.trace.recover_key();
         PanelResult {
-            rendered: outcome.trace.render(),
+            rendered: run.outcome.trace.render(),
             accuracy: recovery.accuracy,
             distinguishability: recovery.distinguishability,
-            monitor: monitor_stats,
+            monitor: run.monitor.map(|monitor| *monitor.stats()),
         }
     });
 

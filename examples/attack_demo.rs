@@ -10,23 +10,18 @@
 //!
 //! Run with: `cargo run --example attack_demo`
 
-use cache_sim::{Hierarchy, NullObserver, SystemConfig};
-use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, VictimLayout};
-use pipomonitor::{MonitorConfig, PiPoMonitor};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
+use pipomonitor::MonitorConfig;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let bits = 100;
-    let seed = 2021;
+fn main() {
     let config = AttackConfig {
-        iterations: bits,
+        iterations: 100,
         ..AttackConfig::lockstep()
     };
+    let cell = |defense| AttackCell::new(Attack::PrimeProbe(Flush::None), config, defense, 2021);
 
     println!("=== Fig. 6(a): baseline (no defense) ===");
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = SquareAndMultiply::with_random_key(VictimLayout::default_layout(), bits, seed);
-    let mut baseline = NullObserver;
-    let outcome = PrimeProbeAttack::new(config).run(&mut hierarchy, victim, &mut baseline);
+    let outcome = cell(None).run().outcome;
     println!("{}", outcome.trace.render());
     let undefended = outcome.trace.recover_key();
     println!(
@@ -35,17 +30,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("=== Fig. 6(b): PiPoMonitor deployed ===");
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = SquareAndMultiply::with_random_key(VictimLayout::default_layout(), bits, seed);
-    let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default())?;
-    let outcome = PrimeProbeAttack::new(config).run(&mut hierarchy, victim, &mut monitor);
-    println!("{}", outcome.trace.render());
-    let defended = outcome.trace.recover_key();
+    let run = cell(Some(MonitorConfig::paper_default())).run();
+    println!("{}", run.outcome.trace.render());
+    let defended = run.outcome.trace.recover_key();
     println!(
         "key recovery accuracy {:.3}, distinguishability {:.3}",
         defended.accuracy, defended.distinguishability
     );
-    println!("monitor stats: {:?}", monitor.stats());
+    println!(
+        "monitor stats: {:?}",
+        run.monitor.expect("defended cell").stats()
+    );
 
     assert!(
         undefended.distinguishability > 0.99,
@@ -58,5 +53,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         defended.distinguishability,
         undefended.distinguishability
     );
-    Ok(())
 }

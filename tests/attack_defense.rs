@@ -2,24 +2,16 @@
 //! Prime+Probe recovers the victim's operation sequence on the baseline
 //! system and learns nothing on the PiPoMonitor-protected system.
 
-use cache_sim::{Hierarchy, NullObserver, SystemConfig};
-use pipo_attacks::{
-    AttackConfig, AttackOutcome, PrimeProbeAttack, SquareAndMultiply, VictimLayout,
-};
-use pipomonitor::{MonitorConfig, PiPoMonitor};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, AttackOutcome, Flush};
+use pipomonitor::MonitorConfig;
+
+fn prime_probe(defended: bool, config: AttackConfig, seed: u64) -> AttackCell {
+    let defense = defended.then(MonitorConfig::paper_default);
+    AttackCell::new(Attack::PrimeProbe(Flush::None), config, defense, seed)
+}
 
 fn run_attack(defended: bool, config: AttackConfig, seed: u64) -> AttackOutcome {
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let key_bits = config.iterations * config.bits_per_window.max(1);
-    let victim = SquareAndMultiply::with_random_key(VictimLayout::default_layout(), key_bits, seed);
-    let attack = PrimeProbeAttack::new(config);
-    if defended {
-        let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
-        attack.run(&mut hierarchy, victim, &mut monitor)
-    } else {
-        let mut observer = NullObserver;
-        attack.run(&mut hierarchy, victim, &mut observer)
-    }
+    prime_probe(defended, config, seed).run().outcome
 }
 
 /// Fig. 6(a): on the unprotected system the attacker reads the victim's
@@ -120,15 +112,12 @@ fn defended_lockstep_attack_is_degraded() {
 /// Ping-Pong lines and re-prefetched on eviction.
 #[test]
 fn monitor_captures_the_attacked_lines() {
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = SquareAndMultiply::with_random_key(VictimLayout::default_layout(), 200, 11);
-    let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
     let config = AttackConfig {
         iterations: 50,
         ..AttackConfig::paper_default()
     };
-    PrimeProbeAttack::new(config).run(&mut hierarchy, victim, &mut monitor);
-    let stats = monitor.stats();
+    let monitor = prime_probe(true, config, 11).run().monitor;
+    let stats = *monitor.expect("defended cell").stats();
     assert!(stats.captures > 0, "attacked lines must be captured");
     assert!(
         stats.prefetches_scheduled > 10,

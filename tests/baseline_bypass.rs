@@ -12,77 +12,43 @@
 //!   floods shut.
 
 use auto_cuckoo::FilterBackend;
-use cache_sim::{Hierarchy, SystemConfig};
-use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, TableFlusher, VictimLayout};
-use pipomonitor::{MonitorConfig, PiPoMonitor};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush, VictimLayout};
+use pipomonitor::MonitorConfig;
 
 const WINDOWS: usize = 120;
 
-fn attack_config() -> AttackConfig {
-    AttackConfig {
+/// Prime+Probe with `flush` against `defense`, key seed 77.
+fn attack(flush: Flush, defense: MonitorConfig) -> AttackCell {
+    let config = AttackConfig {
         iterations: WINDOWS,
         ..AttackConfig::paper_default()
-    }
+    };
+    AttackCell::new(Attack::PrimeProbe(flush), config, Some(defense), 77)
 }
 
 /// PiPoMonitor recording in the prior-work directory table.
-fn directory_monitor() -> PiPoMonitor {
-    PiPoMonitor::new(MonitorConfig::paper_default().with_backend(FilterBackend::Directory))
-        .expect("valid")
-}
-
-fn victim() -> SquareAndMultiply {
-    SquareAndMultiply::with_random_key(
-        VictimLayout::default_layout(),
-        WINDOWS * attack_config().bits_per_window,
-        77,
-    )
+fn directory() -> MonitorConfig {
+    MonitorConfig::paper_default().with_backend(FilterBackend::Directory)
 }
 
 #[test]
 fn flushing_bypasses_the_directory_baseline() {
-    let config = attack_config();
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = victim();
-    let layout = *victim.layout();
-    let mut monitor = directory_monitor();
-    let table = monitor.config().filter;
-
     // Flush both leaky lines' table records every window, avoiding the
     // attacker's own probe LLC sets so the flush does not pollute probes.
-    let square_llc = hierarchy.llc_set_of(layout.square);
-    let multiply_llc = hierarchy.llc_set_of(layout.multiply);
-    let llc_sets = hierarchy.llc_sets() as u64;
-    let mut flush_sq = TableFlusher::new(&table, layout.square.line(64), 0x60_0000_0000);
-    let mut flush_mu = TableFlusher::new(&table, layout.multiply.line(64), 0x68_0000_0000);
-    let avoid = move |l: cache_sim::LineAddr| {
-        let set = (l.0 % llc_sets) as usize;
-        set == square_llc || set == multiply_llc
-    };
-
-    let outcome = PrimeProbeAttack::new(config).run_with_flusher(
-        &mut hierarchy,
-        victim,
-        &mut monitor,
-        &mut |_| {
-            let mut v = flush_sq.next_round(avoid);
-            v.extend(flush_mu.next_round(avoid));
-            v
-        },
-    );
+    let run = attack(Flush::Table, directory()).run();
+    let monitor = run.monitor.expect("defended cell");
 
     // The defense never fires *for the victim's lines*: their records are
     // evicted before Security can saturate, so the attack reads the
     // sequence cleanly. (The attacker's own ping-ponging eviction-set lines
     // do get captured — harmless to the attacker.)
-    let recovery = outcome.trace.recover_key();
+    let recovery = run.outcome.trace.recover_key();
     assert!(
         recovery.distinguishability > 0.9,
         "directory baseline must be bypassed: distinguishability {}",
         recovery.distinguishability
     );
+    let layout = VictimLayout::default_layout();
     for line in [layout.square.line(64), layout.multiply.line(64)] {
         let security = monitor.pattern_store().security_of(line.0);
         assert!(
@@ -95,36 +61,12 @@ fn flushing_bypasses_the_directory_baseline() {
 
 #[test]
 fn same_budget_flushing_fails_against_pipomonitor() {
-    let config = attack_config();
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = victim();
-    let layout = *victim.layout();
-    let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid");
-
     // The attacker cannot target filter records deterministically; the best
     // same-budget strategy is a random flood (16 fresh lines per window,
     // like the directory flush above). Expected records evicted per window:
     // 16 of 8192 — the victim's records survive ~512 windows in expectation.
-    let llc_sets = hierarchy.llc_sets() as u64;
-    let square_llc = hierarchy.llc_set_of(layout.square);
-    let multiply_llc = hierarchy.llc_set_of(layout.multiply);
-    let mut rng = StdRng::seed_from_u64(13);
-    let outcome = PrimeProbeAttack::new(config).run_with_flusher(
-        &mut hierarchy,
-        victim,
-        &mut monitor,
-        &mut |_| {
-            let mut v = Vec::with_capacity(16);
-            while v.len() < 16 {
-                let line = (rng.gen::<u64>() >> 8) | (1 << 40);
-                let set = (line % llc_sets) as usize;
-                if set != square_llc && set != multiply_llc {
-                    v.push(cache_sim::Addr(line * 64));
-                }
-            }
-            v
-        },
-    );
+    let run = attack(Flush::Random, MonitorConfig::paper_default()).run();
+    let (outcome, monitor) = (run.outcome, run.monitor.expect("defended cell"));
 
     // PiPoMonitor still captures and floods the channel.
     assert!(monitor.stats().captures > 0, "{:?}", monitor.stats());
@@ -153,11 +95,9 @@ fn same_budget_flushing_fails_against_pipomonitor() {
 /// prior defense — its weakness is only the deterministic layout).
 #[test]
 fn directory_baseline_defends_naive_attacks() {
-    let config = attack_config();
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let mut monitor = directory_monitor();
-    let outcome = PrimeProbeAttack::new(config).run(&mut hierarchy, victim(), &mut monitor);
-    assert!(monitor.stats().captures > 0);
+    let run = attack(Flush::None, directory()).run();
+    let outcome = run.outcome;
+    assert!(run.monitor.expect("defended cell").stats().captures > 0);
     let observed = outcome
         .trace
         .observations()

@@ -5,30 +5,22 @@
 //! the prefetch makes every attacker reload fast, regardless of victim
 //! behaviour.
 
-use cache_sim::{Hierarchy, NullObserver, SystemConfig};
-use pipo_attacks::{AttackConfig, EvictReloadAttack, SquareAndMultiply, VictimLayout};
-use pipomonitor::{MonitorConfig, PiPoMonitor};
+use pipo_attacks::{Attack, AttackCell, AttackConfig};
+use pipomonitor::MonitorConfig;
 
-fn config() -> AttackConfig {
-    AttackConfig {
+/// Evict+Reload over 200 windows against the key of seed 31.
+fn evict_reload(defended: bool) -> AttackCell {
+    let config = AttackConfig {
         iterations: 200,
         ..AttackConfig::paper_default()
-    }
-}
-
-fn victim() -> SquareAndMultiply {
-    SquareAndMultiply::with_random_key(
-        VictimLayout::default_layout(),
-        200 * config().bits_per_window,
-        31,
-    )
+    };
+    let defense = defended.then(MonitorConfig::paper_default);
+    AttackCell::new(Attack::EvictReload, config, defense, 31)
 }
 
 #[test]
 fn baseline_evict_reload_reads_sequence() {
-    let mut h = Hierarchy::new(SystemConfig::paper_default());
-    let mut obs = NullObserver;
-    let outcome = EvictReloadAttack::new(config()).run(&mut h, victim(), &mut obs);
+    let outcome = evict_reload(false).run().outcome;
     let r = outcome.trace.recover_key();
     assert!(r.accuracy > 0.99, "accuracy {}", r.accuracy);
     assert!(r.distinguishability > 0.99);
@@ -36,13 +28,12 @@ fn baseline_evict_reload_reads_sequence() {
 
 #[test]
 fn pipomonitor_blinds_evict_reload() {
-    let mut h = Hierarchy::new(SystemConfig::paper_default());
-    let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid");
-    let outcome = EvictReloadAttack::new(config()).run(&mut h, victim(), &mut monitor);
+    let run = evict_reload(true).run();
+    let outcome = run.outcome;
 
     // The attacker's own evict/reload loop ping-pongs the shared lines, so
     // capture is guaranteed; afterwards reloads hit every window.
-    assert!(monitor.stats().captures > 0);
+    assert!(run.monitor.expect("defended cell").stats().captures > 0);
     let warmup = 10;
     let hot = outcome
         .trace
@@ -72,9 +63,7 @@ fn pipomonitor_blinds_evict_reload() {
 #[test]
 fn evict_reload_experiments_are_deterministic() {
     let run = || {
-        let mut h = Hierarchy::new(SystemConfig::paper_default());
-        let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid");
-        let outcome = EvictReloadAttack::new(config()).run(&mut h, victim(), &mut monitor);
+        let outcome = evict_reload(true).run().outcome;
         (outcome.trace.observations().to_vec(), outcome.end_cycle)
     };
     assert_eq!(run(), run());

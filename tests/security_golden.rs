@@ -34,33 +34,24 @@ mod common;
 
 use auto_cuckoo::hash::mix64;
 use auto_cuckoo::{FilterBackend, FilterParams};
-use cache_sim::{
-    CoreId, Cycle, Hierarchy, LineAddr, NullObserver, Replacement, System, SystemConfig,
-    TrafficObserver,
-};
+use cache_sim::{CoreId, LineAddr, Replacement, System, SystemConfig, TrafficObserver};
 use common::fingerprint;
-use pipo_attacks::{
-    AttackConfig, EvictReloadAttack, PrimeProbeAttack, ProbeTrace, SquareAndMultiply, TableFlusher,
-    VictimLayout,
-};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, AttackRun, Flush};
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 // --- The directory-table defense: the only lines tied to its API ---
 
 /// The directory-table defense over an `sets × ways` table, `secThr = 3`.
-fn directory(sets: usize, ways: usize) -> PiPoMonitor {
+fn directory(sets: usize, ways: usize) -> MonitorConfig {
     let table = FilterParams::builder()
         .buckets(sets)
         .entries_per_bucket(ways)
         .build()
         .expect("valid table geometry");
-    let config = MonitorConfig::paper_default()
+    MonitorConfig::paper_default()
         .with_filter(table)
-        .with_backend(FilterBackend::Directory);
-    PiPoMonitor::new(config).expect("valid config")
+        .with_backend(FilterBackend::Directory)
 }
 
 fn security_of(monitor: &PiPoMonitor, line: u64) -> Option<u8> {
@@ -75,11 +66,6 @@ fn counts(monitor: &PiPoMonitor) -> [u64; 3] {
         stats.prefetches_scheduled,
         monitor.pattern_store().stats_snapshot().autonomic_deletions,
     ]
-}
-
-/// A record flusher for `target` against the paper-capacity table.
-fn table_flusher(target: LineAddr, attacker_base: u64) -> TableFlusher {
-    TableFlusher::new(&FilterParams::paper_default(), target, attacker_base)
 }
 
 // --- Digests ---
@@ -126,14 +112,15 @@ impl Digest {
         }
     }
 
-    fn outcome(&mut self, trace: &ProbeTrace, end_cycle: Cycle) {
+    fn outcome(&mut self, run: &AttackRun) {
+        let trace = &run.outcome.trace;
         self.word(trace.len() as u64);
         for (obs, &truth) in trace.observations().iter().zip(trace.truth()) {
             self.word(u64::from(obs.square));
             self.word(u64::from(obs.multiply));
             self.word(u64::from(truth));
         }
-        self.word(end_cycle);
+        self.word(run.outcome.end_cycle);
     }
 }
 
@@ -204,7 +191,7 @@ fn fetch_stream(sets: usize, ways: usize, seed: u64) -> Vec<u64> {
 }
 
 fn table_digest(sets: usize, ways: usize) -> u64 {
-    let mut monitor = directory(sets, ways);
+    let mut monitor = PiPoMonitor::new(directory(sets, ways)).expect("valid config");
     let mut digest = Digest::new();
     for (now, line) in fetch_stream(sets, ways, 0x7ab1e + sets as u64)
         .into_iter()
@@ -235,7 +222,8 @@ fn directory_table_matches_the_golden_digests() {
 
 fn mix_digest(name: &str) -> u64 {
     let mix = mix_by_name(name).expect("mix exists");
-    let mut system = System::new(SystemConfig::paper_default(), directory(1024, 8));
+    let monitor = PiPoMonitor::new(directory(1024, 8)).expect("valid config");
+    let mut system = System::new(SystemConfig::paper_default(), monitor);
     for (core, bench) in mix.benchmarks.iter().enumerate() {
         system.set_source(CoreId(core), Box::new(ProfileSource::new(bench, core, 42)));
     }
@@ -278,84 +266,36 @@ fn monitored_mixes_match_the_golden_digests() {
 
 // --- (c) The attack loops ---
 
-const FLUSH_WINDOWS: usize = 120;
-
-fn flush_victim() -> SquareAndMultiply {
-    SquareAndMultiply::with_random_key(
-        VictimLayout::default_layout(),
-        FLUSH_WINDOWS * AttackConfig::paper_default().bits_per_window,
-        77,
-    )
+/// `baseline_bypass`'s Prime+Probe with `flush` against `defense`: 120
+/// windows, key seed 77.
+fn flush_attack(flush: Flush, defense: MonitorConfig) -> AttackRun {
+    let config = AttackConfig {
+        iterations: 120,
+        ..AttackConfig::paper_default()
+    };
+    AttackCell::new(Attack::PrimeProbe(flush), config, Some(defense), 77).run()
 }
 
-fn flush_config() -> AttackConfig {
-    AttackConfig {
-        iterations: FLUSH_WINDOWS,
-        ..AttackConfig::paper_default()
-    }
+fn monitor(run: &AttackRun) -> &PiPoMonitor {
+    run.monitor.as_ref().expect("defended cell")
 }
 
 /// `baseline_bypass`'s deterministic table flush: `ways` fresh lines of
 /// each leaky line's table set per window.
 fn table_flush_attack() -> u64 {
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = flush_victim();
-    let layout = *victim.layout();
-    let mut monitor = directory(1024, 8);
-    let square_llc = hierarchy.llc_set_of(layout.square);
-    let multiply_llc = hierarchy.llc_set_of(layout.multiply);
-    let llc_sets = hierarchy.llc_sets() as u64;
-    let mut flush_sq = table_flusher(layout.square.line(64), 0x60_0000_0000);
-    let mut flush_mu = table_flusher(layout.multiply.line(64), 0x68_0000_0000);
-    let avoid = move |l: LineAddr| {
-        let set = (l.0 % llc_sets) as usize;
-        set == square_llc || set == multiply_llc
-    };
-    let outcome = PrimeProbeAttack::new(flush_config()).run_with_flusher(
-        &mut hierarchy,
-        victim,
-        &mut monitor,
-        &mut |_| {
-            let mut v = flush_sq.next_round(avoid);
-            v.extend(flush_mu.next_round(avoid));
-            v
-        },
-    );
+    let run = flush_attack(Flush::Table, directory(1024, 8));
     let mut digest = Digest::new();
-    digest.outcome(&outcome.trace, outcome.end_cycle);
-    digest.words(&counts(&monitor));
+    digest.outcome(&run);
+    digest.words(&counts(monitor(&run)));
     digest.0
 }
 
 /// The same budget as a random flood against PiPoMonitor.
 fn random_flood_attack() -> u64 {
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let victim = flush_victim();
-    let layout = *victim.layout();
-    let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid");
-    let llc_sets = hierarchy.llc_sets() as u64;
-    let square_llc = hierarchy.llc_set_of(layout.square);
-    let multiply_llc = hierarchy.llc_set_of(layout.multiply);
-    let mut rng = StdRng::seed_from_u64(13);
-    let outcome = PrimeProbeAttack::new(flush_config()).run_with_flusher(
-        &mut hierarchy,
-        victim,
-        &mut monitor,
-        &mut |_| {
-            let mut v = Vec::with_capacity(16);
-            while v.len() < 16 {
-                let line = (rng.gen::<u64>() >> 8) | (1 << 40);
-                let set = (line % llc_sets) as usize;
-                if set != square_llc && set != multiply_llc {
-                    v.push(cache_sim::Addr(line * 64));
-                }
-            }
-            v
-        },
-    );
+    let run = flush_attack(Flush::Random, MonitorConfig::paper_default());
     let mut digest = Digest::new();
-    digest.outcome(&outcome.trace, outcome.end_cycle);
-    let stats = monitor.stats();
+    digest.outcome(&run);
+    let stats = monitor(&run).stats();
     digest.words(&[stats.captures, stats.prefetches_scheduled]);
     digest.0
 }
@@ -368,21 +308,10 @@ fn evict_reload_attack(bits_per_window: usize, defended: bool) -> u64 {
         bits_per_window,
         ..AttackConfig::paper_default()
     };
-    let victim = SquareAndMultiply::with_random_key(
-        VictimLayout::default_layout(),
-        200 * bits_per_window,
-        31,
-    );
-    let mut hierarchy = Hierarchy::new(SystemConfig::paper_default());
-    let attack = EvictReloadAttack::new(config);
-    let outcome = if defended {
-        let mut monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid");
-        attack.run(&mut hierarchy, victim, &mut monitor)
-    } else {
-        attack.run(&mut hierarchy, victim, &mut NullObserver)
-    };
+    let defense = defended.then(MonitorConfig::paper_default);
+    let run = AttackCell::new(Attack::EvictReload, config, defense, 31).run();
     let mut digest = Digest::new();
-    digest.outcome(&outcome.trace, outcome.end_cycle);
+    digest.outcome(&run);
     digest.0
 }
 
@@ -416,22 +345,12 @@ fn prime_probe_attack(
         bits_per_window,
         ..AttackConfig::paper_default()
     };
-    let victim = SquareAndMultiply::with_random_key(
-        VictimLayout::default_layout(),
-        100 * bits_per_window,
-        seed,
-    );
-    let mut hierarchy = Hierarchy::new(system);
-    let attack = PrimeProbeAttack::new(config);
+    let cell = AttackCell::new(Attack::PrimeProbe(Flush::None), config, defense, seed);
+    let run = cell.on_system(system).run();
     let mut digest = Digest::new();
-    if let Some(defense) = defense {
-        let mut monitor = PiPoMonitor::new(defense).expect("valid");
-        let outcome = attack.run(&mut hierarchy, victim, &mut monitor);
-        digest.outcome(&outcome.trace, outcome.end_cycle);
-        digest.words(&counts(&monitor));
-    } else {
-        let outcome = attack.run(&mut hierarchy, victim, &mut NullObserver);
-        digest.outcome(&outcome.trace, outcome.end_cycle);
+    digest.outcome(&run);
+    if let Some(monitor) = &run.monitor {
+        digest.words(&counts(monitor));
     }
     digest.0
 }
