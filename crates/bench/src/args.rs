@@ -7,7 +7,7 @@
 //!          [--filter BACKEND] [--trace PATH] [--store PATH] [--help]
 //! ```
 //!
-//! * `scale` — one optional unsigned integer whose meaning is per-binary
+//! * `scale` — one optional positive integer whose meaning is per-binary
 //!   (instructions per core, probe windows, trials, insertions, ...). Each
 //!   binary's doc comment names it.
 //! * `--json PATH` — additionally write machine-readable results to `PATH`.
@@ -36,6 +36,8 @@
 //! *conflicting* flags: `--sequential` with `--threads N` (in either order)
 //! is rejected instead of silently letting the last one win.
 
+use std::num::NonZeroU64;
+
 use auto_cuckoo::FilterBackend;
 
 use crate::store::ResultStore;
@@ -47,7 +49,7 @@ usage: <binary> [scale] [--json PATH] [--sequential | --threads N]
                 [--filter auto|classic|bloom|xor] [--trace PATH]
                 [--store PATH] [--help]
 
-  scale             optional unsigned integer; per-binary meaning
+  scale             optional positive integer; per-binary meaning
                     (instructions per core, probe windows, trials,
                     insertions, ...)
   --json PATH       additionally write machine-readable results to PATH
@@ -112,7 +114,8 @@ impl HarnessArgs {
     /// # Errors
     ///
     /// Returns a human-readable message for an unknown flag, a missing flag
-    /// value, an unparsable number, or a duplicate positional argument.
+    /// value, an unparsable number, a zero scale, or a duplicate positional
+    /// argument.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self {
             scale: None,
@@ -165,9 +168,10 @@ impl HarnessArgs {
                     if out.scale.is_some() {
                         return Err(format!("unexpected extra argument {positional:?}"));
                     }
-                    out.scale = Some(positional.parse().map_err(|_| {
-                        format!("unparsable scale argument {positional:?} (expected an unsigned integer)")
-                    })?);
+                    let scale: NonZeroU64 = positional.parse().map_err(|_| {
+                        format!("scale expects a positive integer, got {positional:?}")
+                    })?;
+                    out.scale = Some(scale.get());
                 }
             }
         }
@@ -394,6 +398,11 @@ mod tests {
         let err = parse(&["2e6"]).unwrap_err();
         assert!(err.contains("2e6"), "message names the argument: {err}");
         assert!(parse(&["-5"]).is_err(), "negative numbers look like flags");
+        let err = parse(&["0"]).unwrap_err();
+        assert!(
+            err.contains("\"0\"") && err.contains("positive integer"),
+            "a zero scale is an error naming the value: {err}"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The nine delay cells run through the sweep engine (each cell is one
 //! self-contained attack simulation).
 //!
-//! Run: `cargo run --release -p pipo-bench --bin ablation_delay -- \
+//! Run: `cargo run --release -p pipo_bench --bin ablation_delay -- \
 //!       [probe_windows] [--json PATH] [--sequential | --threads N]`
 
 use pipo_attacks::{Attack, AttackCell, AttackConfig, AttackRun, Flush};

@@ -22,7 +22,7 @@
 //! signal), so the per-Mi basis is *million tracked accesses*. `--filter` is
 //! rejected: this binary sweeps every backend by construction.
 //!
-//! Run: `cargo run --release -p pipo-bench --bin ablation_filter -- \
+//! Run: `cargo run --release -p pipo_bench --bin ablation_filter -- \
 //!       [tracked_lines] [--json PATH] [--sequential | --threads N]`
 
 use std::collections::HashMap;

@@ -9,7 +9,7 @@
 //! Both grids (three attack cells, three monitored-mix cells) run through
 //! the sweep engine.
 //!
-//! Run: `cargo run --release -p pipo-bench --bin ablation_replacement -- \
+//! Run: `cargo run --release -p pipo_bench --bin ablation_replacement -- \
 //!       [instructions] [--json PATH] [--sequential | --threads N] \
 //!       [--store PATH]`
 

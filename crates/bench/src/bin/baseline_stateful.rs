@@ -9,7 +9,7 @@
 //! The two flushing attacks (directory table vs PiPoMonitor) are two
 //! sweep-engine cells; the storage rows are pure arithmetic.
 //!
-//! Run: `cargo run --release -p pipo-bench --bin baseline_stateful -- \
+//! Run: `cargo run --release -p pipo_bench --bin baseline_stateful -- \
 //!       [--json PATH] [--sequential | --threads N]`
 
 use auto_cuckoo::{build_store, FilterBackend, FilterParams, StorageOverhead};

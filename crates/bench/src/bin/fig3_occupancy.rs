@@ -8,7 +8,7 @@
 //! Each MNK curve is one sweep-engine cell (plus one cell for the paper's
 //! 12.5 K spot check), so the curves fill in parallel.
 //!
-//! Run: `cargo run --release -p pipo-bench --bin fig3_occupancy -- \
+//! Run: `cargo run --release -p pipo_bench --bin fig3_occupancy -- \
 //!       [--json PATH] [--sequential | --threads N]`
 
 use auto_cuckoo::{CuckooFilter, FilterParams, PatternStore};

@@ -9,7 +9,7 @@
 //! Each fingerprint width is one sweep-engine cell (6 M insertions each, so
 //! the fan-out dominates this binary's wall clock).
 //!
-//! Run: `cargo run --release -p pipo-bench --bin fig4_collisions -- \
+//! Run: `cargo run --release -p pipo_bench --bin fig4_collisions -- \
 //!       [insertions] [--json PATH] [--sequential | --threads N]`
 
 use auto_cuckoo::{false_positive_rate, CuckooFilter, FilterParams, PatternStore};

@@ -9,7 +9,7 @@
 //! The two panels are two sweep-engine cells (baseline and defended attack
 //! runs are independent simulations).
 //!
-//! Run: `cargo run --release -p pipo-bench --bin fig6_attack -- \
+//! Run: `cargo run --release -p pipo_bench --bin fig6_attack -- \
 //!       [windows] [--json PATH] [--sequential | --threads N]`
 
 use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};

@@ -21,7 +21,7 @@
 //! The brute-force measurement and the four MNK sweep points are five
 //! sweep-engine cells evaluated together.
 //!
-//! Run: `cargo run --release -p pipo-bench --bin fig7_reverse -- \
+//! Run: `cargo run --release -p pipo_bench --bin fig7_reverse -- \
 //!       [trials] [--json PATH] [--sequential | --threads N]`
 
 use auto_cuckoo::{brute_force_expected_fills, reverse_eviction_set_size, FilterParams};

@@ -13,7 +13,7 @@
 //! memoized (they do not depend on filter geometry), instead of being
 //! re-simulated for every size as the old sequential loop did.
 //!
-//! Run: `cargo run --release -p pipo-bench --bin fig8_performance -- \
+//! Run: `cargo run --release -p pipo_bench --bin fig8_performance -- \
 //!       [instructions_per_core] [--json PATH] [--sequential | --threads N] \
 //!       [--store PATH]`
 //!

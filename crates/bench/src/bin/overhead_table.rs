@@ -10,7 +10,7 @@
 //! but routed through the engine so every harness shares one code path and
 //! the `--json` emitter).
 //!
-//! Run: `cargo run --release -p pipo-bench --bin overhead_table -- \
+//! Run: `cargo run --release -p pipo_bench --bin overhead_table -- \
 //!       [--json PATH] [--sequential | --threads N]`
 
 use pipo_bench::{

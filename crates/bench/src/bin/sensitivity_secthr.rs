@@ -7,7 +7,7 @@
 //! The 10 mixes × 3 thresholds grid runs through the sweep engine (cells in
 //! parallel, one memoized baseline per mix across the three thresholds).
 //!
-//! Run: `cargo run --release -p pipo-bench --bin sensitivity_secthr -- \
+//! Run: `cargo run --release -p pipo_bench --bin sensitivity_secthr -- \
 //!       [instructions_per_core] [--json PATH] [--sequential | --threads N] \
 //!       [--store PATH]`
 

@@ -36,6 +36,7 @@
 //! `configs` rate, is an `error:` line and exit status 2. An unwritable
 //! `--out` path is an `error:` line and exit status 1.
 
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 use auto_cuckoo::FilterBackend;
@@ -55,8 +56,8 @@ const USAGE: &str = "\
 usage: throughput [total_instructions] [--label NAME] [--out PATH] [--compare PATH]
                   [--samples N] [--help]
 
-  total_instructions  total simulated instructions, split across cores
-                      (default 2000000)
+  total_instructions  total simulated instructions, split across cores;
+                      a positive integer (default 2000000)
   --label NAME        label stored in the emitted JSON (default \"current\")
   --out PATH          output JSON path (default BENCH_cache_sim.json);
                       --json PATH is an alias
@@ -274,9 +275,9 @@ fn main() {
             }
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
             other => {
-                instructions = other.parse().unwrap_or_else(|_| {
+                instructions = other.parse().map(NonZeroU64::get).unwrap_or_else(|_| {
                     usage_error(&format!(
-                        "unparsable instruction count {other:?} (expected an unsigned integer)"
+                        "total_instructions expects a positive integer, got {other:?}"
                     ))
                 });
             }

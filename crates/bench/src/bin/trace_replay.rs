@@ -30,7 +30,7 @@
 //! and both of the cell's systems replay the decoded [`Trace`]. Its region
 //! is the trace's own line-address span.
 //!
-//! Run: `cargo run --release -p pipo-bench --bin trace_replay -- \
+//! Run: `cargo run --release -p pipo_bench --bin trace_replay -- \
 //!       [instructions_per_core] [--json PATH] [--sequential | --threads N] \
 //!       [--filter BACKEND] [--trace PATH]`
 

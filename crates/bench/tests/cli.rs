@@ -106,6 +106,22 @@ const REJECTS_STORE: &[&str] = &[
     "throughput",
 ];
 
+/// Binaries whose positional argument scales the run (instructions, probe
+/// windows, trials, insertions or tracked lines); `throughput` parses its
+/// instruction count itself. A scale of 0 must exit 2 before any work.
+const TAKES_SCALE: &[&str] = &[
+    "ablation_delay",
+    "ablation_filter",
+    "ablation_replacement",
+    "fig4_collisions",
+    "fig6_attack",
+    "fig7_reverse",
+    "fig8_performance",
+    "sensitivity_secthr",
+    "throughput",
+    "trace_replay",
+];
+
 fn bin_path(name: &str) -> String {
     // CARGO_BIN_EXE_* is only resolvable via env! for statically known
     // names; build the lookup dynamically from the test environment Cargo
@@ -149,6 +165,52 @@ fn every_binary_helps_and_exits_zero() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn zero_scale_exits_2_and_names_the_value() {
+    for name in TAKES_SCALE {
+        let output = Command::new(bin_path(name))
+            .arg("0")
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{name} must exit 2 on a zero scale"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("error:")
+                && stderr.contains("positive integer")
+                && stderr.contains("\"0\""),
+            "{name}'s error must name the value, got:\n{stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{name} must stop before running, got:\n{}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
+}
+
+/// Each binary's module doc gives the command that runs it: the package is
+/// `pipo_bench`, and the binary is the file's own. `throughput` documents
+/// its own usage block instead.
+#[test]
+fn run_lines_name_the_package_and_the_binary() {
+    for &name in BINARIES.iter().filter(|&&name| name != "throughput") {
+        let path = format!("{}/src/bin/{name}.rs", env!("CARGO_MANIFEST_DIR"));
+        let source = std::fs::read_to_string(&path).expect("read binary source");
+        let line = source
+            .lines()
+            .find(|line| line.starts_with("//! Run:"))
+            .unwrap_or_else(|| panic!("{path} has no `Run:` line"));
+        assert!(
+            line.contains(&format!("cargo run --release -p pipo_bench --bin {name} ")),
+            "{path}'s `Run:` line must name `-p pipo_bench --bin {name}`, got:\n{line}"
+        );
     }
 }
 
