@@ -4,46 +4,36 @@
 //!
 //! Run with: `cargo run --release --example mix_performance [instructions]`
 
-use cache_sim::{CoreId, NullObserver, System, SystemConfig};
-use pipo_workloads::{all_mixes, ProfileSource};
-use pipomonitor::{MonitorConfig, PiPoMonitor};
+use pipo_bench::{ExecMode, MixCell, Sweep};
+use pipo_workloads::all_mixes;
+use pipomonitor::MonitorConfig;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     let instructions: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(500_000);
 
+    let mut sweep = Sweep::new();
+    for mix in all_mixes() {
+        let monitor = MonitorConfig::paper_default();
+        sweep.push(MixCell::new(mix.name, mix, monitor, instructions, 42));
+    }
+
     println!(
         "{:>7} {:>14} {:>14} {:>10} {:>8}",
         "mix", "baseline cyc", "monitored cyc", "norm perf", "fp/Mi"
     );
-    for mix in &all_mixes() {
-        let mut baseline = System::new(SystemConfig::paper_default(), NullObserver);
-        for (core, bench) in mix.benchmarks.iter().enumerate() {
-            baseline.set_source(CoreId(core), Box::new(ProfileSource::new(bench, core, 42)));
-        }
-        let base = baseline.run(instructions);
-
-        let monitor = PiPoMonitor::new(MonitorConfig::paper_default())?;
-        let mut monitored = System::new(SystemConfig::paper_default(), monitor);
-        for (core, bench) in mix.benchmarks.iter().enumerate() {
-            monitored.set_source(CoreId(core), Box::new(ProfileSource::new(bench, core, 42)));
-        }
-        let mon = monitored.run(instructions);
-
+    for run in sweep.run(ExecMode::host_default()) {
         println!(
             "{:>7} {:>14} {:>14} {:>10.4} {:>8.1}",
-            mix.name,
-            base.makespan(),
-            mon.makespan(),
-            base.makespan() as f64 / mon.makespan() as f64,
-            monitored
-                .observer()
-                .false_positives_per_mi(mon.total_instructions())
+            run.mix,
+            run.baseline_cycles,
+            run.monitored_cycles,
+            run.normalized_performance(),
+            run.false_positives_per_mi()
         );
     }
     println!("\npaper: normalized performance ~1.001 (never a slowdown beyond noise);");
     println!("most false positives in mix1/mix7, fewest in mix3/mix6");
-    Ok(())
 }
