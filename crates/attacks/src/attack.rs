@@ -226,20 +226,14 @@ impl AttackCell {
     /// [`run`](Self::run) against an explicit victim.
     pub(crate) fn run_on(&self, victim: SquareAndMultiply) -> AttackRun {
         let mut hierarchy = Hierarchy::new(self.system.clone());
-        match self.defense {
-            None => AttackRun {
-                outcome: self.run_windows(&mut hierarchy, victim, &mut NullObserver),
-                monitor: None,
-            },
-            Some(defense) => {
-                let mut monitor = PiPoMonitor::new(defense).expect("valid monitor configuration");
-                let outcome = self.run_windows(&mut hierarchy, victim, &mut monitor);
-                AttackRun {
-                    outcome,
-                    monitor: Some(monitor),
-                }
-            }
-        }
+        let mut monitor = self
+            .defense
+            .map(|defense| PiPoMonitor::new(defense).expect("valid monitor configuration"));
+        let outcome = match &mut monitor {
+            Some(monitor) => self.run_windows(&mut hierarchy, victim, monitor),
+            None => self.run_windows(&mut hierarchy, victim, &mut NullObserver),
+        };
+        AttackRun { outcome, monitor }
     }
 
     /// The window loop.

@@ -5,8 +5,9 @@
 //! * **Prime+Probe** (§VI-A, Fig. 6): a cross-core attacker primes the LLC
 //!   sets of a square-and-multiply victim's `square`/`multiply` lines,
 //!   lets the victim run, and probes for evictions every 5000 cycles to read
-//!   the key bit by bit. An [`AttackCell`] is the one way to run it, and
-//!   Evict+Reload, against an unprotected or a defended machine.
+//!   the key bit by bit. An [`AttackCell`] runs it, or Evict+Reload, with
+//!   or without a per-window record [`Flush`], against an unprotected or a
+//!   defended machine.
 //! * **Brute force** (§VI-B): a defense-aware adversary floods the
 //!   Auto-Cuckoo filter with fresh addresses to evict the victim's record
 //!   before it shapes into a Ping-Pong. Expected cost: `b·l` fills.
