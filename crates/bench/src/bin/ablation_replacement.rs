@@ -6,8 +6,8 @@
 //! to LRU. The monitor's detection is replacement-agnostic because it
 //! watches memory traffic, not set state.
 //!
-//! Both grids (three attack cells, three monitored-mix cells) run through
-//! the sweep engine.
+//! Both grids (a baseline and a defended attack cell per policy, three
+//! monitored-mix cells) run through the sweep engine.
 //!
 //! Run: `cargo run --release -p pipo_bench --bin ablation_replacement -- \
 //!       [instructions] [--json PATH] [--sequential | --threads N] \

@@ -34,9 +34,9 @@ mod common;
 
 use auto_cuckoo::hash::mix64;
 use auto_cuckoo::{FilterBackend, FilterParams};
-use cache_sim::{CoreId, LineAddr, Replacement, System, SystemConfig, TrafficObserver};
+use cache_sim::{CoreId, Cycle, LineAddr, Replacement, System, SystemConfig, TrafficObserver};
 use common::fingerprint;
-use pipo_attacks::{Attack, AttackCell, AttackConfig, AttackRun, Flush};
+use pipo_attacks::{Attack, AttackCell, AttackConfig, AttackRun, Flush, ProbeTrace};
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
@@ -112,15 +112,14 @@ impl Digest {
         }
     }
 
-    fn outcome(&mut self, run: &AttackRun) {
-        let trace = &run.outcome.trace;
+    fn outcome(&mut self, trace: &ProbeTrace, end_cycle: Cycle) {
         self.word(trace.len() as u64);
         for (obs, &truth) in trace.observations().iter().zip(trace.truth()) {
             self.word(u64::from(obs.square));
             self.word(u64::from(obs.multiply));
             self.word(u64::from(truth));
         }
-        self.word(run.outcome.end_cycle);
+        self.word(end_cycle);
     }
 }
 
@@ -285,7 +284,7 @@ fn monitor(run: &AttackRun) -> &PiPoMonitor {
 fn table_flush_attack() -> u64 {
     let run = flush_attack(Flush::Table, directory(1024, 8));
     let mut digest = Digest::new();
-    digest.outcome(&run);
+    digest.outcome(&run.outcome.trace, run.outcome.end_cycle);
     digest.words(&counts(monitor(&run)));
     digest.0
 }
@@ -294,7 +293,7 @@ fn table_flush_attack() -> u64 {
 fn random_flood_attack() -> u64 {
     let run = flush_attack(Flush::Random, MonitorConfig::paper_default());
     let mut digest = Digest::new();
-    digest.outcome(&run);
+    digest.outcome(&run.outcome.trace, run.outcome.end_cycle);
     let stats = monitor(&run).stats();
     digest.words(&[stats.captures, stats.prefetches_scheduled]);
     digest.0
@@ -311,7 +310,7 @@ fn evict_reload_attack(bits_per_window: usize, defended: bool) -> u64 {
     let defense = defended.then(MonitorConfig::paper_default);
     let run = AttackCell::new(Attack::EvictReload, config, defense, 31).run();
     let mut digest = Digest::new();
-    digest.outcome(&run);
+    digest.outcome(&run.outcome.trace, run.outcome.end_cycle);
     digest.0
 }
 
@@ -348,7 +347,7 @@ fn prime_probe_attack(
     let cell = AttackCell::new(Attack::PrimeProbe(Flush::None), config, defense, seed);
     let run = cell.on_system(system).run();
     let mut digest = Digest::new();
-    digest.outcome(&run);
+    digest.outcome(&run.outcome.trace, run.outcome.end_cycle);
     if let Some(monitor) = &run.monitor {
         digest.words(&counts(monitor));
     }
