@@ -11,8 +11,8 @@
 //! to print the current values when intentionally re-baselining.
 
 use cache_sim::{
-    Access, AccessSource, Addr, Core, CoreId, Hierarchy, HierarchyStats, NullObserver, SimReport,
-    System, SystemConfig,
+    Access, AccessSource, Addr, Core, CoreId, Hierarchy, HierarchyStats, NullObserver, Replacement,
+    SimReport, System, SystemConfig,
 };
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
@@ -266,6 +266,37 @@ fn differential_sources(config: &SystemConfig) -> Vec<Box<dyn AccessSource + Sen
         .collect()
 }
 
+/// Cores that share writable lines: each core spends one access in eight
+/// on eight lines every core uses and the rest on sixteen lines of its own,
+/// and one access in three is a write. Everything fits in L1, so most
+/// accesses hit, while writes to the shared lines invalidate the other
+/// cores' copies and reads of them clear the writer's modified flag.
+fn shared_region_sources(config: &SystemConfig) -> Vec<Box<dyn AccessSource + Send>> {
+    let line = config.line_size as u64;
+    (0..config.cores as u64)
+        .map(|core| -> Box<dyn AccessSource + Send> {
+            let mut state = 0x9E37_79B9_7F4A_7C15 ^ (core + 1);
+            Box::new(move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let index = if state % 8 == 0 {
+                    (state >> 3) % 8
+                } else {
+                    8 + core * 16 + (state >> 3) % 16
+                };
+                let addr = Addr(index * line);
+                let access = if (state >> 8) % 3 == 0 {
+                    Access::write(addr)
+                } else {
+                    Access::read(addr)
+                };
+                Some(access.after((state >> 12) % 8))
+            })
+        })
+        .collect()
+}
+
 /// The naive reference scheduler, built only on the public `Core` and
 /// `Hierarchy` API: before every step it picks the live core with the
 /// smallest `(clock, index)`, drains due prefetches at that clock, and steps
@@ -299,51 +330,100 @@ fn reference_run(
     )
 }
 
+/// Runs `System::run` and the reference side by side on two copies of one
+/// machine, resuming both at every quota in turn, and asserts that they agree
+/// after each. Returns the final state.
+fn assert_matches_reference(
+    label: &str,
+    config: &SystemConfig,
+    sources: fn(&SystemConfig) -> Vec<Box<dyn AccessSource + Send>>,
+    quotas: &[u64],
+) -> RunState {
+    let monitor = || PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
+    let mut system = System::new(config.clone(), monitor());
+    for (core, source) in sources(config).into_iter().enumerate() {
+        system.set_source(CoreId(core), source);
+    }
+    let mut reference_cores: Vec<Core> = sources(config)
+        .into_iter()
+        .enumerate()
+        .map(|(core, source)| Core::new(CoreId(core), source))
+        .collect();
+    let mut hierarchy = Hierarchy::new(config.clone());
+    let mut reference_monitor = monitor();
+    let mut state = None;
+    for &quota in quotas {
+        let report = system.run(quota);
+        let got = (
+            report.completion_cycles,
+            report.instructions,
+            report.stats,
+            *system.observer().stats(),
+        );
+        let want = reference_run(
+            &mut reference_cores,
+            &mut hierarchy,
+            &mut reference_monitor,
+            quota,
+        );
+        assert_eq!(got, want, "{label}, quota {quota}");
+        state = Some(got);
+    }
+    state.expect("at least one quota")
+}
+
 /// `System::run` must step cores in exactly the reference's order at core
 /// counts from 1 to the 64-core limit, powers of two and the counts just
 /// past them, including a second `run` that resumes the same machine with a
-/// larger quota.
+/// larger quota. Further inputs put shared writable lines, Tree-PLRU and
+/// random replacement, and long runs whose LLC fills and evicts through
+/// the same comparison.
 #[test]
 fn system_run_matches_naive_reference_scheduler() {
-    let monitor = || PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
+    let quotas = [DIFF_INSTRUCTIONS / 2, DIFF_INSTRUCTIONS];
     for cores in DIFF_CORES {
         let mut config = SystemConfig::paper_default();
         config.cores = cores;
-        let mut system = System::new(config.clone(), monitor());
-        for (core, source) in differential_sources(&config).into_iter().enumerate() {
-            system.set_source(CoreId(core), source);
-        }
-        let mut reference_cores: Vec<Core> = differential_sources(&config)
-            .into_iter()
-            .enumerate()
-            .map(|(core, source)| Core::new(CoreId(core), source))
-            .collect();
-        let mut hierarchy = Hierarchy::new(config);
-        let mut reference_monitor = monitor();
-
-        for quota in [DIFF_INSTRUCTIONS / 2, DIFF_INSTRUCTIONS] {
-            let report = system.run(quota);
-            let got = (
-                report.completion_cycles,
-                report.instructions,
-                report.stats,
-                *system.observer().stats(),
-            );
-            let want = reference_run(
-                &mut reference_cores,
-                &mut hierarchy,
-                &mut reference_monitor,
-                quota,
-            );
-            assert_eq!(got, want, "{cores} cores, quota {quota}");
-        }
-
+        let label = format!("{cores} cores");
+        let (_, _, stats, monitor) =
+            assert_matches_reference(&label, &config, differential_sources, &quotas);
         // The attack must drive the whole protection cycle whenever the
         // attacker core exists, or the drain schedule is left untested.
         if cores >= 2 {
-            assert!(system.observer().stats().captures > 0, "{cores} cores");
-            let fills = system.hierarchy().stats().prefetch_fills;
-            assert!(fills > 0, "{cores} cores: no prefetch fills");
+            assert!(monitor.captures > 0, "{label}");
+            assert!(stats.prefetch_fills > 0, "{label}: no prefetch fills");
         }
+    }
+
+    for replacement in [
+        Replacement::Lru,
+        Replacement::TreePlru,
+        Replacement::Random { seed: 5 },
+    ] {
+        let mut config = SystemConfig::paper_default();
+        config.replacement = replacement;
+        config.cores = 2;
+        let label = format!("shared region, {replacement:?}");
+        let (_, _, stats, _) =
+            assert_matches_reference(&label, &config, shared_region_sources, &quotas);
+        assert!(stats.coherence_invalidations > 0, "{label}");
+        if replacement != Replacement::Lru {
+            for cores in [2, 4, 9] {
+                config.cores = cores;
+                let label = format!("{cores} cores, {replacement:?}");
+                assert_matches_reference(&label, &config, differential_sources, &quotas);
+            }
+        }
+    }
+
+    for cores in [4, 32] {
+        let mut config = SystemConfig::paper_default();
+        config.cores = cores;
+        let label = format!("{cores} cores, long run");
+        let (_, instructions, stats, _) =
+            assert_matches_reference(&label, &config, differential_sources, &[100_000]);
+        assert!(instructions.iter().all(|&i| i >= 100_000), "{label}");
+        assert!(stats.llc_evictions > 0, "{label}: no LLC evictions");
+        assert!(stats.back_invalidations > 0, "{label}");
     }
 }
