@@ -183,7 +183,7 @@ impl Cache {
     /// walked lowest-way-first with `trailing_zeros` and confirmed against
     /// the full tag array. First confirmed way wins, preserving the scalar
     /// linear scan's ascending-way order exactly. Always inlined, so the
-    /// L1-hit path ([`touch_slot`](Self::touch_slot)) makes no call.
+    /// private-hit check ([`find`](Self::find)) makes no call.
     #[inline(always)]
     fn probe_set(&self, set: usize, tag: u64) -> Option<usize> {
         let target = u64::from(fingerprint(tag)).wrapping_mul(LANE_LO);
@@ -232,8 +232,11 @@ impl Cache {
         None
     }
 
+    /// Where `line` is resident, as `(set, way)`, without touching
+    /// replacement state. Always inlined, so the hierarchy's private-hit
+    /// check makes no call.
     #[inline(always)]
-    fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
+    pub(crate) fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_of(line);
         Some((set, self.probe_set(set, self.tag_of(line))?))
     }
@@ -248,26 +251,24 @@ impl Cache {
     /// line's metadata when resident.
     #[inline]
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
-        let slot = self.touch_slot(line)?;
-        Some(&mut self.metas[slot])
-    }
-
-    /// [`touch`](Self::touch) compiled into its caller, returning the hit's
-    /// slot for [`meta_at`](Self::meta_at): the hierarchy's L1-hit path,
-    /// where an out-of-line call costs as much as the probe itself.
-    #[inline(always)]
-    pub(crate) fn touch_slot(&mut self, line: LineAddr) -> Option<usize> {
         let (set, way) = self.find(line)?;
         self.policy.on_touch(set, way);
-        Some(self.slot_index(set, way))
+        let idx = self.slot_index(set, way);
+        Some(&mut self.metas[idx])
     }
 
-    /// Metadata of the line in `slot`, as returned by
-    /// [`touch_slot`](Self::touch_slot) (valid until the next fill or
-    /// invalidation of this cache).
+    /// Updates replacement state as a hit on `way` of `set` would, for a
+    /// hit found by [`find`](Self::find).
     #[inline]
-    pub(crate) fn meta_at(&mut self, slot: usize) -> &mut LineMeta {
-        &mut self.metas[slot]
+    pub(crate) fn touch_way(&mut self, set: usize, way: usize) {
+        self.policy.on_touch(set, way);
+    }
+
+    /// Metadata of the line in `way` of `set`, as found by
+    /// [`find`](Self::find).
+    #[inline]
+    pub(crate) fn meta_at(&self, set: usize, way: usize) -> &LineMeta {
+        &self.metas[self.slot_index(set, way)]
     }
 
     /// Reads a line's metadata without updating replacement state.

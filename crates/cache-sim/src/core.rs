@@ -90,6 +90,18 @@ where
 /// to amortize the generator's per-call overhead.
 const BATCH: usize = 64;
 
+/// A private hit run ahead of the schedule and not yet committed.
+#[derive(Debug, Clone, Copy, Default)]
+struct PendingHit {
+    /// Local clock when the hit's step began: its schedule key's clock.
+    start: Cycle,
+    /// Instructions retired before the hit.
+    retired: u64,
+    /// The L1 set and way it touches.
+    set: u32,
+    way: u32,
+}
+
 /// An in-order, blocking core: one outstanding memory access at a time,
 /// IPC = 1 for non-memory instructions.
 pub struct Core {
@@ -104,6 +116,11 @@ pub struct Core {
     /// Instructions retired so far (memory + non-memory).
     retired: u64,
     exhausted: bool,
+    /// Private hits run ahead of the schedule, in program order: the first
+    /// `pending_len` entries are the batch accesses just before
+    /// `batch_pos`. Committed before the core's next in-order step.
+    pending: [PendingHit; BATCH],
+    pending_len: usize,
 }
 
 impl std::fmt::Debug for Core {
@@ -129,6 +146,8 @@ impl Core {
             now: 0,
             retired: 0,
             exhausted: false,
+            pending: [PendingHit::default(); BATCH],
+            pending_len: 0,
         }
     }
 
@@ -156,7 +175,8 @@ impl Core {
         self.exhausted
     }
 
-    /// Executes the next access (compute gap + memory operation).
+    /// Executes the next access (compute gap + memory operation), after
+    /// committing any private hits run ahead of it.
     ///
     /// Returns `false` when the source is exhausted.
     pub fn step<O: TrafficObserver + ?Sized>(
@@ -164,6 +184,7 @@ impl Core {
         hierarchy: &mut Hierarchy,
         observer: &mut O,
     ) -> bool {
+        self.commit_hits(hierarchy);
         let Some(access) = self.pull_access() else {
             return false;
         };
@@ -173,6 +194,92 @@ impl Core {
         self.now += result.latency;
         self.retired += 1; // the memory instruction itself
         true
+    }
+
+    /// Runs the core's next accesses ahead of the schedule while each is a
+    /// [private hit](Hierarchy::private_hit), recording them instead of
+    /// touching the hierarchy. Stops before the first other access, at the
+    /// end of the batch, once `quota` instructions are retired, or before a
+    /// step that would start at or after `due`, the observer's next
+    /// prefetch release time.
+    #[inline]
+    pub(crate) fn run_ahead(&mut self, hierarchy: &Hierarchy, due: Cycle, quota: u64) {
+        let latency = hierarchy.config().l1.latency;
+        let (mut pos, mut now, mut retired) = (self.batch_pos, self.now, self.retired);
+        while pos < self.batch.len() && now < due && retired < quota {
+            let access = self.batch[pos];
+            let Some((set, way)) = hierarchy.private_hit(self.id, access.addr, access.kind) else {
+                break;
+            };
+            self.pending[self.pending_len] = PendingHit {
+                start: now,
+                retired,
+                set: set as u32,
+                way: way as u32,
+            };
+            self.pending_len += 1;
+            pos += 1;
+            now += access.think_cycles + latency;
+            retired += access.think_cycles + 1;
+        }
+        (self.batch_pos, self.now, self.retired) = (pos, now, retired);
+    }
+
+    /// Applies the hits run ahead to the hierarchy in program order: their
+    /// L1 replacement touches and hit and stall counts.
+    pub(crate) fn commit_hits(&mut self, hierarchy: &mut Hierarchy) {
+        if self.pending_len > 0 {
+            let hits = &self.pending[..self.pending_len];
+            hierarchy.commit_private_hits(
+                self.id,
+                hits.iter().map(|h| (h.set as usize, h.way as usize)),
+            );
+            self.pending_len = 0;
+        }
+    }
+
+    /// Index of the first pending hit that starts at or after `from`
+    /// (`pending_len` if none does); starts never decrease.
+    fn first_hit_from(&self, from: Cycle) -> usize {
+        self.pending[..self.pending_len].partition_point(|h| h.start < from)
+    }
+
+    /// Drops every pending hit that starts at or after `from`. Returns
+    /// whether it dropped any.
+    pub(crate) fn drop_hits_from(&mut self, from: Cycle) -> bool {
+        let k = self.first_hit_from(from);
+        let drop = k < self.pending_len;
+        if drop {
+            self.truncate_hits(k);
+        }
+        drop
+    }
+
+    /// Re-probes the pending hits that start at or after `from` and drops
+    /// the first that is no longer a private hit, with every hit after it.
+    /// Returns whether it dropped any.
+    pub(crate) fn recheck_hits_from(&mut self, hierarchy: &Hierarchy, from: Cycle) -> bool {
+        let base = self.batch_pos - self.pending_len;
+        let stale = (self.first_hit_from(from)..self.pending_len).find(|&k| {
+            let access = self.batch[base + k];
+            hierarchy
+                .private_hit(self.id, access.addr, access.kind)
+                .is_none()
+        });
+        if let Some(k) = stale {
+            self.truncate_hits(k);
+        }
+        stale.is_some()
+    }
+
+    /// Drops pending hit `k` and every hit after it: the core resumes at
+    /// hit `k`'s start, with its clock, retired count and batch position.
+    fn truncate_hits(&mut self, k: usize) {
+        let hit = self.pending[k];
+        self.batch_pos -= self.pending_len - k;
+        self.now = hit.start;
+        self.retired = hit.retired;
+        self.pending_len = k;
     }
 
     /// Takes the next access from the pre-drawn batch (refilled from the

@@ -49,6 +49,10 @@ pub struct Hierarchy {
     /// Reusable buffer for observer prefetch draining; drained lines are
     /// staged here so steady-state draining allocates nothing.
     prefetch_scratch: Vec<LineAddr>,
+    /// One bit per core that lost an L1 line or a modified flag to another
+    /// core's access or to a prefetch drain since the last
+    /// [`take_l1_losses`](Self::take_l1_losses).
+    l1_losses: u64,
 }
 
 impl Hierarchy {
@@ -80,6 +84,7 @@ impl Hierarchy {
             stats,
             line_shift,
             prefetch_scratch: Vec::new(),
+            l1_losses: 0,
         }
     }
 
@@ -150,13 +155,12 @@ impl Hierarchy {
     /// LLC→memory fetches (to tag protected lines) and notified of LLC
     /// evictions.
     ///
-    /// An L1 hit — the common case — is compiled into the caller: one
-    /// fingerprint probe of the core's L1 set and its replacement update. A
-    /// read hit does nothing else. A write hit on a copy in MESI's modified
-    /// state (its core is the sole sharer of a dirty LLC copy) needs no
-    /// directory work either; any other write hit runs the directory
-    /// upgrade, which invalidates the other cores' copies and leaves this
-    /// one modified. Everything else is the out-of-line miss path.
+    /// A *private hit* — the common case — is compiled into the caller: a
+    /// read hit, or a write hit on a copy in MESI's modified state (its core
+    /// is the sole sharer of a dirty LLC copy). It costs one fingerprint
+    /// probe of the core's L1 set, its replacement update and the core's L1
+    /// counters. Everything else, write upgrades included, is the
+    /// out-of-line shared path.
     #[inline]
     pub fn access<O: TrafficObserver + ?Sized>(
         &mut self,
@@ -166,22 +170,9 @@ impl Hierarchy {
         now: Cycle,
         observer: &mut O,
     ) -> AccessResult {
-        let line = LineAddr(addr.0 >> self.line_shift);
-        let is_write = kind.is_write();
-
-        // ---- L1 hit ----
-        if let Some(slot) = self.l1[core.0].touch_slot(line) {
-            let mut latency = self.config.l1.latency;
-            if is_write {
-                let meta = self.l1[core.0].meta_at(slot);
-                if !meta.modified() {
-                    // The upgrade leaves `core` the sole sharer of a dirty
-                    // LLC copy, which is what the flag records.
-                    meta.set_dirty(true);
-                    meta.set_modified(true);
-                    latency += self.write_upgrade(core, line);
-                }
-            }
+        if let Some((set, way)) = self.private_hit(core, addr, kind) {
+            self.l1[core.0].touch_way(set, way);
+            let latency = self.config.l1.latency;
             self.stats.record_served(core, Level::L1, latency);
             return AccessResult {
                 latency,
@@ -189,13 +180,60 @@ impl Hierarchy {
                 prefetch_hit: false,
             };
         }
-        self.access_miss(core, line, is_write, now, observer)
+        let line = LineAddr(addr.0 >> self.line_shift);
+        self.access_shared(core, line, kind.is_write(), now, observer)
     }
 
-    /// The L1-miss continuation of [`access`](Self::access), kept out of
-    /// line: L2/L3/memory handling (fills, coherence, observer events) is an
-    /// order of magnitude rarer than an L1 hit, and inlining it would bloat
-    /// the per-access fast path in every instantiation of the run loop.
+    /// Where `core`'s L1 holds the line of `addr`, as `(set, way)`, when an
+    /// access of `kind` there is a private hit (see [`access`](Self::access)),
+    /// whose fast path is this check. A private hit touches only that L1's
+    /// replacement state and the core's L1 counters, so
+    /// [`System::run`](crate::System::run) runs it ahead of the schedule.
+    #[inline(always)]
+    pub(crate) fn private_hit(
+        &self,
+        core: CoreId,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> Option<(usize, usize)> {
+        let l1 = &self.l1[core.0];
+        let (set, way) = l1.find(LineAddr(addr.0 >> self.line_shift))?;
+        (!kind.is_write() || l1.meta_at(set, way).modified()).then_some((set, way))
+    }
+
+    /// Applies private hits of `core` that ran ahead of the schedule, as
+    /// [`access`](Self::access) would have: each `(set, way)` touch of its
+    /// L1, in program order, then the hits' L1 counts and stall cycles.
+    pub(crate) fn commit_private_hits(
+        &mut self,
+        core: CoreId,
+        hits: impl ExactSizeIterator<Item = (usize, usize)>,
+    ) {
+        let count = hits.len() as u64;
+        let l1 = &mut self.l1[core.0];
+        for (set, way) in hits {
+            l1.touch_way(set, way);
+        }
+        let stats = self.stats.core_mut(core);
+        stats.l1.hits += count;
+        stats.stall_cycles += count * self.config.l1.latency;
+    }
+
+    /// Returns and clears the cores, one bit each, that lost an L1 line or
+    /// a modified flag since the last call: to an LLC back-invalidation, a
+    /// coherence invalidation, or another core joining the sharers of a
+    /// modified line. These are the only events that can turn another
+    /// core's private hit into a different access; a core's own L1 changes
+    /// only in its own accesses.
+    pub(crate) fn take_l1_losses(&mut self) -> u64 {
+        std::mem::take(&mut self.l1_losses)
+    }
+
+    /// Everything [`access`](Self::access) does beyond a private hit, kept
+    /// out of line: write upgrades and L2/L3/memory handling (fills,
+    /// coherence, observer events) are an order of magnitude rarer than a
+    /// private hit, and inlining them would bloat the per-access fast path
+    /// in every instantiation of the run loop.
     ///
     /// Each level is probed once with a `touch` lookup: on a hit it returns
     /// the metadata and updates replacement state in one way scan, on a miss
@@ -203,7 +241,7 @@ impl Hierarchy {
     /// below is of a line those probes just missed, so the fills skip the
     /// residency probe ([`Cache::fill_absent`]).
     #[inline(never)]
-    fn access_miss<O: TrafficObserver + ?Sized>(
+    fn access_shared<O: TrafficObserver + ?Sized>(
         &mut self,
         core: CoreId,
         line: LineAddr,
@@ -211,6 +249,23 @@ impl Hierarchy {
         now: Cycle,
         observer: &mut O,
     ) -> AccessResult {
+        // ---- L1 write hit on a copy that is not modified ----
+        if let Some(meta) = self.l1[core.0].touch(line) {
+            debug_assert!(is_write, "an L1 read hit is a private hit");
+            // The directory upgrade invalidates the other cores' copies and
+            // leaves `core` the sole sharer of a dirty LLC copy, which is
+            // what the modified flag records.
+            meta.set_dirty(true);
+            meta.set_modified(true);
+            let latency = self.config.l1.latency + self.write_upgrade(core, line);
+            self.stats.record_served(core, Level::L1, latency);
+            return AccessResult {
+                latency,
+                served_by: Level::L1,
+                prefetch_hit: false,
+            };
+        }
+
         // ---- L2 hit ----
         if self.l2[core.0].touch(line).is_some() {
             self.fill_l1(core, line, is_write);
@@ -245,7 +300,10 @@ impl Hierarchy {
                 // any more (a write invalidates those copies instead).
                 for other in others.iter().filter(|&other| other != core) {
                     if let Some(m) = self.l1[other.0].peek_mut(line) {
-                        m.set_modified(false);
+                        if m.modified() {
+                            m.set_modified(false);
+                            self.l1_losses |= 1 << other.0;
+                        }
                     }
                 }
             }
@@ -334,6 +392,7 @@ impl Hierarchy {
             for c in evicted.meta.sharers.iter() {
                 if let Some(m) = self.l1[c.0].invalidate(evicted.line) {
                     self.stats.back_invalidations += 1;
+                    self.l1_losses |= 1 << c.0;
                     dirty |= m.dirty();
                 }
                 if let Some(m) = self.l2[c.0].invalidate(evicted.line) {
@@ -472,6 +531,7 @@ impl Hierarchy {
             any_other = true;
             if self.l1[other.0].invalidate(line).is_some() {
                 self.stats.coherence_invalidations += 1;
+                self.l1_losses |= 1 << other.0;
             }
             if self.l2[other.0].invalidate(line).is_some() {
                 self.stats.coherence_invalidations += 1;

@@ -16,14 +16,16 @@
 //! generators, so every experiment is exactly reproducible.
 //!
 //! The simulation hot path is engineered to be allocation-free in steady
-//! state: [`System::run`] schedules cores through a stack-allocated winner
-//! tree of packed `(clock, core)` keys (one leaf-to-root replay per streak of
-//! steps by one core, instead of a rescan of all cores), prefetch draining is
-//! event-driven through [`TrafficObserver::next_prefetch_due`] and the
-//! buffer-reusing [`TrafficObserver::drain_due_prefetches`] sink API, and
-//! [`Cache`] packs one-byte tag fingerprints eight to a word, so a probe
-//! compares a whole 8-way set in one word operation before it reads any
-//! full tag. `tests/scheduler_regression.rs` pins the engine's results
+//! state. [`System::run`] runs each core's private L1 hits ahead of the
+//! schedule, recording them in a fixed per-core array and redoing the rare
+//! one another core's access disturbs. Only the remaining shared-state
+//! steps (misses, write upgrades, refills and prefetch drains) are ordered,
+//! through a stack-allocated winner tree of packed `(clock, core)` keys.
+//! Prefetch draining is event-driven through
+//! [`TrafficObserver::next_prefetch_due`] and the buffer-reusing
+//! [`TrafficObserver::drain_due_prefetches`] sink API, and [`Cache`] packs
+//! one-byte tag fingerprints eight to a word, so a probe compares a whole
+//! 8-way set in one word operation before it reads any full tag. `tests/scheduler_regression.rs` pins the engine's results
 //! bit-exactly and checks the scheduler against a naive reference, and
 //! `tests/no_alloc_hot_path.rs` counts allocations to keep these properties
 //! honest.

@@ -52,7 +52,10 @@ pub trait TrafficObserver: Send {
     /// earliest release time has been reached — the event-driven alternative
     /// to draining before every simulation step. It re-reads the value after
     /// every [`on_llc_eviction`](Self::on_llc_eviction) and every drain, so
-    /// an observer may only change its answer inside those two calls.
+    /// an observer may only change its answer inside those two calls. Its
+    /// run-ahead relies on this too: cores run private L1 hits ahead only up
+    /// to the cached due time. A due time moved earlier anywhere else would
+    /// go unnoticed, and its drain would land after hits it must precede.
     ///
     /// Deliberately *not* defaulted: draining is gated on this method, so an
     /// observer that queued prefetches but reported `None` here would

@@ -2,21 +2,51 @@
 //!
 //! # Scheduling
 //!
-//! [`System::run`] steps cores in global `(local clock, core index)` order.
-//! Each live core's next event is one packed key, `(clock << idx_bits) |
-//! core`, in a winner tree: a complete binary tree whose leaves are the
-//! cores and whose every inner node holds the smaller of its two children,
-//! so the root is the earliest core. The earliest core keeps stepping while
-//! its key stays below the runner-up (the smallest sibling on its
-//! leaf-to-root path) — the common case, because cores drift apart in time —
-//! and only at the end of such a streak does the tree replay that one path.
-//! Prefetch draining is likewise event-driven: the observer's earliest
-//! pending release time is cached and re-read only after an LLC eviction
-//! (the only event that schedules a prefetch) or a drain.
+//! [`System::run`] gives the result of stepping cores one access at a time
+//! in global `(local clock, core index)` order, draining due prefetches
+//! before each step. It orders only the steps that touch shared state.
+//!
+//! **Run-ahead.** Most accesses are *private hits*: an L1 read hit, or an
+//! L1 write hit on a copy in MESI's modified state. A private hit touches
+//! only its core's L1 replacement state and counters. So each core first
+//! runs the private hits at the head of its current batch of accesses ahead
+//! of the schedule. It only probes its L1 and records each hit's start
+//! clock, retired count, set and way in a fixed array. It stops before its
+//! next other access, at the end of the batch, at its quota, or before a
+//! step that would start at or after the observer's next prefetch due time.
+//! The recorded replacement touches and L1 hit and stall counts are applied
+//! in program order just before the core's next in-order step, and before
+//! `run` returns.
+//!
+//! **Ordering shared events.** Each core's next unexecuted step is one
+//! packed key, `(clock << idx_bits) | core`, in a winner tree: a complete
+//! binary tree whose leaves are the cores and whose every inner node holds
+//! the smaller of its two children, so the root is the earliest core. Its
+//! step — a miss, a write upgrade, a batch refill, or a hit the run-ahead
+//! stopped before — runs in order through [`Core::step`], after a drain
+//! when a prefetch is due. The core then runs ahead again, and keeps the
+//! schedule while its key stays below the runner-up (the smallest sibling
+//! on its leaf-to-root path); only then does the tree replay that one path.
+//! The observer's earliest pending release time is cached and re-read only
+//! after an LLC eviction (the only event that schedules a prefetch) or a
+//! drain.
+//!
+//! **Redoing disturbed hits.** An in-order step can disturb the hits other
+//! cores ran past it, those whose own key is larger. It can remove their L1
+//! line or clear its modified flag: the hierarchy reports, in one mask, the
+//! cores it did that to, and only those re-probe the hits they ran past the
+//! step. Each drops the first hit that no longer hits and everything after
+//! it, and resumes at that hit's start. An LLC eviction can also move the
+//! prefetch due time earlier; then every core drops the hits past the step
+//! that start at or after the new due time, so the drain comes first. This
+//! is optimistic execution in the sense of Time Warp (Jefferson, TOPLAS
+//! 1985), kept on one thread and limited to private hits. Drains need no
+//! such check: no hit runs ahead to a due time.
 //!
 //! The schedule is identical to a linear min-scan over `(clock, index)`
 //! before every step, which `tests/scheduler_regression.rs` checks against
-//! a naive reference scheduler at 1 to 64 cores.
+//! a naive reference scheduler at 1 to 64 cores, on lines that cores share
+//! and write, and under LRU, Tree-PLRU and random replacement.
 
 use crate::core::{AccessSource, Core};
 use crate::hierarchy::Hierarchy;
@@ -156,9 +186,16 @@ impl<O: TrafficObserver> System<O> {
     /// (or exhausted its source). Cores interleave in local-time order, which
     /// approximates concurrent execution on a shared hierarchy.
     ///
+    /// The result is that of stepping cores one access at a time in global
+    /// `(clock, core index)` order, draining due prefetches before each step
+    /// (see the module docs for how the schedule gets there). Every hit run
+    /// ahead is committed before the call returns, so a resumed `run`
+    /// starts with nothing pending.
+    ///
     /// Steady state performs no heap allocation per simulated access: the
-    /// winner tree lives on the stack, and the observer's prefetch queue and
-    /// the drain buffer are reused across steps.
+    /// winner tree lives on the stack, each core records its run-ahead hits
+    /// in a fixed array, and the observer's prefetch queue and the drain
+    /// buffer are reused across steps.
     ///
     /// # Panics
     ///
@@ -166,6 +203,7 @@ impl<O: TrafficObserver> System<O> {
     /// cycles or later, where `idx_bits` (at most 6) is the width of a core
     /// index: its packed schedule key would overflow.
     pub fn run(&mut self, instructions_per_core: u64) -> SimReport {
+        let quota = instructions_per_core;
         let leaves = self.cores.len().next_power_of_two();
         let idx_bits = leaves.trailing_zeros();
         assert!(
@@ -173,22 +211,35 @@ impl<O: TrafficObserver> System<O> {
             "core clock exceeds the packed schedule key's {} bits",
             64 - idx_bits
         );
-        // Node `n` has children `2n` and `2n + 1`; core `i` is leaf
-        // `leaves + i` and node 1 is the root. Parked leaves (retired cores
-        // and the padding past the last core) hold `u64::MAX`, which loses
-        // every match; live keys stay below it and are unique, because their
-        // low bits hold the core index.
-        let mut tree = [u64::MAX; 2 * MAX_CORES];
-        for (idx, core) in self.cores.iter().enumerate() {
-            if !core.is_exhausted() && core.retired() < instructions_per_core {
-                tree[leaves + idx] = (core.now() << idx_bits) | idx as u64;
+        // A core's schedule key: the clock and index of its next unexecuted
+        // step. Retired cores hold `u64::MAX`, which loses every match; live
+        // keys stay below it and are unique, because their low bits hold
+        // the core index.
+        let key = |core: &Core, idx: usize| {
+            if core.is_exhausted() || core.retired() >= quota {
+                u64::MAX
+            } else {
+                (core.now() << idx_bits) | idx as u64
             }
+        };
+        // The observer's earliest due time only moves when an LLC eviction
+        // schedules a prefetch or a drain consumes one, so the cached value
+        // is refreshed on those events instead of re-queried every step
+        // (`llc_evictions` advances exactly once per eviction notification).
+        let next_due = |observer: &O| observer.next_prefetch_due().unwrap_or(Cycle::MAX);
+        let mut due = next_due(&self.observer);
+        let mut evictions_seen = self.hierarchy.stats().llc_evictions;
+        // Node `n` has children `2n` and `2n + 1`; core `i` is leaf
+        // `leaves + i` and node 1 is the root. The padding leaves past the
+        // last core stay parked.
+        let mut tree = [u64::MAX; 2 * MAX_CORES];
+        for (idx, core) in self.cores.iter_mut().enumerate() {
+            core.run_ahead(&self.hierarchy, due, quota);
+            tree[leaves + idx] = key(core, idx);
         }
         for node in (1..leaves).rev() {
             tree[node] = tree[2 * node].min(tree[2 * node + 1]);
         }
-        let mut due = self.observer.next_prefetch_due();
-        let mut evictions_seen = self.hierarchy.stats().llc_evictions;
         loop {
             let min = tree[1];
             if min == u64::MAX {
@@ -203,50 +254,88 @@ impl<O: TrafficObserver> System<O> {
                 second = second.min(tree[node ^ 1]);
                 node >>= 1;
             }
-            // Borrow the streaking core once (field-level split with
-            // `hierarchy`/`observer`), and recover its clock from the key.
-            let core = &mut self.cores[idx];
-            let mut now = min >> idx_bits;
+            let mut event = min;
             tree[leaf] = loop {
-                // The observer's earliest due time only moves when an LLC
-                // eviction schedules a prefetch or a drain consumes one, so
-                // the cached value is refreshed on those events instead of
-                // re-queried every step (`llc_evictions` advances exactly
-                // once per eviction notification).
-                if due.is_some_and(|d| d <= now) {
+                let now = event >> idx_bits;
+                if due <= now {
                     self.hierarchy.drain_prefetches(now, &mut self.observer);
-                    due = self.observer.next_prefetch_due();
+                    due = next_due(&self.observer);
                     evictions_seen = self.hierarchy.stats().llc_evictions;
                 }
-                if !core.step(&mut self.hierarchy, &mut self.observer) {
-                    break u64::MAX;
-                }
+                self.cores[idx].step(&mut self.hierarchy, &mut self.observer);
+                // The step is a shared event at key `event`. Other cores may
+                // have run hits past it that it disturbed: they lost the
+                // line or its modified flag, or a prefetch became due before
+                // them.
+                let lost = self.hierarchy.take_l1_losses() & !(1 << idx);
+                let mut cutoff = Cycle::MAX;
                 let evictions = self.hierarchy.stats().llc_evictions;
                 if evictions != evictions_seen {
                     evictions_seen = evictions;
-                    due = self.observer.next_prefetch_due();
+                    let next = next_due(&self.observer);
+                    if next < due {
+                        cutoff = next;
+                    }
+                    due = next;
                 }
-                if core.retired() >= instructions_per_core {
-                    break u64::MAX;
+                let mut dropped = 0;
+                if lost != 0 || cutoff != Cycle::MAX {
+                    dropped = self.drop_disturbed_hits(event, idx_bits, lost, cutoff);
+                    for other in bits(dropped) {
+                        tree[leaves + other] = key(&self.cores[other], other);
+                        replay(&mut tree, leaves + other);
+                    }
                 }
-                now = core.now();
-                let key = (now << idx_bits) | idx as u64;
-                if key >= second {
-                    break key;
+                let core = &mut self.cores[idx];
+                core.run_ahead(&self.hierarchy, due, quota);
+                event = key(core, idx);
+                // The core keeps the schedule while it stays the earliest;
+                // a drop may have moved another core ahead of it.
+                if event >= second || dropped != 0 {
+                    break event;
                 }
             };
-            // Replay the winner's path with its new key.
-            let mut node = leaf;
-            while node > 1 {
-                node >>= 1;
-                tree[node] = tree[2 * node].min(tree[2 * node + 1]);
-            }
+            replay(&mut tree, leaf);
         }
         self.finish_run()
     }
 
-    /// Flushes pending prefetches and assembles the report.
+    /// Drops the run-ahead hits that the shared event at schedule key
+    /// `event` disturbed, and returns the cores that dropped any, one bit
+    /// each. Only hits whose own key comes after `event` can be disturbed.
+    /// The cores in `lost` re-probe theirs and drop the first that no
+    /// longer hits, with everything after it. When `cutoff` is a prefetch
+    /// due time the event moved earlier, every core drops its hits that
+    /// start at or after it, so the drain happens before them.
+    #[inline(never)]
+    fn drop_disturbed_hits(&mut self, event: u64, idx_bits: u32, lost: u64, cutoff: Cycle) -> u64 {
+        let now = event >> idx_bits;
+        let idx = (event & ((1 << idx_bits) - 1)) as usize;
+        // A hit at the event's clock comes after it only on a higher core
+        // index.
+        let from = |other: usize| now + u64::from(other < idx);
+        let mut dropped = 0;
+        if cutoff != Cycle::MAX {
+            for (other, core) in self.cores.iter_mut().enumerate() {
+                if core.drop_hits_from(from(other).max(cutoff)) {
+                    dropped |= 1 << other;
+                }
+            }
+        }
+        for other in bits(lost) {
+            if self.cores[other].recheck_hits_from(&self.hierarchy, from(other)) {
+                dropped |= 1 << other;
+            }
+        }
+        dropped
+    }
+
+    /// Commits the hits run ahead, flushes pending prefetches and assembles
+    /// the report.
     fn finish_run(&mut self) -> SimReport {
+        for core in &mut self.cores {
+            core.commit_hits(&mut self.hierarchy);
+        }
         let end = self.cores.iter().map(Core::now).max().unwrap_or(0);
         self.hierarchy.drain_prefetches(end, &mut self.observer);
         SimReport {
@@ -257,6 +346,27 @@ impl<O: TrafficObserver> System<O> {
             dram_prefetch_reads: self.hierarchy.dram().prefetch_reads(),
             dram_writes: self.hierarchy.dram().writes(),
         }
+    }
+}
+
+/// The indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// Recomputes the winner tree's nodes on the path from `leaf` to the root.
+#[inline]
+fn replay(tree: &mut [u64; 2 * MAX_CORES], leaf: usize) {
+    let mut node = leaf;
+    while node > 1 {
+        node >>= 1;
+        tree[node] = tree[2 * node].min(tree[2 * node + 1]);
     }
 }
 
