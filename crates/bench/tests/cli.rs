@@ -612,3 +612,56 @@ fn throughput_reports_an_unwritable_out_path() {
         "the error must name the path, got:\n{stderr}"
     );
 }
+
+/// `fig7_reverse` also floods the paper's filter (l = 1024, b = 8): after
+/// the brute-force cell and the scaled filter's four reverse cells come
+/// five `reverse_paper` cells at MNK 0–4, each priced against that filter's
+/// 8,192-fill brute-force cost, and stdout gives each a verdict.
+#[test]
+fn fig7_reports_the_paper_geometry_rows() {
+    let json = format!(
+        "{}/cli_fig7_{}.json",
+        std::env::temp_dir().display(),
+        std::process::id()
+    );
+    let output = Command::new(bin_path("fig7_reverse"))
+        .args(["2", "--sequential", "--json", &json])
+        .output()
+        .expect("spawn fig7_reverse");
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "fig7_reverse failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(&json).expect("--json output");
+    std::fs::remove_file(&json).ok();
+    let doc = Json::parse(&text).expect("valid JSON document");
+    let cells = doc
+        .get("cells")
+        .and_then(Json::as_array)
+        .expect("a cells array");
+    let kinds: Vec<&str> = cells
+        .iter()
+        .map(|cell| cell.get("kind").and_then(Json::as_str).unwrap_or(""))
+        .collect();
+    let mut expected = vec!["brute_force"];
+    expected.extend(["reverse"; 4]);
+    expected.extend(["reverse_paper"; 5]);
+    assert_eq!(kinds, expected);
+    for (mnk, cell) in (0u32..).zip(&cells[5..]) {
+        let field = |name: &str| cell.get(name).and_then(Json::as_u64);
+        assert_eq!(field("mnk"), Some(u64::from(mnk)));
+        assert_eq!(field("brute_force_expected_fills"), Some(8192));
+        assert_eq!(field("eviction_set_paper"), Some(8u64.pow(mnk + 1)));
+        let fills = cell.get("mean_fills").and_then(Json::as_f64);
+        assert!(fills.is_some_and(|f| f > 0.0), "MNK {mnk}: {fills:?}");
+    }
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("paper filter (l=1024, b=8)"),
+        "missing the paper table:\n{stdout}"
+    );
+    let verdicts = stdout.matches(" than 8192").count();
+    assert_eq!(verdicts, 5, "one verdict per paper MNK:\n{stdout}");
+}
