@@ -49,9 +49,8 @@ pub struct Hierarchy {
     /// Reusable buffer for observer prefetch draining; drained lines are
     /// staged here so steady-state draining allocates nothing.
     prefetch_scratch: Vec<LineAddr>,
-    /// One bit per core that lost an L1 line or a modified flag to another
-    /// core's access or to a prefetch drain since the last
-    /// [`take_l1_losses`](Self::take_l1_losses).
+    /// One bit per core that lost an L1 line or a modified flag since the
+    /// last [`take_l1_losses`](Self::take_l1_losses).
     l1_losses: u64,
 }
 
@@ -180,8 +179,7 @@ impl Hierarchy {
                 prefetch_hit: false,
             };
         }
-        let line = LineAddr(addr.0 >> self.line_shift);
-        self.access_shared(core, line, kind.is_write(), now, observer)
+        self.access_shared(core, addr, kind, now, observer)
     }
 
     /// Where `core`'s L1 holds the line of `addr`, as `(set, way)`, when an
@@ -220,17 +218,18 @@ impl Hierarchy {
     }
 
     /// Returns and clears the cores, one bit each, that lost an L1 line or
-    /// a modified flag since the last call: to an LLC back-invalidation, a
-    /// coherence invalidation, or another core joining the sharers of a
-    /// modified line. These are the only events that can turn another
-    /// core's private hit into a different access; a core's own L1 changes
-    /// only in its own accesses.
+    /// a modified flag since the last call: to an LLC back-invalidation
+    /// (an access's or a drain's LLC fill), a coherence invalidation, or
+    /// another core joining the sharers of a modified line. Apart from a
+    /// core's own fills, these are the only ways an L1 copy goes away or
+    /// stops being modified, so they are the only events that can turn
+    /// another core's private hit into a different access.
     pub(crate) fn take_l1_losses(&mut self) -> u64 {
         std::mem::take(&mut self.l1_losses)
     }
 
-    /// Everything [`access`](Self::access) does beyond a private hit, kept
-    /// out of line: write upgrades and L2/L3/memory handling (fills,
+    /// [`access`](Self::access) for an access known not to be a private hit,
+    /// kept out of line: write upgrades and L2/L3/memory handling (fills,
     /// coherence, observer events) are an order of magnitude rarer than a
     /// private hit, and inlining them would bloat the per-access fast path
     /// in every instantiation of the run loop.
@@ -241,29 +240,33 @@ impl Hierarchy {
     /// below is of a line those probes just missed, so the fills skip the
     /// residency probe ([`Cache::fill_absent`]).
     #[inline(never)]
-    fn access_shared<O: TrafficObserver + ?Sized>(
+    pub(crate) fn access_shared<O: TrafficObserver + ?Sized>(
         &mut self,
         core: CoreId,
-        line: LineAddr,
-        is_write: bool,
+        addr: Addr,
+        kind: AccessKind,
         now: Cycle,
         observer: &mut O,
     ) -> AccessResult {
+        let line = LineAddr(addr.0 >> self.line_shift);
+        let is_write = kind.is_write();
         // ---- L1 write hit on a copy that is not modified ----
-        if let Some(meta) = self.l1[core.0].touch(line) {
-            debug_assert!(is_write, "an L1 read hit is a private hit");
-            // The directory upgrade invalidates the other cores' copies and
-            // leaves `core` the sole sharer of a dirty LLC copy, which is
-            // what the modified flag records.
-            meta.set_dirty(true);
-            meta.set_modified(true);
-            let latency = self.config.l1.latency + self.write_upgrade(core, line);
-            self.stats.record_served(core, Level::L1, latency);
-            return AccessResult {
-                latency,
-                served_by: Level::L1,
-                prefetch_hit: false,
-            };
+        // (An L1 read hit is a private hit, so a read misses L1 here.)
+        if is_write {
+            if let Some(meta) = self.l1[core.0].touch(line) {
+                // The directory upgrade invalidates the other cores' copies
+                // and leaves `core` the sole sharer of a dirty LLC copy,
+                // which is what the modified flag records.
+                meta.set_dirty(true);
+                meta.set_modified(true);
+                let latency = self.config.l1.latency + self.write_upgrade(core, line);
+                self.stats.record_served(core, Level::L1, latency);
+                return AccessResult {
+                    latency,
+                    served_by: Level::L1,
+                    prefetch_hit: false,
+                };
+            }
         }
 
         // ---- L2 hit ----
