@@ -9,9 +9,11 @@
 //! * `pipomonitor_8c` / `pipomonitor_16c` / `pipomonitor_32c` — the same
 //!   monitored machine scaled to more cores (mix7 benchmarks assigned
 //!   round-robin, each core with its own disjoint address region). They
-//!   price how the simulator scales with core count; the winner-tree
-//!   scheduler itself charges one O(log cores) leaf-to-root replay per
-//!   streak of steps by one core.
+//!   price how the simulator scales with core count. Private L1 hits run
+//!   ahead of the schedule at a cost that does not grow with the core
+//!   count; the winner-tree scheduler charges one O(log cores)
+//!   leaf-to-root replay per streak of in-order steps by one core, and each
+//!   run-ahead hit another core's step disturbs is redone.
 //!
 //! This is the perf trajectory anchor for the repo: every hot-path change is
 //! judged against the numbers this binary emits. Results are written as JSON
@@ -171,10 +173,12 @@ fn generation_ns_per_access(accesses: u64, samples: usize) -> f64 {
     per_access_ns[per_access_ns.len() / 2]
 }
 
-/// Prices the winner-tree *scheduler* (plus the L1-hit fast path): the
-/// 4-core machine run with constant per-core addresses, so every access
-/// hits L1 and the LLC probe kernel never runs, while generation is a
-/// closure returning a constant. Returns the median ns per access.
+/// Prices the *scheduler* phase: the 4-core machine run with constant
+/// per-core addresses, so every access is a private L1 hit and runs ahead
+/// of the schedule. The phase is the run-ahead loop (the L1 probe, the
+/// recorded hit and its commit) plus one in-order step per batch, not tree
+/// replays; the LLC probe kernel never runs, and generation is a closure
+/// returning a constant. Returns the median ns per access.
 fn scheduler_ns_per_access(total_instructions: u64, samples: usize) -> f64 {
     let mut per_access_ns = Vec::with_capacity(samples);
     for _ in 0..samples {

@@ -97,7 +97,8 @@ struct PendingHit {
     start: Cycle,
     /// Instructions retired before the hit.
     retired: u64,
-    /// The L1 set and way it touches.
+    /// The L1 set and way it touches. `u32` holds any set a machine can
+    /// build: 2^32 sets would take 32 GiB of fingerprint words alone.
     set: u32,
     way: u32,
 }
