@@ -122,11 +122,6 @@ pub struct Core {
     /// `batch_pos`. Committed before the core's next in-order step.
     pending: [PendingHit; BATCH],
     pending_len: usize,
-    /// Whether run-ahead stopped because the access at `batch_pos` is not a
-    /// private hit. It stays one until the core's own next step (other
-    /// cores only remove L1 copies or clear modified flags), so that step
-    /// skips the private-hit probe.
-    next_shared: bool,
 }
 
 impl std::fmt::Debug for Core {
@@ -154,7 +149,6 @@ impl Core {
             exhausted: false,
             pending: [PendingHit::default(); BATCH],
             pending_len: 0,
-            next_shared: false,
         }
     }
 
@@ -192,18 +186,12 @@ impl Core {
         observer: &mut O,
     ) -> bool {
         self.commit_hits(hierarchy);
-        let shared = std::mem::take(&mut self.next_shared);
         let Some(access) = self.pull_access() else {
             return false;
         };
         self.now += access.think_cycles;
         self.retired += access.think_cycles; // 1 instruction per think cycle
-        let (id, addr, kind, now) = (self.id, access.addr, access.kind, self.now);
-        let result = if shared {
-            hierarchy.access_shared(id, addr, kind, now, observer)
-        } else {
-            hierarchy.access(id, addr, kind, now, observer)
-        };
+        let result = hierarchy.access(self.id, access.addr, access.kind, self.now, observer);
         self.now += result.latency;
         self.retired += 1; // the memory instruction itself
         true
@@ -222,7 +210,6 @@ impl Core {
         while pos < self.batch.len() && now < due && retired < quota {
             let access = self.batch[pos];
             let Some((set, way)) = hierarchy.private_hit(self.id, access.addr, access.kind) else {
-                self.next_shared = true;
                 break;
             };
             self.pending[self.pending_len] = PendingHit {
@@ -258,15 +245,6 @@ impl Core {
         self.pending[..self.pending_len].partition_point(|h| h.start < from)
     }
 
-    /// One past the start of the last pending hit, or 0 when none is
-    /// pending: the core has hits starting at or after `t` only if this
-    /// exceeds `t`.
-    pub(crate) fn hits_until(&self) -> Cycle {
-        self.pending[..self.pending_len]
-            .last()
-            .map_or(0, |hit| hit.start + 1)
-    }
-
     /// Drops every pending hit that starts at or after `from`. Returns
     /// whether it dropped any.
     pub(crate) fn drop_hits_from(&mut self, from: Cycle) -> bool {
@@ -299,7 +277,6 @@ impl Core {
     /// hit `k`'s start, with its clock, retired count and batch position.
     fn truncate_hits(&mut self, k: usize) {
         let hit = self.pending[k];
-        self.next_shared = false;
         self.batch_pos -= self.pending_len - k;
         self.now = hit.start;
         self.retired = hit.retired;

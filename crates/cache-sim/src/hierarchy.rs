@@ -240,7 +240,7 @@ impl Hierarchy {
     /// below is of a line those probes just missed, so the fills skip the
     /// residency probe ([`Cache::fill_absent`]).
     #[inline(never)]
-    pub(crate) fn access_shared<O: TrafficObserver + ?Sized>(
+    fn access_shared<O: TrafficObserver + ?Sized>(
         &mut self,
         core: CoreId,
         addr: Addr,

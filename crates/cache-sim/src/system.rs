@@ -233,15 +233,9 @@ impl<O: TrafficObserver> System<O> {
         // `leaves + i` and node 1 is the root. The padding leaves past the
         // last core stay parked.
         let mut tree = [u64::MAX; 2 * MAX_CORES];
-        // `ahead[i]` is one past the start of core `i`'s last run-ahead hit
-        // (0 when it has none): it has hits starting at or after a clock
-        // `t` only if `ahead[i] > t`. The disturbed-hit checks read this
-        // instead of every core.
-        let mut ahead = [0; MAX_CORES];
         for (idx, core) in self.cores.iter_mut().enumerate() {
             core.run_ahead(&self.hierarchy, due, quota);
             tree[leaves + idx] = key(core, idx);
-            ahead[idx] = core.hits_until();
         }
         for node in (1..leaves).rev() {
             tree[node] = tree[2 * node].min(tree[2 * node + 1]);
@@ -286,18 +280,15 @@ impl<O: TrafficObserver> System<O> {
                 }
                 let mut dropped = 0;
                 if lost != 0 || cutoff != Cycle::MAX {
-                    dropped = self.drop_disturbed_hits(event, idx_bits, lost, cutoff, &ahead);
+                    dropped = self.drop_disturbed_hits(event, idx_bits, lost, cutoff);
                     for other in bits(dropped) {
-                        let core = &self.cores[other];
-                        tree[leaves + other] = key(core, other);
-                        ahead[other] = core.hits_until();
+                        tree[leaves + other] = key(&self.cores[other], other);
                         replay(&mut tree, leaves + other);
                     }
                 }
                 let core = &mut self.cores[idx];
                 core.run_ahead(&self.hierarchy, due, quota);
                 event = key(core, idx);
-                ahead[idx] = core.hits_until();
                 // The core keeps the schedule while it stays the earliest;
                 // a drop may have moved another core ahead of it.
                 if event >= second || dropped != 0 {
@@ -315,17 +306,9 @@ impl<O: TrafficObserver> System<O> {
     /// The cores in `lost` re-probe theirs and drop the first that no
     /// longer hits, with everything after it. When `cutoff` is a prefetch
     /// due time the event moved earlier, every core drops its hits that
-    /// start at or after it, so the drain happens before them. `ahead`
-    /// skips the cores that have no hits late enough to check.
+    /// start at or after it, so the drain happens before them.
     #[inline(never)]
-    fn drop_disturbed_hits(
-        &mut self,
-        event: u64,
-        idx_bits: u32,
-        lost: u64,
-        cutoff: Cycle,
-        ahead: &[Cycle],
-    ) -> u64 {
+    fn drop_disturbed_hits(&mut self, event: u64, idx_bits: u32, lost: u64, cutoff: Cycle) -> u64 {
         let now = event >> idx_bits;
         let idx = (event & ((1 << idx_bits) - 1)) as usize;
         // A hit at the event's clock comes after it only on a higher core
@@ -335,14 +318,14 @@ impl<O: TrafficObserver> System<O> {
         if cutoff != Cycle::MAX {
             for (other, core) in self.cores.iter_mut().enumerate() {
                 let from = from(other).max(cutoff);
-                if ahead[other] > from && core.drop_hits_from(from) {
+                if core.drop_hits_from(from) {
                     dropped |= 1 << other;
                 }
             }
         }
         for other in bits(lost) {
             let from = from(other);
-            if ahead[other] > from && self.cores[other].recheck_hits_from(&self.hierarchy, from) {
+            if self.cores[other].recheck_hits_from(&self.hierarchy, from) {
                 dropped |= 1 << other;
             }
         }
