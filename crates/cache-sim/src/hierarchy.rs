@@ -179,7 +179,8 @@ impl Hierarchy {
                 prefetch_hit: false,
             };
         }
-        self.access_shared(core, addr, kind, now, observer)
+        let line = LineAddr(addr.0 >> self.line_shift);
+        self.access_shared(core, line, kind.is_write(), now, observer)
     }
 
     /// Where `core`'s L1 holds the line of `addr`, as `(set, way)`, when an
@@ -243,13 +244,11 @@ impl Hierarchy {
     fn access_shared<O: TrafficObserver + ?Sized>(
         &mut self,
         core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
+        line: LineAddr,
+        is_write: bool,
         now: Cycle,
         observer: &mut O,
     ) -> AccessResult {
-        let line = LineAddr(addr.0 >> self.line_shift);
-        let is_write = kind.is_write();
         // ---- L1 write hit on a copy that is not modified ----
         // (An L1 read hit is a private hit, so a read misses L1 here.)
         if is_write {
