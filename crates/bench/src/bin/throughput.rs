@@ -10,10 +10,12 @@
 //!   monitored machine scaled to more cores (mix7 benchmarks assigned
 //!   round-robin, each core with its own disjoint address region). They
 //!   price how the simulator scales with core count. Private L1 hits run
-//!   ahead of the schedule at a cost that does not grow with the core
-//!   count; the winner-tree scheduler charges one O(log cores)
-//!   leaf-to-root replay per streak of in-order steps by one core, and each
-//!   run-ahead hit another core's step disturbs is redone.
+//!   ahead of the schedule; the winner-tree scheduler charges one
+//!   O(log cores) leaf-to-root replay per streak of in-order steps by one
+//!   core, and each run-ahead hit another core's step disturbs is redone.
+//!   With more cores fewer accesses run ahead (LLC back-invalidations
+//!   shorten each core's run of L1 hits) while every in-order step still
+//!   pays for the disturbance checks.
 //!
 //! This is the perf trajectory anchor for the repo: every hot-path change is
 //! judged against the numbers this binary emits. Results are written as JSON

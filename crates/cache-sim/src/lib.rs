@@ -25,8 +25,9 @@
 //! [`TrafficObserver::next_prefetch_due`] and the buffer-reusing
 //! [`TrafficObserver::drain_due_prefetches`] sink API, and [`Cache`] packs
 //! one-byte tag fingerprints eight to a word, so a probe compares a whole
-//! 8-way set in one word operation before it reads any full tag. `tests/scheduler_regression.rs` pins the engine's results
-//! bit-exactly and checks the scheduler against a naive reference, and
+//! 8-way set in one word operation before it reads any full tag.
+//! `tests/scheduler_regression.rs` pins the engine's results bit-exactly
+//! and checks the scheduler against a naive reference, and
 //! `tests/no_alloc_hot_path.rs` counts allocations to keep these properties
 //! honest.
 //!
