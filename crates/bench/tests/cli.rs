@@ -11,7 +11,8 @@
 //! the real executables — parser, `expect_no_filter`, and exit codes — not
 //! a reimplementation.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use pipo_bench::Json;
 use pipo_workloads::Trace;
@@ -128,6 +129,126 @@ fn bin_path(name: &str) -> String {
     // provides to integration tests.
     let key = format!("CARGO_BIN_EXE_{name}");
     std::env::var(&key).unwrap_or_else(|_| panic!("{key} not set — binary missing?"))
+}
+
+/// Runs `name` with `args`, killing it if it has not exited within 60 s: a
+/// command line that should be refused but is not would otherwise start a
+/// server or a run that never ends.
+fn run_bounded(name: &str, args: &[&str]) -> Output {
+    let mut child = Command::new(bin_path(name))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll child").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("{name} {args:?} did not exit within 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect child output")
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every binary's `--help` text, byte for byte: the shared-parser binaries
+/// print `pipo_bench::args::USAGE`, and `throughput` and `pipo_serve` print
+/// their own usage, pinned by digest (regenerate by printing
+/// `fnv1a64(&output.stdout)` after an intended edit).
+#[test]
+fn help_text_is_pinned() {
+    const OWN_USAGE: &[(&str, u64)] = &[
+        ("throughput", 0xaa7d_346b_3cb5_f45a),
+        ("pipo_serve", 0x5b92_be69_572a_892b),
+    ];
+    for name in BINARIES.iter().chain(["pipo_serve"].iter()) {
+        let output = run_bounded(name, &["--help"]);
+        assert_eq!(output.status.code(), Some(0), "{name} --help must exit 0");
+        match OWN_USAGE.iter().find(|(own, _)| own == name) {
+            Some(&(_, digest)) => assert_eq!(
+                fnv1a64(&output.stdout),
+                digest,
+                "{name}'s --help text changed:\n{}",
+                String::from_utf8_lossy(&output.stdout)
+            ),
+            None => assert_eq!(
+                String::from_utf8_lossy(&output.stdout),
+                format!("{}\n", pipo_bench::args::USAGE),
+                "{name} must print the shared usage text"
+            ),
+        }
+    }
+}
+
+#[test]
+fn pipo_serve_help_documents_both_modes() {
+    let output = run_bounded("pipo_serve", &["--help"]);
+    assert_eq!(output.status.code(), Some(0), "--help must exit 0");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    for flag in ["--store", "--connect"] {
+        assert!(stdout.contains(flag), "--help must document {flag}");
+    }
+}
+
+/// `pipo_serve` is a server (`--store PATH`) or a client (`--connect ADDR
+/// --request JSON`). A bad value, a stray argument or a flag of the other
+/// mode exits 2 with an `error:` line naming it, before anything is bound,
+/// opened or connected.
+#[test]
+fn pipo_serve_rejects_bad_command_lines() {
+    // Nothing listens on the discard port; a client that got this far would
+    // fail to connect (exit 1), not hang.
+    const ADDR: &str = "127.0.0.1:9";
+    let store = format!(
+        "{}/cli_serve_{}.store",
+        std::env::temp_dir().display(),
+        std::process::id()
+    );
+    let cases: [(&[&str], &str); 7] = [
+        (&["--bogus"], "--bogus"),
+        (&["--store"], "--store"),
+        (&["--workers", "0"], "--workers"),
+        (&["stray"], "stray"),
+        (&["--connect", ADDR], "--request"),
+        (&["--store", &store, "--request", "{}"], "--request"),
+        (
+            &["--budget", "5", "--connect", ADDR, "--request", "{}"],
+            "--budget",
+        ),
+    ];
+    for (args, named) in cases {
+        let output = run_bounded("pipo_serve", args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "pipo_serve {args:?} must exit 2, got stderr:\n{stderr}"
+        );
+        let error = stderr
+            .lines()
+            .find(|line| line.starts_with("error:"))
+            .unwrap_or_else(|| panic!("pipo_serve {args:?} printed no error line:\n{stderr}"));
+        assert!(
+            error.contains(named),
+            "pipo_serve {args:?}'s error must name {named}, got:\n{error}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "pipo_serve {args:?} must stop before serving or sending"
+        );
+    }
+    assert!(
+        !std::path::Path::new(&store).exists(),
+        "a refused server must not create its store"
+    );
 }
 
 #[test]
