@@ -1,42 +1,55 @@
-//! Shared command-line parsing for the figure harness binaries.
+//! Command-line parsing for the harness binaries.
 //!
-//! Every binary accepts the same surface:
+//! Every binary reads its command line through [`parse_command_line`] and
+//! one [`Tokens`] walker, which own the contract they all share:
+//!
+//! * `--help` / `-h` prints the binary's usage and exits 0;
+//! * a flag with no value, a count that is not a positive integer, an
+//!   unknown flag or an extra positional argument prints `error: …` and the
+//!   usage, then exits 2. Nothing is silently swallowed into a default.
+//!
+//! The twelve figure binaries parse [`HarnessArgs`] and print [`USAGE`]:
 //!
 //! ```text
 //! <binary> [scale] [--json PATH] [--sequential | --threads N]
 //!          [--filter BACKEND] [--trace PATH] [--store PATH] [--help]
 //! ```
 //!
-//! * `scale` — one optional positive integer whose meaning is per-binary
-//!   (instructions per core, probe windows, trials, insertions, ...). Each
-//!   binary's doc comment names it.
 //! * `--json PATH` — additionally write machine-readable results to `PATH`.
 //! * `--sequential` — evaluate sweep cells one at a time (the pre-engine
 //!   behaviour; per-cell results are bit-identical either way).
 //! * `--threads N` — evaluate sweep cells on `N` worker threads. The default
 //!   is one thread per host core. Cells are the only unit of parallelism:
-//!   each simulated system runs on one thread.
+//!   each simulated system runs on one thread. `--sequential` with
+//!   `--threads N` (in either order) is an error naming both flags, never a
+//!   silent last-one-wins.
+//!
+//! Every figure binary takes those three. The rest are optional
+//! [`Input`]s, and each binary names the ones it takes where it parses:
+//!
+//! * `scale` — one positive integer whose meaning is per-binary
+//!   (instructions per core, probe windows, trials, insertions, ...) and
+//!   whose upper bound is a constant of the binary. Each binary's doc
+//!   comment names it.
 //! * `--filter BACKEND` — pattern-store backend for the simulated monitors
 //!   (`auto`, `classic`, `bloom` or `xor`; default `auto`, the paper's
-//!   hardware design). Binaries that do not build monitors — or that sweep
-//!   backends themselves, like `ablation_filter` — reject the flag.
+//!   hardware design). Taken by the binaries that build monitors, except
+//!   `ablation_filter`, which sweeps every backend itself.
 //! * `--trace PATH` — replay a recorded `pipo-trace` file (v1 text or v2
-//!   binary, sniffed by magic) as an extra workload. Only `trace_replay`
-//!   consumes recorded traces; every other binary rejects the flag.
+//!   binary, sniffed by magic) as an extra workload. Taken by `trace_replay`
+//!   alone.
 //! * `--store PATH` — answer sweep cells from (and record new cells into)
-//!   the persistent content-addressed result store at `PATH` — the same
-//!   store a `pipo-serve` instance serves. Only the `System::run` sweep
-//!   figures (`fig8_performance`, `sensitivity_secthr`,
-//!   `ablation_replacement`) have store-keyed cells; the rest reject the
-//!   flag.
-//! * `--help` / `-h` — print the full flag list and exit 0.
+//!   the persistent content-addressed result store at `PATH`, the same
+//!   store a `pipo-serve` instance serves. Taken by the `System::run` sweep
+//!   figures with store-keyed cells (`fig8_performance`,
+//!   `sensitivity_secthr`, `ablation_replacement`).
 //!
-//! Unknown flags and unparsable values are reported on stderr and exit with
-//! status 2 — they are never silently swallowed into a default. So are
-//! *conflicting* flags: `--sequential` with `--threads N` (in either order)
-//! is rejected instead of silently letting the last one win.
+//! An input a binary does not take is an `error:` line naming the flag (or
+//! the scale), and exit status 2. `throughput` and `pipo_serve` have their
+//! own usage text and flags, read through the same walker.
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::str::FromStr;
 
 use auto_cuckoo::FilterBackend;
 
@@ -66,6 +79,116 @@ usage: <binary> [scale] [--json PATH] [--sequential | --threads N]
                     (only the System::run sweep figures accept it)
   --help, -h        print this help and exit";
 
+/// Reads the process's command line with `parse`. `--help` or `-h`
+/// anywhere prints `usage` and exits 0; an error from `parse` prints
+/// `error: <message>` and `usage` on stderr and exits 2.
+pub fn parse_command_line<T>(usage: &str, parse: impl FnOnce(Tokens) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    parse(Tokens::new(args)).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// A command line's tokens, walked in order. A parser matches each token
+/// against its flags, takes a flag's value with [`value`](Self::value) or
+/// [`positive`](Self::positive), and hands any other token to
+/// [`positional`](Self::positional) or [`unexpected`](Self::unexpected).
+pub struct Tokens(std::vec::IntoIter<String>);
+
+impl Tokens {
+    /// Walks `args` (without the program name).
+    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
+        Self(args.into_iter().collect::<Vec<_>>().into_iter())
+    }
+
+    /// The value after `flag`.
+    ///
+    /// # Errors
+    ///
+    /// `"<flag> needs <what>"` when the command line ends first.
+    pub fn value(&mut self, flag: &str, what: &str) -> Result<String, String> {
+        self.0.next().ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The positive integer after `flag`, as a `NonZero*` type.
+    ///
+    /// # Errors
+    ///
+    /// A missing value (see [`value`](Self::value)), or one that is not a
+    /// positive integer.
+    pub fn positive<N: FromStr>(&mut self, flag: &str, what: &str) -> Result<N, String> {
+        let raw = self.value(flag, what)?;
+        parse_positive(flag, &raw)
+    }
+
+    /// Reads a token no flag matched as the command line's one positional
+    /// count, named `name` in errors, into `slot`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a second positional argument (see
+    /// [`unexpected`](Self::unexpected)), or a value that is not a positive
+    /// integer.
+    pub fn positional<N: FromStr>(
+        token: &str,
+        name: &str,
+        slot: &mut Option<N>,
+    ) -> Result<(), String> {
+        if token.starts_with('-') || slot.is_some() {
+            return Err(Self::unexpected(token));
+        }
+        *slot = Some(parse_positive(name, token)?);
+        Ok(())
+    }
+
+    /// The error for a token no flag matched and no positional slot took:
+    /// an unknown flag, or an extra positional argument.
+    #[must_use]
+    pub fn unexpected(token: &str) -> String {
+        if token.starts_with('-') {
+            format!("unknown flag {token:?}")
+        } else {
+            format!("unexpected extra argument {token:?}")
+        }
+    }
+}
+
+impl Iterator for Tokens {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+}
+
+/// `raw` as a positive integer (`N` is a `NonZero*` type), or an error
+/// naming `name` and the value.
+fn parse_positive<N: FromStr>(name: &str, raw: &str) -> Result<N, String> {
+    raw.parse()
+        .map_err(|_| format!("{name} expects a positive integer, got {raw:?}"))
+}
+
+/// An optional input a figure binary may take, beyond `--json`,
+/// `--sequential` and `--threads`, which every one takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Input {
+    /// The positional scale, a positive integer up to this bound. A binary
+    /// that allocates nothing per unit of scale passes `u64::MAX`.
+    Scale(u64),
+    /// `--filter BACKEND`.
+    Filter,
+    /// `--trace PATH`.
+    Trace,
+    /// `--store PATH`.
+    Store,
+}
+
 /// Parsed harness arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessArgs {
@@ -79,176 +202,127 @@ pub struct HarnessArgs {
     /// leaves the [`MonitorConfig`](pipomonitor::MonitorConfig) default
     /// (`auto`) in place.
     pub filter: Option<FilterBackend>,
-    /// Path to a recorded trace file to replay (`--trace PATH`); only
-    /// `trace_replay` consumes it, every other binary rejects the flag.
+    /// Path to a recorded trace file to replay (`--trace PATH`).
     pub trace: Option<String>,
-    /// Path to the persistent result store (`--store PATH`); only the
-    /// `System::run` sweep figures consume it, every other binary rejects
-    /// the flag.
+    /// Path to the persistent result store (`--store PATH`).
     pub store: Option<String>,
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args`, printing an error and exiting with status 2
-    /// on an unknown flag or unparsable value. `--help`/`-h` prints the full
-    /// flag list and exits 0.
+    /// Parses `std::env::args` for a binary that takes the optional
+    /// `inputs`, under [`parse_command_line`]'s contract.
     #[must_use]
-    pub fn parse() -> Self {
-        let raw: Vec<String> = std::env::args().skip(1).collect();
-        if raw.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        match Self::try_parse(raw) {
-            Ok(args) => args,
-            Err(message) => {
-                eprintln!("error: {message}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
+    pub fn parse(inputs: &[Input]) -> Self {
+        parse_command_line(USAGE, |tokens| Self::try_parse(tokens, inputs))
     }
 
-    /// Parses an explicit argument list (testable core of [`parse`](Self::parse)).
+    /// Parses an explicit argument list for a binary that takes the
+    /// optional `inputs` (testable core of [`parse`](Self::parse)).
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for an unknown flag, a missing flag
-    /// value, an unparsable number, a zero scale, or a duplicate positional
-    /// argument.
-    pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut out = Self {
-            scale: None,
-            json: None,
-            mode: ExecMode::host_default(),
-            filter: None,
-            trace: None,
-            store: None,
-        };
-        // Execution-mode flags seen so far, for conflict detection: the
-        // combination `--sequential --threads N` (either order) must be an
-        // error naming both flags, never a silent last-one-wins.
-        let mut saw_sequential = false;
-        let mut saw_threads: Option<usize> = None;
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--json" => {
-                    out.json = Some(it.next().ok_or("--json needs a file path")?);
-                }
-                "--sequential" => {
-                    saw_sequential = true;
-                    out.mode = ExecMode::Sequential;
-                }
-                "--threads" => {
-                    let raw = it.next().ok_or("--threads needs a thread count")?;
-                    let threads: usize = raw.parse().map_err(|_| {
-                        format!("--threads expects a positive integer, got {raw:?}")
-                    })?;
-                    if threads == 0 {
-                        return Err("--threads expects a positive integer, got 0".into());
-                    }
-                    saw_threads = Some(threads);
-                    out.mode = ExecMode::with_threads(threads);
-                }
+    /// value, an unparsable number, a zero scale, a duplicate positional
+    /// argument, `--sequential` with `--threads`, an input the binary does
+    /// not take, or a scale above its bound.
+    pub fn try_parse(
+        args: impl IntoIterator<Item = String>,
+        inputs: &[Input],
+    ) -> Result<Self, String> {
+        let mut scale: Option<NonZeroU64> = None;
+        let mut json = None;
+        let mut sequential = false;
+        let mut threads: Option<NonZeroUsize> = None;
+        let mut filter = None;
+        let mut trace = None;
+        let mut store = None;
+        let mut tokens = Tokens::new(args);
+        while let Some(token) = tokens.next() {
+            match token.as_str() {
+                "--json" => json = Some(tokens.value("--json", "a file path")?),
+                "--sequential" => sequential = true,
+                "--threads" => threads = Some(tokens.positive("--threads", "a thread count")?),
                 "--filter" => {
-                    let raw = it.next().ok_or("--filter needs a backend name")?;
-                    out.filter = Some(raw.parse().map_err(|_| {
+                    let raw = tokens.value("--filter", "a backend name")?;
+                    filter = Some(raw.parse().map_err(|_| {
                         format!("--filter expects one of auto, classic, bloom, xor; got {raw:?}")
                     })?);
                 }
-                "--trace" => {
-                    out.trace = Some(it.next().ok_or("--trace needs a file path")?);
-                }
-                "--store" => {
-                    out.store = Some(it.next().ok_or("--store needs a file path")?);
-                }
-                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-                positional => {
-                    if out.scale.is_some() {
-                        return Err(format!("unexpected extra argument {positional:?}"));
-                    }
-                    let scale: NonZeroU64 = positional.parse().map_err(|_| {
-                        format!("scale expects a positive integer, got {positional:?}")
-                    })?;
-                    out.scale = Some(scale.get());
-                }
+                "--trace" => trace = Some(tokens.value("--trace", "a file path")?),
+                "--store" => store = Some(tokens.value("--store", "a file path")?),
+                _ => Tokens::positional(&token, "scale", &mut scale)?,
             }
         }
-        if saw_sequential {
-            if let Some(threads) = saw_threads {
+        // `--sequential` with `--threads N` (either order) is an error
+        // naming both flags, never a silent last-one-wins.
+        let mode = match (sequential, threads) {
+            (true, Some(threads)) => {
                 return Err(format!(
                     "conflicting execution-mode flags: --sequential and --threads {threads} \
                      cannot be combined (pick one)"
-                ));
+                ))
+            }
+            (true, None) => ExecMode::Sequential,
+            (false, Some(threads)) => ExecMode::with_threads(threads.get()),
+            (false, None) => ExecMode::host_default(),
+        };
+        let args = Self {
+            scale: scale.map(NonZeroU64::get),
+            json,
+            mode,
+            filter,
+            trace,
+            store,
+        };
+        args.reject_undeclared(inputs)?;
+        Ok(args)
+    }
+
+    /// Rejects the inputs given that the binary does not take, and a scale
+    /// above the binary's bound, each naming the flag (or the scale).
+    fn reject_undeclared(&self, inputs: &[Input]) -> Result<(), String> {
+        let takes = |input| inputs.contains(&input);
+        if let (Some(backend), false) = (self.filter, takes(Input::Filter)) {
+            return Err(format!(
+                "unsupported flag `--filter {backend}`: this binary does not \
+                 take a pattern-store backend selection"
+            ));
+        }
+        if let Some(scale) = self.scale {
+            let bound = inputs.iter().find_map(|input| match *input {
+                Input::Scale(max) => Some(max),
+                _ => None,
+            });
+            match bound {
+                None => return Err(format!("this binary takes no scale argument (got {scale})")),
+                Some(max) if scale > max => {
+                    return Err(format!(
+                        "scale expects a positive integer up to {max}, got \"{scale}\""
+                    ))
+                }
+                Some(_) => {}
             }
         }
-        Ok(out)
+        if let (Some(path), false) = (&self.trace, takes(Input::Trace)) {
+            return Err(format!(
+                "unsupported flag `--trace {path}`: this binary does not \
+                 replay recorded traces (use the trace_replay binary)"
+            ));
+        }
+        if let (Some(path), false) = (&self.store, takes(Input::Store)) {
+            return Err(format!(
+                "unsupported flag `--store {path}`: this binary has no \
+                 store-keyed sweep cells (use fig8_performance, \
+                 sensitivity_secthr or ablation_replacement)"
+            ));
+        }
+        Ok(())
     }
 
     /// The scale argument, or `default` when absent.
     #[must_use]
     pub fn scale_or(&self, default: u64) -> u64 {
         self.scale.unwrap_or(default)
-    }
-
-    /// For binaries with no scale parameter: rejects a positional argument
-    /// (exit 2) instead of silently ignoring it — same contract as the rest
-    /// of the parser.
-    pub fn expect_no_scale(&self) {
-        if let Some(scale) = self.scale {
-            eprintln!("error: this binary takes no scale argument (got {scale})");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-
-    /// For binaries that do not build monitors (or sweep the backends
-    /// themselves): rejects `--filter` (exit 2) instead of silently ignoring
-    /// it. The message leads with the offending flag so a user scanning
-    /// stderr (or a script grepping it) sees *which* flag was rejected, not
-    /// just a usage dump (`crates/bench/tests/cli.rs` pins this for every
-    /// binary).
-    pub fn expect_no_filter(&self) {
-        if let Some(backend) = self.filter {
-            eprintln!(
-                "error: unsupported flag `--filter {backend}`: this binary does not \
-                 take a pattern-store backend selection"
-            );
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-
-    /// For binaries that do not replay recorded traces: rejects `--trace`
-    /// (exit 2) instead of silently ignoring it. Mirrors
-    /// [`expect_no_filter`](Self::expect_no_filter): the message leads with
-    /// the offending flag.
-    pub fn expect_no_trace(&self) {
-        if let Some(path) = &self.trace {
-            eprintln!(
-                "error: unsupported flag `--trace {path}`: this binary does not \
-                 replay recorded traces (use the trace_replay binary)"
-            );
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-
-    /// For binaries whose cells are not store-keyed (no `System::run` sweep
-    /// grid): rejects `--store` (exit 2) instead of silently ignoring it.
-    /// Mirrors [`expect_no_filter`](Self::expect_no_filter): the message
-    /// leads with the offending flag.
-    pub fn expect_no_store(&self) {
-        if let Some(path) = &self.store {
-            eprintln!(
-                "error: unsupported flag `--store {path}`: this binary has no \
-                 store-keyed sweep cells (use fig8_performance, \
-                 sensitivity_secthr or ablation_replacement)"
-            );
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
     }
 
     /// Opens the `--store` result store, exiting 1 with a diagnostic when
@@ -279,13 +353,24 @@ impl HarnessArgs {
         self.scale_or(crate::DEFAULT_INSTRUCTIONS)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every optional input, so these tests see the whole surface.
+    const ALL_INPUTS: &[Input] = &[
+        Input::Scale(u64::MAX),
+        Input::Filter,
+        Input::Trace,
+        Input::Store,
+    ];
+
     fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
-        HarnessArgs::try_parse(args.iter().map(ToString::to_string))
+        parse_taking(args, ALL_INPUTS)
+    }
+
+    fn parse_taking(args: &[&str], inputs: &[Input]) -> Result<HarnessArgs, String> {
+        HarnessArgs::try_parse(args.iter().map(ToString::to_string), inputs)
     }
 
     #[test]
@@ -412,5 +497,64 @@ mod tests {
         assert!(parse(&["--threads", "zero"]).unwrap_err().contains("zero"));
         assert!(parse(&["--threads", "0"]).unwrap_err().contains('0'));
         assert!(parse(&["1", "2"]).unwrap_err().contains("extra"));
+    }
+
+    #[test]
+    fn inputs_a_binary_does_not_take_are_rejected_by_name() {
+        for (args, named) in [
+            (&["--filter", "bloom"][..], "`--filter bloom`"),
+            (&["5"][..], "takes no scale argument (got 5)"),
+            (&["--trace", "t.trace"][..], "`--trace t.trace`"),
+            (&["--store", "s.store"][..], "`--store s.store`"),
+        ] {
+            let err = parse_taking(args, &[]).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
+            assert!(parse(args).is_ok(), "{args:?} is valid where it is taken");
+        }
+        // The shared flags need no declaration.
+        let args = parse_taking(&["--json", "x.json", "--threads", "2"], &[]).expect("valid");
+        assert_eq!(args.mode.threads(), 2);
+    }
+
+    #[test]
+    fn a_scale_above_its_bound_is_an_error_naming_the_value() {
+        let inputs = &[Input::Scale(10)];
+        assert_eq!(
+            parse_taking(&["10"], inputs).expect("valid").scale,
+            Some(10)
+        );
+        let err = parse_taking(&["11"], inputs).unwrap_err();
+        assert!(err.contains("\"11\"") && err.contains("10"), "{err}");
+        let err = parse_taking(&["18446744073709551615"], inputs).unwrap_err();
+        assert!(err.contains("\"18446744073709551615\""), "{err}");
+    }
+
+    #[test]
+    fn tokens_take_values_counts_and_one_positional() {
+        let mut tokens = Tokens::new(["--samples", "3", "--label"].map(String::from));
+        assert_eq!(tokens.next().as_deref(), Some("--samples"));
+        let samples: NonZeroUsize = tokens.positive("--samples", "a count").expect("valid");
+        assert_eq!(samples.get(), 3);
+        assert_eq!(tokens.next().as_deref(), Some("--label"));
+        assert_eq!(
+            tokens.value("--label", "a value").unwrap_err(),
+            "--label needs a value"
+        );
+        for raw in ["0", "-1", "x"] {
+            let mut tokens = Tokens::new(["--n", raw].map(String::from));
+            tokens.next();
+            let err = tokens.positive::<NonZeroU64>("--n", "a count").unwrap_err();
+            assert!(err.contains("--n") && err.contains(raw), "{err}");
+        }
+
+        let mut slot: Option<NonZeroU64> = None;
+        Tokens::positional("7", "total", &mut slot).expect("valid");
+        assert_eq!(slot.map(NonZeroU64::get), Some(7));
+        let err = Tokens::positional("8", "total", &mut slot).unwrap_err();
+        assert!(err.contains("extra") && err.contains("\"8\""), "{err}");
+        let err = Tokens::positional("--bogus", "total", &mut None::<NonZeroU64>).unwrap_err();
+        assert!(err.contains("unknown flag \"--bogus\""), "{err}");
+        let err = Tokens::positional("0", "total", &mut None::<NonZeroU64>).unwrap_err();
+        assert!(err.contains("total") && err.contains("\"0\""), "{err}");
     }
 }

@@ -13,11 +13,14 @@
 //!       [probe_windows] [--json PATH] [--sequential | --threads N]`
 
 use pipo_attacks::{Attack, AttackCell, AttackConfig, AttackRun, Flush};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Input, Json};
 use pipomonitor::MonitorConfig;
 
 const DELAYS: [u64; 9] = [0, 10, 50, 200, 1000, 3000, 4900, 6000, 20_000];
 const SEED: u64 = 2021;
+/// The most probe windows a run takes (its scale's bound): each cell
+/// holds the key and the probe trace, about 10 bytes per window.
+const MAX_WINDOWS: u64 = 10_000_000;
 
 struct DelayResult {
     observed_fraction: f64,
@@ -26,9 +29,7 @@ struct DelayResult {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Input::Scale(MAX_WINDOWS), Input::Filter]);
     let windows = args.scale_or(150) as usize;
     let backend = args.filter_backend();
     let config = AttackConfig {

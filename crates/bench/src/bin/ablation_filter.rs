@@ -29,10 +29,15 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use auto_cuckoo::{build_store, DetRng, FilterBackend, FilterParams};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Input, Json};
 
 /// Distinct benign line addresses (the tracked population) by default.
 const DEFAULT_TRACKED: u64 = 2_000_000;
+/// The most tracked lines a run takes (its scale's bound). The benign
+/// stream holds 24 bytes per line, and each backend cell in flight about
+/// 60 more (its store and its oracle): some 1.4 GB at the bound on two
+/// threads.
+const MAX_TRACKED: u64 = 10_000_000;
 /// Benign accesses generated per tracked line.
 const ACCESSES_PER_LINE: u64 = 3;
 /// Independent tenant address spaces sharing the monitor.
@@ -173,10 +178,7 @@ fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> 
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Input::Scale(MAX_TRACKED)]);
     let tracked_lines = args.scale_or(DEFAULT_TRACKED).max(1024);
     let params = production_params(tracked_lines);
     let accesses = tracked_lines * ACCESSES_PER_LINE;

@@ -16,7 +16,7 @@
 use cache_sim::{Replacement, SystemConfig};
 use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
 use pipo_bench::{
-    emit_json, finish_store, run_cells, sweep_document, HarnessArgs, Json, MixCell, Sweep,
+    emit_json, finish_store, run_cells, sweep_document, HarnessArgs, Input, Json, MixCell, Sweep,
 };
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
@@ -24,8 +24,7 @@ use pipomonitor::MonitorConfig;
 const SEED: u64 = 42;
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
+    let args = HarnessArgs::parse(&[Input::Scale(u64::MAX), Input::Filter, Input::Store]);
     let backend = args.filter_backend();
     let policies = [
         ("lru", Replacement::Lru),

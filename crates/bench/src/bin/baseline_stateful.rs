@@ -27,11 +27,7 @@ struct StorageRow {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_scale();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[]);
     let storage = storage_rows();
     print_storage(&storage);
     println!();

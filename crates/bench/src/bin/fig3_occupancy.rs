@@ -41,11 +41,7 @@ fn occupancy_curve(mnk: u32, checkpoints: &[u64]) -> Vec<f64> {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_scale();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[]);
     let checkpoints: Vec<u64> = (1..=16).map(|k| k * 1000).collect();
 
     println!("Fig. 3 — Auto-Cuckoo filter occupancy vs insertions (l=1024, b=8, f=12)");

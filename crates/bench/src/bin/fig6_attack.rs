@@ -13,10 +13,14 @@
 //!       [windows] [--json PATH] [--sequential | --threads N]`
 
 use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Input, Json};
 use pipomonitor::{MonitorConfig, MonitorStats};
 
 const SEED: u64 = 2021;
+/// The most probe windows a run takes (its scale's bound): each cell
+/// holds the key, the probe trace and its rendering, about 20 bytes per
+/// window.
+const MAX_WINDOWS: u64 = 10_000_000;
 
 struct PanelResult {
     rendered: String,
@@ -26,9 +30,7 @@ struct PanelResult {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Input::Scale(MAX_WINDOWS), Input::Filter]);
     let windows = args.scale_or(100) as usize;
     let backend = args.filter_backend();
     let config = AttackConfig {

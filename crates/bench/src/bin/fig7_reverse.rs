@@ -28,7 +28,11 @@
 
 use auto_cuckoo::{brute_force_expected_fills, reverse_eviction_set_size, FilterParams};
 use pipo_attacks::{brute_force_eviction, reverse_engineering_attack};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Input, Json};
+
+/// The most trials a run takes (its scale's bound): the brute-force cell
+/// keeps every trial's fill count, 8 bytes each.
+const MAX_TRIALS: u64 = 10_000_000;
 
 /// The filters the reverse attack runs on.
 #[derive(Clone, Copy)]
@@ -154,10 +158,7 @@ fn summary(cheaper: &[String]) -> String {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Input::Scale(MAX_TRIALS)]);
     let trials = args.scale_or(30) as usize;
     // Per-trial brute-force cost is geometric with mean b*l, so the sample
     // mean needs a few dozen trials to stabilise.

@@ -21,7 +21,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::num::{NonZeroU64, NonZeroUsize};
 
+use pipo_bench::args::{parse_command_line, Tokens};
 use pipo_bench::serve::{ServeOptions, Server};
 use pipo_bench::{Json, ResultStore};
 
@@ -49,96 +51,108 @@ client mode:
 
   --help, -h            print this help and exit";
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+/// What the command line asks for.
+enum Mode {
+    /// Serve the store at `store` (`--store PATH`).
+    Server {
+        store: String,
+        budget: Option<u64>,
+        options: ServeOptions,
+    },
+    /// Send `request` to the server at `addr` (`--connect ADDR`); a job's
+    /// responses run until its `done` line.
+    Client {
+        addr: String,
+        request: String,
+        is_job: bool,
+    },
 }
 
-struct Args {
-    store: Option<String>,
-    addr: Option<String>,
-    workers: Option<usize>,
-    budget: Option<u64>,
-    max_instructions: Option<u64>,
-    connect: Option<String>,
-    request: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        store: None,
-        addr: None,
-        workers: None,
-        budget: None,
-        max_instructions: None,
-        connect: None,
-        request: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--store" => args.store = Some(value("--store")),
-            "--addr" => args.addr = Some(value("--addr")),
-            "--workers" => {
-                let raw = value("--workers");
-                match raw.parse() {
-                    Ok(n) if n > 0 => args.workers = Some(n),
-                    _ => usage_error(&format!(
-                        "--workers expects a positive integer, got {raw:?}"
-                    )),
-                }
-            }
+fn parse_args(mut tokens: Tokens) -> Result<Mode, String> {
+    let mut store = None;
+    let mut addr = None;
+    let mut workers: Option<NonZeroUsize> = None;
+    let mut budget: Option<u64> = None;
+    let mut max_instructions: Option<NonZeroU64> = None;
+    let mut connect = None;
+    let mut request = None;
+    while let Some(token) = tokens.next() {
+        match token.as_str() {
+            "--store" => store = Some(tokens.value("--store", "a value")?),
+            "--addr" => addr = Some(tokens.value("--addr", "a value")?),
+            "--workers" => workers = Some(tokens.positive("--workers", "a value")?),
             "--budget" => {
-                let raw = value("--budget");
-                args.budget = Some(raw.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--budget expects a byte count, got {raw:?}"))
-                }));
+                let raw = tokens.value("--budget", "a value")?;
+                let bytes = raw
+                    .parse()
+                    .map_err(|_| format!("--budget expects a byte count, got {raw:?}"))?;
+                budget = Some(bytes);
             }
             "--max-instructions" => {
-                let raw = value("--max-instructions");
-                match raw.parse() {
-                    Ok(n) if n > 0 => args.max_instructions = Some(n),
-                    _ => usage_error(&format!(
-                        "--max-instructions expects a positive integer, got {raw:?}"
-                    )),
-                }
+                max_instructions = Some(tokens.positive("--max-instructions", "a value")?);
             }
-            "--connect" => args.connect = Some(value("--connect")),
-            "--request" => args.request = Some(value("--request")),
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--connect" => connect = Some(tokens.value("--connect", "a value")?),
+            "--request" => request = Some(tokens.value("--request", "a value")?),
+            _ => return Err(Tokens::unexpected(&token)),
         }
     }
-    args
+    if let Some(connect) = connect {
+        for (flag, set) in [
+            ("--store", store.is_some()),
+            ("--addr", addr.is_some()),
+            ("--workers", workers.is_some()),
+            ("--budget", budget.is_some()),
+            ("--max-instructions", max_instructions.is_some()),
+        ] {
+            if set {
+                return Err(format!(
+                    "{flag} is a server-mode flag (conflicts with --connect)"
+                ));
+            }
+        }
+        let request = request.ok_or("client mode needs --request JSON")?;
+        let parsed =
+            Json::parse(&request).map_err(|e| format!("--request is not valid JSON: {e}"))?;
+        return Ok(Mode::Client {
+            addr: connect,
+            is_job: parsed.get("op").and_then(Json::as_str) == Some("job"),
+            request,
+        });
+    }
+    let store = store.ok_or("pick a mode: --store PATH (server) or --connect ADDR (client)")?;
+    if request.is_some() {
+        return Err("--request is a client-mode flag (needs --connect)".into());
+    }
+    let defaults = ServeOptions::default();
+    let options = ServeOptions {
+        addr: addr.unwrap_or(defaults.addr),
+        workers: workers.map_or(defaults.workers, NonZeroUsize::get),
+        max_instructions: max_instructions.map_or(defaults.max_instructions, NonZeroU64::get),
+    };
+    Ok(Mode::Server {
+        store,
+        budget,
+        options,
+    })
 }
 
 fn main() {
-    let args = parse_args();
-    match (&args.connect, &args.store) {
-        (Some(_), _) => client_main(&args),
-        (None, Some(_)) => server_main(&args),
-        (None, None) => {
-            usage_error("pick a mode: --store PATH (server) or --connect ADDR (client)")
-        }
+    match parse_command_line(USAGE, parse_args) {
+        Mode::Server {
+            store,
+            budget,
+            options,
+        } => server_main(&store, budget, options),
+        Mode::Client {
+            addr,
+            request,
+            is_job,
+        } => client_main(&addr, &request, is_job),
     }
 }
 
-fn server_main(args: &Args) {
-    for (flag, set) in [("--request", args.request.is_some())] {
-        if set {
-            usage_error(&format!("{flag} is a client-mode flag (needs --connect)"));
-        }
-    }
-    let path = args.store.as_deref().expect("server mode has --store");
-    let store = match args.budget {
+fn server_main(path: &str, budget: Option<u64>, options: ServeOptions) {
+    let store = match budget {
         Some(budget) => ResultStore::with_budget(path, budget),
         None => ResultStore::open(path),
     };
@@ -146,12 +160,6 @@ fn server_main(args: &Args) {
         eprintln!("error: cannot open result store {path}: {e}");
         std::process::exit(1);
     });
-    let defaults = ServeOptions::default();
-    let options = ServeOptions {
-        addr: args.addr.clone().unwrap_or(defaults.addr),
-        workers: args.workers.unwrap_or(defaults.workers),
-        max_instructions: args.max_instructions.unwrap_or(defaults.max_instructions),
-    };
     eprintln!(
         "store {path}: {} records recovered",
         store.telemetry().recovered_records
@@ -170,29 +178,7 @@ fn server_main(args: &Args) {
     eprintln!("pipo-serve: shut down, store flushed");
 }
 
-fn client_main(args: &Args) {
-    for (flag, set) in [
-        ("--store", args.store.is_some()),
-        ("--addr", args.addr.is_some()),
-        ("--workers", args.workers.is_some()),
-        ("--budget", args.budget.is_some()),
-        ("--max-instructions", args.max_instructions.is_some()),
-    ] {
-        if set {
-            usage_error(&format!(
-                "{flag} is a server-mode flag (conflicts with --connect)"
-            ));
-        }
-    }
-    let addr = args.connect.as_deref().expect("client mode has --connect");
-    let Some(request) = args.request.as_deref() else {
-        usage_error("client mode needs --request JSON");
-    };
-    let parsed = Json::parse(request).unwrap_or_else(|e| {
-        usage_error(&format!("--request is not valid JSON: {e}"));
-    });
-    let is_job = parsed.get("op").and_then(Json::as_str) == Some("job");
-
+fn client_main(addr: &str, request: &str, is_job: bool) {
     let stream = TcpStream::connect(addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {addr}: {e}");
         std::process::exit(1);

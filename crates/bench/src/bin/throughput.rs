@@ -40,7 +40,7 @@
 //! `configs` rate, is an `error:` line and exit status 2. An unwritable
 //! `--out` path is an `error:` line and exit status 1.
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::time::Instant;
 
 use auto_cuckoo::FilterBackend;
@@ -48,6 +48,7 @@ use cache_sim::{
     Access, AccessSource, Addr, CoreId, NullObserver, SimReport, System, SystemConfig,
     TrafficObserver,
 };
+use pipo_bench::args::{parse_command_line, Tokens};
 use pipo_bench::Json;
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
@@ -225,73 +226,51 @@ fn read_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(rates)
 }
 
-/// Reports a CLI error the same way the shared `HarnessArgs` parser does —
-/// an `error:` line naming the problem, the usage text, exit status 2 —
-/// so scripts can treat every harness binary uniformly
-/// (`crates/bench/tests/cli.rs` pins the contract).
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+/// The parsed command line.
+struct Args {
+    instructions: Option<NonZeroU64>,
+    label: String,
+    out: String,
+    compare: Option<String>,
+    samples: usize,
+}
+
+fn parse_args(mut tokens: Tokens) -> Result<Args, String> {
+    let mut args = Args {
+        instructions: None,
+        label: String::from("current"),
+        out: String::from("BENCH_cache_sim.json"),
+        compare: None,
+        samples: 3,
+    };
+    while let Some(token) = tokens.next() {
+        match token.as_str() {
+            "--label" => args.label = tokens.value("--label", "a value")?,
+            "--out" | "--json" => args.out = tokens.value("--out", "a file path")?,
+            "--compare" => args.compare = Some(tokens.value("--compare", "a file path")?),
+            "--samples" => {
+                args.samples = tokens
+                    .positive::<NonZeroUsize>("--samples", "a sample count")?
+                    .get();
+            }
+            _ => Tokens::positional(&token, "total_instructions", &mut args.instructions)?,
+        }
+    }
+    Ok(args)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return;
-    }
-    let mut instructions = DEFAULT_INSTRUCTIONS;
-    let mut label = String::from("current");
-    let mut out_path = String::from("BENCH_cache_sim.json");
-    let mut compare_path: Option<String> = None;
-    let mut samples = 3usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--label" => {
-                label = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--label needs a value"))
-                    .clone();
-            }
-            "--out" | "--json" => {
-                out_path = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--out needs a file path"))
-                    .clone();
-            }
-            "--compare" => {
-                compare_path = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--compare needs a file path"))
-                        .clone(),
-                );
-            }
-            "--samples" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--samples needs a sample count"));
-                samples = raw.parse().unwrap_or(0);
-                if samples == 0 {
-                    usage_error(&format!(
-                        "--samples expects a positive integer, got {raw:?}"
-                    ));
-                }
-            }
-            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
-            other => {
-                instructions = other.parse().map(NonZeroU64::get).unwrap_or_else(|_| {
-                    usage_error(&format!(
-                        "total_instructions expects a positive integer, got {other:?}"
-                    ))
-                });
-            }
-        }
-    }
+    let Args {
+        instructions,
+        label,
+        out: out_path,
+        compare,
+        samples,
+    } = parse_command_line(USAGE, parse_args);
+    let instructions = instructions.map_or(DEFAULT_INSTRUCTIONS, NonZeroU64::get);
 
     // Check the comparison input before spending minutes on measurements.
-    let compare = compare_path.map(|path| match read_rates(&path) {
+    let compare = compare.map(|path| match read_rates(&path) {
         Ok(rates) => (path, rates),
         Err(message) => {
             eprintln!("error: {message}");

@@ -41,7 +41,7 @@ use cache_sim::{
     AccessSource, CoreId, Cycle, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
 };
 use pipo_attacks::OccupancyChannelSource;
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Input, Json};
 use pipo_workloads::{benchmark, is_v2, BurstySource, NoisyNeighborSource, ProfileSource, Trace};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
@@ -310,8 +310,7 @@ fn load_workloads(trace_path: Option<&str>) -> Vec<Workload> {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Input::Scale(u64::MAX), Input::Filter, Input::Trace]);
     let instructions = args.instructions();
     let backend = args.filter_backend();
     let monitor_config = MonitorConfig::paper_default().with_backend(backend);

@@ -22,7 +22,7 @@ use auto_cuckoo::FilterParams;
 use cache_sim::SimReport;
 use pipomonitor::MonitorStats;
 
-pub use args::HarnessArgs;
+pub use args::{HarnessArgs, Input};
 pub use json::{emit_json, sweep_document, write_atomic, Json};
 pub use store::{finish_store, mix_cell_key, ResultStore, StoreTelemetry, STORE_SCHEMA_VERSION};
 pub use sweep::{run_cells, ExecMode, MixCell, Sweep, SweepStoreOutcome};

@@ -4,12 +4,13 @@
 //! (their sweeps are content-addressed result-store cells), and which
 //! reject them with exit status 2 and an error that names the offending
 //! flag. Conflicting execution-mode flags (`--sequential` with
-//! `--threads`) must be rejected the same way, in either order.
+//! `--threads`) must be rejected the same way, in either order. Every
+//! binary's `--help` text is pinned, and so are `pipo_serve`'s refusals.
 //!
 //! Cargo exposes each binary's path to this integration test through the
 //! `CARGO_BIN_EXE_<name>` environment variables, so these tests exercise
-//! the real executables — parser, `expect_no_filter`, and exit codes — not
-//! a reimplementation.
+//! the real executables — the parser, the inputs each binary declares, and
+//! exit codes — not a reimplementation.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -17,8 +18,9 @@ use std::time::{Duration, Instant};
 use pipo_bench::Json;
 use pipo_workloads::Trace;
 
-/// Every harness binary. `throughput` has its own parser (different flag
-/// surface) but must honour the same reject/exit-2 contract.
+/// Every harness binary but `pipo_serve`. `throughput` has its own usage
+/// text and flags, read through the same token walker, so it honours the
+/// same reject/exit-2 contract.
 const BINARIES: &[&str] = &[
     "ablation_delay",
     "ablation_filter",
@@ -47,9 +49,9 @@ const ACCEPTS_FILTER: &[(&str, &[&str])] = &[
     ("trace_replay", &["1", "--sequential"]),
 ];
 
-/// Only `trace_replay` consumes recorded trace files; every other binary —
-/// shared parser or not — must reject `--trace` by name with exit 2
-/// (`throughput` through its own parser's unknown-flag path).
+/// Only `trace_replay` consumes recorded trace files; every other binary
+/// must reject `--trace` by name with exit 2 (`throughput` as an unknown
+/// flag).
 const REJECTS_TRACE: &[&str] = &[
     "ablation_delay",
     "ablation_filter",
@@ -69,7 +71,7 @@ const REJECTS_TRACE: &[&str] = &[
 /// structures directly, `baseline_stateful`/`throughput` pin the paper's
 /// monitor for comparability, and `ablation_filter` sweeps every backend by
 /// construction. All must reject `--filter` by name with exit 2
-/// (`throughput` through its own parser's unknown-flag path).
+/// (`throughput` as an unknown flag).
 const REJECTS_FILTER: &[&str] = &[
     "ablation_filter",
     "baseline_stateful",
@@ -89,11 +91,10 @@ const ACCEPTS_STORE: &[(&str, &[&str])] = &[
     ("ablation_replacement", &["1", "--sequential"]),
 ];
 
-/// Everything else must reject `--store` by name with exit 2:
-/// non-sweep binaries through `expect_no_store`, `trace_replay` because
+/// Everything else must reject `--store` by name with exit 2: non-sweep
+/// binaries because they do not declare it, `trace_replay` because
 /// replayed traces are keyed by file path (not content) so caching them
-/// would be unsound, and `throughput` through its own parser's
-/// unknown-flag path.
+/// would be unsound, and `throughput` as an unknown flag.
 const REJECTS_STORE: &[&str] = &[
     "ablation_delay",
     "ablation_filter",
@@ -108,8 +109,8 @@ const REJECTS_STORE: &[&str] = &[
 ];
 
 /// Binaries whose positional argument scales the run (instructions, probe
-/// windows, trials, insertions or tracked lines); `throughput` parses its
-/// instruction count itself. A scale of 0 must exit 2 before any work.
+/// windows, trials, insertions or tracked lines); `throughput`'s is its
+/// total instruction count. A scale of 0 must exit 2 before any work.
 const TAKES_SCALE: &[&str] = &[
     "ablation_delay",
     "ablation_filter",
@@ -313,6 +314,33 @@ fn zero_scale_exits_2_and_names_the_value() {
             "{name} must stop before running, got:\n{}",
             String::from_utf8_lossy(&output.stdout)
         );
+    }
+}
+
+/// Binaries that allocate per unit of scale (probe windows, trials, tracked
+/// lines) bound it by a constant: a scale above the bound exits 2 naming the
+/// value, like a zero scale, instead of failing an allocation.
+#[test]
+fn oversized_scale_exits_2_and_names_the_value() {
+    const HUGE: &str = "18446744073709551615";
+    for name in [
+        "ablation_delay",
+        "ablation_filter",
+        "fig6_attack",
+        "fig7_reverse",
+    ] {
+        let output = run_bounded(name, &[HUGE, "--sequential"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{name} must exit 2 on an oversized scale, got:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("error:") && stderr.contains(&format!("\"{HUGE}\"")),
+            "{name}'s error must name the value, got:\n{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{name} must stop before running");
     }
 }
 
@@ -731,6 +759,36 @@ fn throughput_reports_an_unwritable_out_path() {
     assert!(
         stderr.contains("error:") && stderr.contains(path),
         "the error must name the path, got:\n{stderr}"
+    );
+}
+
+/// `throughput` takes one positional count, like the shared parser: a second
+/// one is an error naming it, not a silent override.
+#[test]
+fn throughput_rejects_an_extra_positional_argument() {
+    let out = format!(
+        "{}/cli_extra_{}.json",
+        std::env::temp_dir().display(),
+        std::process::id()
+    );
+    let output = run_bounded(
+        "throughput",
+        &["100", "200", "--samples", "1", "--out", &out],
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let written = std::fs::remove_file(&out).is_ok();
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "a second positional must exit 2, got:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("error:") && stderr.contains("\"200\""),
+        "the error must name the extra argument, got:\n{stderr}"
+    );
+    assert!(
+        output.stdout.is_empty() && !written,
+        "throughput must stop before measuring"
     );
 }
 
