@@ -25,11 +25,10 @@
 //! Run: `cargo run --release -p pipo_bench --bin ablation_filter -- \
 //!       [tracked_lines] [--json PATH] [--sequential | --threads N]`
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use auto_cuckoo::{build_store, DetRng, FilterBackend, FilterParams};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Input, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, CaptureOracle, HarnessArgs, Input, Json};
 
 /// Distinct benign line addresses (the tracked population) by default.
 const DEFAULT_TRACKED: u64 = 2_000_000;
@@ -101,7 +100,6 @@ fn benign_stream(tracked_lines: u64) -> Vec<u64> {
 
 fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> BackendResult {
     let mut store = build_store(backend, params).expect("valid parameters");
-    let thr = u32::from(params.security_threshold());
 
     // Timed benign phase: the loop body is exactly the monitor's hot path
     // (one query-with-promotion per memory fetch). Capture indices are
@@ -117,29 +115,16 @@ fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> 
     let elapsed = started.elapsed();
     let ns_per_access = elapsed.as_nanos() as f64 / stream.len() as f64;
 
-    // Oracle pass: replay the stream with exact per-line counts and split
-    // the recorded captures into exact (the line really was re-fetched
-    // `secThr+1`-or-more times) and false-positive-driven.
-    let mut counts: HashMap<u64, u32> = HashMap::with_capacity(stream.len() / 2);
-    let mut exact_captures = 0u64;
-    let mut fp_captures = 0u64;
-    let mut next_capture = 0usize;
+    // Oracle pass: replay the stream beside the recorded captures, so the
+    // timed loop above carries no oracle work.
+    let mut oracle = CaptureOracle::new(params.security_threshold());
+    let mut capture_indices = captured_at.iter().peekable();
     for (i, &line) in stream.iter().enumerate() {
-        let count = counts.entry(line).or_insert(0);
-        *count += 1;
-        if next_capture < captured_at.len() && captured_at[next_capture] == i as u32 {
-            next_capture += 1;
-            // A genuine capture needs secThr re-accesses after the insert,
-            // i.e. an exact times-seen of at least secThr + 1.
-            if *count > thr {
-                exact_captures += 1;
-            } else {
-                fp_captures += 1;
-            }
-        }
+        let captured = capture_indices.next_if_eq(&&(i as u32)).is_some();
+        oracle.record(line, captured);
     }
     let captures = captured_at.len() as u64;
-    let false_alarms_per_mi = fp_captures as f64 * 1.0e6 / stream.len() as f64;
+    let false_alarms_per_mi = oracle.collision_captures() as f64 * 1.0e6 / stream.len() as f64;
 
     // Detection-latency phase: fresh attacker lines outside every tenant
     // window, probed with benign traffic interleaved (the store keeps its
@@ -166,8 +151,8 @@ fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> 
 
     BackendResult {
         captures,
-        exact_captures,
-        fp_captures,
+        exact_captures: oracle.exact_captures(),
+        fp_captures: oracle.collision_captures(),
         false_alarms_per_mi,
         detection_latency,
         memory_bytes: store.memory_bytes(),

@@ -4,9 +4,10 @@
 //! Each cell replays one workload on core 0 of the paper's quad-core system
 //! (cores 1–3 run benign SPEC-profile streams, so detection must work under
 //! load) twice: once on the unprotected baseline and once under PiPoMonitor
-//! wrapped in a [`CaptureProbe`] — an exact oracle that counts every line's
-//! true memory-fetch tally and attributes each capture as *exact* (the line
-//! really was re-fetched `secThr+1`-or-more times) or false-positive-driven.
+//! wrapped in a [`CaptureProbe`], whose [`CaptureOracle`] counts every
+//! line's true memory-fetch tally and attributes each capture as *exact*
+//! (the line really was fetched more than `secThr` times) or
+//! collision-driven (reported as false-positive captures).
 //! Per scenario the figure reports:
 //!
 //! * **detection latency** — scenario-region memory fetches until the first
@@ -34,14 +35,13 @@
 //!       [instructions_per_core] [--json PATH] [--sequential | --threads N] \
 //!       [--filter BACKEND] [--trace PATH]`
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use cache_sim::{
     AccessSource, CoreId, Cycle, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
 };
 use pipo_attacks::OccupancyChannelSource;
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Input, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, CaptureOracle, HarnessArgs, Input, Json};
 use pipo_workloads::{benchmark, is_v2, BurstySource, NoisyNeighborSource, ProfileSource, Trace};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
@@ -142,19 +142,15 @@ impl Workload {
     }
 }
 
-/// Exact-oracle wrapper around [`PiPoMonitor`]: counts every line's true
-/// memory-fetch tally, splits captures into exact vs. false-positive-driven
-/// (the `ablation_filter` oracle, applied to whole-system replay), and
-/// records when the first capture lands in the scenario region.
+/// [`PiPoMonitor`] wrapped with a [`CaptureOracle`], which splits its
+/// captures into exact and collision-driven, and with the scenario
+/// region's accounting: its fetches, and when the first capture lands in it.
 struct CaptureProbe {
     monitor: PiPoMonitor,
-    thr: u32,
+    oracle: CaptureOracle,
     region: Range<u64>,
-    counts: HashMap<u64, u32>,
     fetches: u64,
     region_fetches: u64,
-    exact_captures: u64,
-    fp_captures: u64,
     /// `region_fetches` value at the first in-region capture.
     first_region_capture: Option<u64>,
 }
@@ -162,14 +158,11 @@ struct CaptureProbe {
 impl CaptureProbe {
     fn new(config: MonitorConfig, region: Range<u64>) -> Self {
         Self {
-            thr: u32::from(config.filter.security_threshold()),
+            oracle: CaptureOracle::new(config.filter.security_threshold()),
             monitor: PiPoMonitor::new(config).expect("valid monitor configuration"),
             region,
-            counts: HashMap::new(),
             fetches: 0,
             region_fetches: 0,
-            exact_captures: 0,
-            fp_captures: 0,
             first_region_capture: None,
         }
     }
@@ -180,20 +173,10 @@ impl TrafficObserver for CaptureProbe {
         self.fetches += 1;
         let in_region = self.region.contains(&line.0);
         self.region_fetches += u64::from(in_region);
-        let count = self.counts.entry(line.0).or_insert(0);
-        *count += 1;
         let captured = self.monitor.on_memory_fetch(line, now);
-        if captured {
-            // A genuine capture needs secThr re-fetches after the insert,
-            // i.e. an exact times-fetched of at least secThr + 1.
-            if *count > self.thr {
-                self.exact_captures += 1;
-            } else {
-                self.fp_captures += 1;
-            }
-            if in_region && self.first_region_capture.is_none() {
-                self.first_region_capture = Some(self.region_fetches);
-            }
+        self.oracle.record(line.0, captured);
+        if captured && in_region && self.first_region_capture.is_none() {
+            self.first_region_capture = Some(self.region_fetches);
         }
         captured
     }
@@ -268,8 +251,8 @@ fn run_cell(workload: &Workload, monitor_config: MonitorConfig, instructions: u6
         monitored_cycles: monitored.makespan(),
         instructions: monitored.total_instructions(),
         captures: stats.captures,
-        exact_captures: probe.exact_captures,
-        fp_captures: probe.fp_captures,
+        exact_captures: probe.oracle.exact_captures(),
+        fp_captures: probe.oracle.collision_captures(),
         fetches: probe.fetches,
         region_fetches: probe.region_fetches,
         detection_latency: probe.first_region_capture.unwrap_or(probe.region_fetches),

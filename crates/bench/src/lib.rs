@@ -14,6 +14,7 @@
 
 pub mod args;
 pub mod json;
+pub mod oracle;
 pub mod serve;
 pub mod store;
 pub mod sweep;
@@ -24,6 +25,7 @@ use pipomonitor::MonitorStats;
 
 pub use args::{HarnessArgs, Input};
 pub use json::{emit_json, sweep_document, write_atomic, Json};
+pub use oracle::CaptureOracle;
 pub use store::{finish_store, mix_cell_key, ResultStore, StoreTelemetry, STORE_SCHEMA_VERSION};
 pub use sweep::{run_cells, ExecMode, MixCell, Sweep, SweepStoreOutcome};
 
