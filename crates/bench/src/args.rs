@@ -1,51 +1,29 @@
 //! Command-line parsing for the harness binaries.
 //!
 //! Every binary reads its command line through [`parse_command_line`] and
-//! one [`Tokens`] walker, which own the contract they all share:
+//! a [`Tokens`] walker, which own the contract they share: `--help` / `-h`
+//! prints the binary's usage and exits 0, and a flag with no value, a count
+//! that is not a positive integer, an unknown flag or an extra positional
+//! argument prints `error: …` and the usage, then exits 2. Nothing is
+//! silently swallowed into a default.
 //!
-//! * `--help` / `-h` prints the binary's usage and exits 0;
-//! * a flag with no value, a count that is not a positive integer, an
-//!   unknown flag or an extra positional argument prints `error: …` and the
-//!   usage, then exits 2. Nothing is silently swallowed into a default.
+//! The twelve figure binaries parse [`HarnessArgs`] and print [`USAGE`].
+//! Each takes `--json PATH`, `--sequential` and `--threads N` (the last two
+//! conflict, in either order), and names the optional [`Input`]s it takes
+//! where it parses:
 //!
-//! The twelve figure binaries parse [`HarnessArgs`] and print [`USAGE`]:
-//!
-//! ```text
-//! <binary> [scale] [--json PATH] [--sequential | --threads N]
-//!          [--filter BACKEND] [--trace PATH] [--store PATH] [--help]
-//! ```
-//!
-//! * `--json PATH` — additionally write machine-readable results to `PATH`.
-//! * `--sequential` — evaluate sweep cells one at a time (the pre-engine
-//!   behaviour; per-cell results are bit-identical either way).
-//! * `--threads N` — evaluate sweep cells on `N` worker threads. The default
-//!   is one thread per host core. Cells are the only unit of parallelism:
-//!   each simulated system runs on one thread. `--sequential` with
-//!   `--threads N` (in either order) is an error naming both flags, never a
-//!   silent last-one-wins.
-//!
-//! Every figure binary takes those three. The rest are optional
-//! [`Input`]s, and each binary names the ones it takes where it parses:
-//!
-//! * `scale` — one positive integer whose meaning is per-binary
-//!   (instructions per core, probe windows, trials, insertions, ...) and
-//!   whose upper bound is a constant of the binary. Each binary's doc
-//!   comment names it.
-//! * `--filter BACKEND` — pattern-store backend for the simulated monitors
-//!   (`auto`, `classic`, `bloom` or `xor`; default `auto`, the paper's
-//!   hardware design). Taken by the binaries that build monitors, except
-//!   `ablation_filter`, which sweeps every backend itself.
-//! * `--trace PATH` — replay a recorded `pipo-trace` file (v1 text or v2
-//!   binary, sniffed by magic) as an extra workload. Taken by `trace_replay`
-//!   alone.
-//! * `--store PATH` — answer sweep cells from (and record new cells into)
-//!   the persistent content-addressed result store at `PATH`, the same
-//!   store a `pipo-serve` instance serves. Taken by the `System::run` sweep
-//!   figures with store-keyed cells (`fig8_performance`,
-//!   `sensitivity_secthr`, `ablation_replacement`).
+//! * the positional `scale` (instructions per core, probe windows, trials,
+//!   insertions, ...; each binary's doc comment names it), up to a bound
+//!   that is a constant of the binary;
+//! * `--filter BACKEND`, taken by the binaries that build monitors, except
+//!   `ablation_filter`, which sweeps every backend itself;
+//! * `--trace PATH`, taken by `trace_replay` alone;
+//! * `--store PATH`, taken by the `System::run` sweep figures with
+//!   store-keyed cells (`fig8_performance`, `sensitivity_secthr`,
+//!   `ablation_replacement`).
 //!
 //! An input a binary does not take is an `error:` line naming the flag (or
-//! the scale), and exit status 2. `throughput` and `pipo_serve` have their
+//! the scale), with exit status 2. `throughput` and `pipo_serve` keep their
 //! own usage text and flags, read through the same walker.
 
 use std::num::{NonZeroU64, NonZeroUsize};
@@ -103,38 +81,25 @@ pub struct Tokens(std::vec::IntoIter<String>);
 
 impl Tokens {
     /// Walks `args` (without the program name).
-    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
+    pub(crate) fn new(args: impl IntoIterator<Item = String>) -> Self {
         Self(args.into_iter().collect::<Vec<_>>().into_iter())
     }
 
-    /// The value after `flag`.
-    ///
-    /// # Errors
-    ///
-    /// `"<flag> needs <what>"` when the command line ends first.
+    /// The value after `flag`, or the error "`flag` needs `what`" when the
+    /// command line ends first.
     pub fn value(&mut self, flag: &str, what: &str) -> Result<String, String> {
         self.0.next().ok_or_else(|| format!("{flag} needs {what}"))
     }
 
-    /// The positive integer after `flag`, as a `NonZero*` type.
-    ///
-    /// # Errors
-    ///
-    /// A missing value (see [`value`](Self::value)), or one that is not a
-    /// positive integer.
+    /// The positive integer (a `NonZero*` type) after `flag`.
     pub fn positive<N: FromStr>(&mut self, flag: &str, what: &str) -> Result<N, String> {
         let raw = self.value(flag, what)?;
         parse_positive(flag, &raw)
     }
 
-    /// Reads a token no flag matched as the command line's one positional
-    /// count, named `name` in errors, into `slot`.
-    ///
-    /// # Errors
-    ///
-    /// An unknown flag, a second positional argument (see
-    /// [`unexpected`](Self::unexpected)), or a value that is not a positive
-    /// integer.
+    /// Reads a token no flag matched into `slot`, the command line's one
+    /// positional count, named `name` in errors. An unknown flag or a
+    /// second positional is [`unexpected`](Self::unexpected).
     pub fn positional<N: FromStr>(
         token: &str,
         name: &str,
