@@ -226,51 +226,32 @@ fn read_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(rates)
 }
 
-/// The parsed command line.
-struct Args {
-    instructions: Option<NonZeroU64>,
-    label: String,
-    out: String,
-    compare: Option<String>,
-    samples: usize,
-}
-
-fn parse_args(mut tokens: Tokens) -> Result<Args, String> {
-    let mut args = Args {
-        instructions: None,
-        label: String::from("current"),
-        out: String::from("BENCH_cache_sim.json"),
-        compare: None,
-        samples: 3,
-    };
-    while let Some(token) = tokens.next() {
-        match token.as_str() {
-            "--label" => args.label = tokens.value("--label", "a value")?,
-            "--out" | "--json" => args.out = tokens.value("--out", "a file path")?,
-            "--compare" => args.compare = Some(tokens.value("--compare", "a file path")?),
-            "--samples" => {
-                args.samples = tokens
-                    .positive::<NonZeroUsize>("--samples", "a sample count")?
-                    .get();
-            }
-            _ => Tokens::positional(&token, "total_instructions", &mut args.instructions)?,
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let Args {
-        instructions,
-        label,
-        out: out_path,
-        compare,
-        samples,
-    } = parse_command_line(USAGE, parse_args);
+    let mut instructions: Option<NonZeroU64> = None;
+    let mut label = String::from("current");
+    let mut out_path = String::from("BENCH_cache_sim.json");
+    let mut compare_path: Option<String> = None;
+    let mut samples = 3usize;
+    parse_command_line(USAGE, |mut tokens| {
+        while let Some(token) = tokens.next() {
+            match token.as_str() {
+                "--label" => label = tokens.value("--label", "a value")?,
+                "--out" | "--json" => out_path = tokens.value("--out", "a file path")?,
+                "--compare" => compare_path = Some(tokens.value("--compare", "a file path")?),
+                "--samples" => {
+                    samples = tokens
+                        .positive::<NonZeroUsize>("--samples", "a sample count")?
+                        .get();
+                }
+                _ => Tokens::positional(&token, "total_instructions", &mut instructions)?,
+            }
+        }
+        Ok(())
+    });
     let instructions = instructions.map_or(DEFAULT_INSTRUCTIONS, NonZeroU64::get);
 
     // Check the comparison input before spending minutes on measurements.
-    let compare = compare.map(|path| match read_rates(&path) {
+    let compare = compare_path.map(|path| match read_rates(&path) {
         Ok(rates) => (path, rates),
         Err(message) => {
             eprintln!("error: {message}");
