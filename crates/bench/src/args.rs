@@ -26,7 +26,6 @@
 //! the scale), with exit status 2. `throughput` and `pipo_serve` keep their
 //! own usage text and flags, read through the same walker.
 
-use std::num::{NonZeroU64, NonZeroUsize};
 use std::str::FromStr;
 
 use auto_cuckoo::FilterBackend;
@@ -91,8 +90,12 @@ impl Tokens {
         self.0.next().ok_or_else(|| format!("{flag} needs {what}"))
     }
 
-    /// The positive integer (a `NonZero*` type) after `flag`.
-    pub fn positive<N: FromStr>(&mut self, flag: &str, what: &str) -> Result<N, String> {
+    /// The positive integer (of an unsigned type) after `flag`.
+    pub fn positive<N: FromStr + Default + PartialEq>(
+        &mut self,
+        flag: &str,
+        what: &str,
+    ) -> Result<N, String> {
         let raw = self.value(flag, what)?;
         parse_positive(flag, &raw)
     }
@@ -100,7 +103,7 @@ impl Tokens {
     /// Reads a token no flag matched into `slot`, the command line's one
     /// positional count, named `name` in errors. An unknown flag or a
     /// second positional is [`unexpected`](Self::unexpected).
-    pub fn positional<N: FromStr>(
+    pub fn positional<N: FromStr + Default + PartialEq>(
         token: &str,
         name: &str,
         slot: &mut Option<N>,
@@ -132,11 +135,13 @@ impl Iterator for Tokens {
     }
 }
 
-/// `raw` as a positive integer (`N` is a `NonZero*` type), or an error
-/// naming `name` and the value.
-fn parse_positive<N: FromStr>(name: &str, raw: &str) -> Result<N, String> {
-    raw.parse()
-        .map_err(|_| format!("{name} expects a positive integer, got {raw:?}"))
+/// `raw` as a positive integer of an unsigned type, or an error naming
+/// `name` and the value.
+fn parse_positive<N: FromStr + Default + PartialEq>(name: &str, raw: &str) -> Result<N, String> {
+    match raw.parse() {
+        Ok(n) if n != N::default() => Ok(n),
+        _ => Err(format!("{name} expects a positive integer, got {raw:?}")),
+    }
 }
 
 /// An optional input a figure binary may take, beyond `--json`,
@@ -194,10 +199,10 @@ impl HarnessArgs {
         args: impl IntoIterator<Item = String>,
         inputs: &[Input],
     ) -> Result<Self, String> {
-        let mut scale: Option<NonZeroU64> = None;
+        let mut scale: Option<u64> = None;
         let mut json = None;
         let mut sequential = false;
-        let mut threads: Option<NonZeroUsize> = None;
+        let mut threads: Option<usize> = None;
         let mut filter = None;
         let mut trace = None;
         let mut store = None;
@@ -228,11 +233,11 @@ impl HarnessArgs {
                 ))
             }
             (true, None) => ExecMode::Sequential,
-            (false, Some(threads)) => ExecMode::with_threads(threads.get()),
+            (false, Some(threads)) => ExecMode::with_threads(threads),
             (false, None) => ExecMode::host_default(),
         };
         let args = Self {
-            scale: scale.map(NonZeroU64::get),
+            scale,
             json,
             mode,
             filter,
@@ -498,8 +503,8 @@ mod tests {
     fn tokens_take_values_counts_and_one_positional() {
         let mut tokens = Tokens::new(["--samples", "3", "--label"].map(String::from));
         assert_eq!(tokens.next().as_deref(), Some("--samples"));
-        let samples: NonZeroUsize = tokens.positive("--samples", "a count").expect("valid");
-        assert_eq!(samples.get(), 3);
+        let samples: usize = tokens.positive("--samples", "a count").expect("valid");
+        assert_eq!(samples, 3);
         assert_eq!(tokens.next().as_deref(), Some("--label"));
         assert_eq!(
             tokens.value("--label", "a value").unwrap_err(),
@@ -508,18 +513,18 @@ mod tests {
         for raw in ["0", "-1", "x"] {
             let mut tokens = Tokens::new(["--n", raw].map(String::from));
             tokens.next();
-            let err = tokens.positive::<NonZeroU64>("--n", "a count").unwrap_err();
+            let err = tokens.positive::<u64>("--n", "a count").unwrap_err();
             assert!(err.contains("--n") && err.contains(raw), "{err}");
         }
 
-        let mut slot: Option<NonZeroU64> = None;
+        let mut slot: Option<u64> = None;
         Tokens::positional("7", "total", &mut slot).expect("valid");
-        assert_eq!(slot.map(NonZeroU64::get), Some(7));
+        assert_eq!(slot, Some(7));
         let err = Tokens::positional("8", "total", &mut slot).unwrap_err();
         assert!(err.contains("extra") && err.contains("\"8\""), "{err}");
-        let err = Tokens::positional("--bogus", "total", &mut None::<NonZeroU64>).unwrap_err();
+        let err = Tokens::positional("--bogus", "total", &mut None::<u64>).unwrap_err();
         assert!(err.contains("unknown flag \"--bogus\""), "{err}");
-        let err = Tokens::positional("0", "total", &mut None::<NonZeroU64>).unwrap_err();
+        let err = Tokens::positional("0", "total", &mut None::<u64>).unwrap_err();
         assert!(err.contains("total") && err.contains("\"0\""), "{err}");
     }
 }

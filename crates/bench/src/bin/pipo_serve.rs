@@ -21,7 +21,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::num::{NonZeroU64, NonZeroUsize};
 
 use pipo_bench::args::{parse_command_line, Tokens};
 use pipo_bench::serve::{ServeOptions, Server};
@@ -71,9 +70,9 @@ enum Mode {
 fn parse_args(mut tokens: Tokens) -> Result<Mode, String> {
     let mut store = None;
     let mut addr = None;
-    let mut workers: Option<NonZeroUsize> = None;
+    let mut workers: Option<usize> = None;
     let mut budget: Option<u64> = None;
-    let mut max_instructions: Option<NonZeroU64> = None;
+    let mut max_instructions: Option<u64> = None;
     let mut connect = None;
     let mut request = None;
     while let Some(token) = tokens.next() {
@@ -126,8 +125,8 @@ fn parse_args(mut tokens: Tokens) -> Result<Mode, String> {
     let defaults = ServeOptions::default();
     let options = ServeOptions {
         addr: addr.unwrap_or(defaults.addr),
-        workers: workers.map_or(defaults.workers, NonZeroUsize::get),
-        max_instructions: max_instructions.map_or(defaults.max_instructions, NonZeroU64::get),
+        workers: workers.unwrap_or(defaults.workers),
+        max_instructions: max_instructions.unwrap_or(defaults.max_instructions),
     };
     Ok(Mode::Server {
         store,

@@ -40,7 +40,6 @@
 //! `configs` rate, is an `error:` line and exit status 2. An unwritable
 //! `--out` path is an `error:` line and exit status 1.
 
-use std::num::{NonZeroU64, NonZeroUsize};
 use std::time::Instant;
 
 use auto_cuckoo::FilterBackend;
@@ -227,7 +226,7 @@ fn read_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
 }
 
 fn main() {
-    let mut instructions: Option<NonZeroU64> = None;
+    let mut instructions: Option<u64> = None;
     let mut label = String::from("current");
     let mut out_path = String::from("BENCH_cache_sim.json");
     let mut compare_path: Option<String> = None;
@@ -238,17 +237,13 @@ fn main() {
                 "--label" => label = tokens.value("--label", "a value")?,
                 "--out" | "--json" => out_path = tokens.value("--out", "a file path")?,
                 "--compare" => compare_path = Some(tokens.value("--compare", "a file path")?),
-                "--samples" => {
-                    samples = tokens
-                        .positive::<NonZeroUsize>("--samples", "a sample count")?
-                        .get();
-                }
+                "--samples" => samples = tokens.positive("--samples", "a sample count")?,
                 _ => Tokens::positional(&token, "total_instructions", &mut instructions)?,
             }
         }
         Ok(())
     });
-    let instructions = instructions.map_or(DEFAULT_INSTRUCTIONS, NonZeroU64::get);
+    let instructions = instructions.unwrap_or(DEFAULT_INSTRUCTIONS);
 
     // Check the comparison input before spending minutes on measurements.
     let compare = compare_path.map(|path| match read_rates(&path) {
