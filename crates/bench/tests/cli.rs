@@ -844,3 +844,96 @@ fn fig7_reports_the_paper_geometry_rows() {
     let verdicts = stdout.matches(" than 8192").count();
     assert_eq!(verdicts, 5, "one verdict per paper MNK:\n{stdout}");
 }
+
+/// Runs `name --sequential --json PATH` and returns the parsed document.
+fn json_document(name: &str) -> Json {
+    let json = format!(
+        "{}/cli_{name}_{}.json",
+        std::env::temp_dir().display(),
+        std::process::id()
+    );
+    let output = Command::new(bin_path(name))
+        .args(["--sequential", "--json", &json])
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "{name} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(&json).expect("--json output");
+    std::fs::remove_file(&json).ok();
+    Json::parse(&text).expect("valid JSON document")
+}
+
+/// §VII-D's storage and area figures: every storage and area field of
+/// `overhead_table`'s row for the paper's 1024×8 filter, and
+/// `baseline_stateful`'s three storage rows (the filter, a tag table of the
+/// same capacity, and a directory extension with one record per line of
+/// the 4 MB LLC).
+#[test]
+fn overhead_figures_are_pinned() {
+    let doc = json_document("overhead_table");
+    let paper_row = doc
+        .get("cells")
+        .and_then(Json::as_array)
+        .and_then(|cells| {
+            cells.iter().find(|cell| {
+                cell.get("l").and_then(Json::as_u64) == Some(1024)
+                    && cell.get("b").and_then(Json::as_u64) == Some(8)
+            })
+        })
+        .expect("a 1024x8 row");
+    let field = |name: &str| paper_row.get(name).and_then(Json::as_f64);
+    assert_eq!(paper_row.get("entries").and_then(Json::as_u64), Some(8192));
+    assert_eq!(
+        paper_row.get("bits_per_entry").and_then(Json::as_u64),
+        Some(15)
+    );
+    assert_eq!(field("storage_kib"), Some(15.0));
+    assert_eq!(field("storage_relative_to_llc"), Some(0.003_662_109_375));
+    assert_eq!(field("area_mm2"), Some(0.013));
+    assert_eq!(field("area_relative_to_llc"), Some(0.0031999999999999997));
+
+    let doc = json_document("baseline_stateful");
+    let rows: Vec<(&str, u64, f64, f64)> = doc
+        .get("storage")
+        .and_then(Json::as_array)
+        .expect("a storage array")
+        .iter()
+        .map(|row| {
+            (
+                row.get("structure").and_then(Json::as_str).unwrap_or(""),
+                row.get("entries").and_then(Json::as_u64).unwrap_or(0),
+                row.get("kib").and_then(Json::as_f64).unwrap_or(0.0),
+                row.get("relative_to_llc")
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0),
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            (
+                "Auto-Cuckoo filter (1024x8, f=12)",
+                8192,
+                15.0,
+                0.003_662_109_375
+            ),
+            (
+                "tag table, same capacity (1024x8)",
+                8192,
+                27.0,
+                0.006_591_796_875
+            ),
+            (
+                "directory extension (per LLC line)",
+                65_536,
+                168.0,
+                0.041_015_625
+            ),
+        ]
+    );
+}

@@ -1,12 +1,13 @@
-//! Bit-identity golden for the cuckoo table under both overflow policies.
+//! Bit-identity golden for the cuckoo table under both overflow policies,
+//! and for the bloom and xor pattern stores.
 //!
 //! Each geometry replays a fixed query stream of 4× its capacity, drawn from
 //! a universe of 2× its capacity lines, so merges, captures, autonomic
-//! deletions (auto) and refused insertions (classic) all fire. Every
-//! `QueryOutcome` field, the final `FilterStats` and the final `len` are
-//! folded into one FNV-1a digest per policy. The table is reached only
-//! through `build_store` and the `PatternStore` trait, so the digests pin
-//! behaviour independently of how the table is implemented.
+//! deletions (auto), refused insertions (classic) and rebuilds (xor) all
+//! fire. Every `QueryOutcome` field, the final `FilterStats` and the final
+//! `len` are folded into one FNV-1a digest per backend. Each store is
+//! reached only through `build_store` and the `PatternStore` trait, so the
+//! digests pin behaviour independently of how the store is implemented.
 //!
 //! Run with `GOLDEN_PRINT=1 cargo test -q -p auto_cuckoo --test cuckoo_golden -- --nocapture`
 //! to print the current digests when intentionally re-baselining.
@@ -37,6 +38,19 @@ const GOLDEN: [(&str, u64, u64); 7] = [
     ("paper_default", 0x3f13a995640844a2, 0x28bae4d230589930),
     ("l64_b4_mnk500", 0xec98a28550b4e484, 0xe37b2ddfc0de8165),
     ("l128_f16_mnk8_t2", 0x6db1b2278ce94873, 0x80ce8b8be2dba488),
+];
+
+/// `(name, bloom digest, xor digest)`, captured before the stores shared one
+/// promotion step. Neither store reads the fingerprint width or MNK, so
+/// geometries that differ only there share a digest.
+const BLOOM_XOR_GOLDEN: [(&str, u64, u64); 7] = [
+    ("l1_b1_mnk0", 0x18a0bd2f3a0ac240, 0x18a0bd2f3a0ac240),
+    ("l1_b8_mnk2_t1", 0xc54c0005411d5a65, 0xc54c0005411d5a65),
+    ("l64_b4_f4_mnk0", 0x340ec59fa48290c8, 0x69bb560a4bdba6b2),
+    ("l256_b2_f8_mnk1_t1", 0xe13f95002a900311, 0xf7f68e418b493fdb),
+    ("paper_default", 0xcf19252b2c78bdcf, 0xda011dfced9ef777),
+    ("l64_b4_mnk500", 0x340ec59fa48290c8, 0x69bb560a4bdba6b2),
+    ("l128_f16_mnk8_t2", 0x502601a517277b15, 0xc6de15f95f5fe6af),
 ];
 
 /// FNV-1a over little-endian 64-bit words.
@@ -139,4 +153,35 @@ fn both_policies_match_the_golden_digests() {
     );
 
     assert_eq!(got, GOLDEN);
+}
+
+#[test]
+fn bloom_and_xor_match_the_golden_digests() {
+    let mut got = Vec::new();
+    let mut totals = [FilterStats::default(), FilterStats::default()];
+    for geometry in &GEOMETRIES {
+        let (bloom, bloom_stats) = replay(FilterBackend::Bloom, geometry);
+        let (xor, xor_stats) = replay(FilterBackend::Xor, geometry);
+        for (total, stats) in totals.iter_mut().zip([bloom_stats, xor_stats]) {
+            total.queries += stats.queries;
+            total.merges += stats.merges;
+            total.inserts += stats.inserts;
+            total.captures += stats.captures;
+        }
+        got.push((geometry.0, bloom, xor));
+    }
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (name, bloom, xor) in &got {
+            println!("    (\"{name}\", {bloom:#018x}, {xor:#018x}),");
+        }
+        println!("GOLDEN totals (bloom, xor): {totals:#?}");
+    }
+
+    // Both stores merge and capture, and neither refuses an insertion.
+    for total in &totals {
+        assert!(total.merges > 0 && total.captures > 0, "{total:?}");
+        assert_eq!(total.inserts + total.merges, total.queries, "{total:?}");
+    }
+
+    assert_eq!(got, BLOOM_XOR_GOLDEN);
 }
