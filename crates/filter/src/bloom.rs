@@ -26,7 +26,7 @@ use std::fmt;
 use crate::hash::mix64;
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
-use crate::store::{FilterBackend, PatternStore, QueryOutcome};
+use crate::store::{FilterBackend, PatternStore, Promotion, QueryOutcome};
 
 /// Counters per item (the `K` probes of a query).
 const K: usize = 4;
@@ -68,7 +68,7 @@ pub struct BloomPatternStore {
     set_counters: usize,
     /// Distinct inserts observed (queries that found minimum 0).
     inserted_items: usize,
-    stats: FilterStats,
+    promotion: Promotion,
 }
 
 impl fmt::Debug for BloomPatternStore {
@@ -79,7 +79,7 @@ impl fmt::Debug for BloomPatternStore {
             .field("blocks", &self.blocks)
             .field("set_counters", &self.set_counters)
             .field("inserted_items", &self.inserted_items)
-            .field("stats", &self.stats)
+            .field("promotion", &self.promotion)
             .finish_non_exhaustive()
     }
 }
@@ -101,7 +101,7 @@ impl BloomPatternStore {
             blocks: counters / BLOCK_COUNTERS,
             set_counters: 0,
             inserted_items: 0,
-            stats: FilterStats::default(),
+            promotion: Promotion::new(&params),
             params,
         })
     }
@@ -146,8 +146,6 @@ impl PatternStore for BloomPatternStore {
     /// The query-with-promotion operation: reads the item's counter minimum,
     /// conservatively increments it, and reports the resulting `Security`.
     fn query(&mut self, item: u64) -> QueryOutcome {
-        self.stats.queries += 1;
-        let thr = self.params.security_threshold();
         let probes = self.probes(item);
         let mut min = COUNTER_MAX;
         for &p in &probes {
@@ -167,30 +165,10 @@ impl PatternStore for BloomPatternStore {
         }
         if min == 0 {
             self.inserted_items += 1;
-            self.stats.inserts += 1;
-            return QueryOutcome {
-                security: 0,
-                inserted: true,
-                merged: false,
-                captured: false,
-                kicks: 0,
-                autonomic_deletion: None,
-            };
+            return self.promotion.insert(0, None);
         }
-        let security = min.min(thr);
-        let captured = security >= thr;
-        self.stats.merges += 1;
-        if captured {
-            self.stats.captures += 1;
-        }
-        QueryOutcome {
-            security,
-            inserted: false,
-            merged: true,
-            captured,
-            kicks: 0,
-            autonomic_deletion: None,
-        }
+        self.promotion
+            .merge(min.min(self.params.security_threshold()))
     }
 
     /// Whether the item's counter minimum is nonzero. Subject to
@@ -213,10 +191,6 @@ impl PatternStore for BloomPatternStore {
         (min > 0).then(|| (min - 1).min(thr))
     }
 
-    fn security_threshold(&self) -> u8 {
-        self.params.security_threshold()
-    }
-
     /// Distinct inserts observed (queries whose counter minimum was zero).
     /// Counter sharing can merge distinct lines, so this undercounts the
     /// lines that contributed traffic, never overcounts.
@@ -235,7 +209,7 @@ impl PatternStore for BloomPatternStore {
     }
 
     fn stats_snapshot(&self) -> FilterStats {
-        self.stats.clone()
+        self.promotion.stats()
     }
 
     /// Zeroes every counter and resets statistics.
@@ -243,7 +217,7 @@ impl PatternStore for BloomPatternStore {
         self.data.fill(0);
         self.set_counters = 0;
         self.inserted_items = 0;
-        self.stats = FilterStats::default();
+        self.promotion.reset();
     }
 
     fn backend(&self) -> FilterBackend {

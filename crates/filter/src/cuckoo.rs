@@ -25,7 +25,7 @@ use crate::entry::Entry;
 use crate::hash::{alternate_bucket, candidate_buckets, fingerprint_of, DetRng, IndexPair};
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::{CollisionCensus, FilterStats};
-use crate::store::{FilterBackend, PatternStore, QueryOutcome};
+use crate::store::{FilterBackend, PatternStore, Promotion, QueryOutcome};
 
 /// Result of a [`CuckooFilter::delete`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +61,7 @@ pub struct CuckooFilter {
     params: FilterParams,
     table: Vec<Entry>,
     rng: DetRng,
-    stats: FilterStats,
+    promotion: Promotion,
     occupied: usize,
     /// Whether a walk that reaches MNK deletes a record (Auto-Cuckoo) rather
     /// than refusing the insertion (classic).
@@ -93,7 +93,7 @@ impl CuckooFilter {
         Ok(Self {
             table: vec![Entry::vacant(); params.capacity()],
             rng: DetRng::new(params.seed()),
-            stats: FilterStats::default(),
+            promotion: Promotion::new(&params),
             occupied: 0,
             autonomic,
             params,
@@ -235,48 +235,23 @@ impl PatternStore for CuckooFilter {
     ///   `inserted` nor `merged`; the resident it lost, if any, is reported
     ///   in `autonomic_deletion`.
     fn query(&mut self, item: u64) -> QueryOutcome {
-        self.stats.queries += 1;
         let fp = fingerprint_of(item, &self.params);
         let pair = candidate_buckets(item, &self.params);
 
         if let Some(slot) = self.find_match(pair, fp) {
-            let thr = self.params.security_threshold();
             let entry = &mut self.table[slot];
             entry.note_collision();
-            let security = entry.bump_security(thr);
-            let captured = security >= thr;
-            self.stats.merges += 1;
-            self.stats.captures += u64::from(captured);
-            return QueryOutcome {
-                security,
-                inserted: false,
-                merged: true,
-                captured,
-                kicks: 0,
-                autonomic_deletion: None,
-            };
+            return self
+                .promotion
+                .merge(entry.bump_security(self.params.security_threshold()));
         }
 
         let (kicks, homeless) = self.insert_new(pair, fp);
-        let refused = !self.autonomic && homeless.is_some();
-        if !refused {
-            self.stats.inserts += 1;
-            self.stats.kicks += u64::from(kicks);
-            self.stats.autonomic_deletions += u64::from(homeless.is_some());
+        if self.autonomic || homeless.is_none() {
+            return self.promotion.insert(kicks, homeless);
         }
-        QueryOutcome {
-            security: 0,
-            inserted: !refused,
-            merged: false,
-            captured: false,
-            kicks,
-            // A refusal without kicks dropped only the new record.
-            autonomic_deletion: if refused && kicks == 0 {
-                None
-            } else {
-                homeless
-            },
-        }
+        // A refusal without kicks dropped only the new record.
+        self.promotion.refuse(kicks, homeless.filter(|_| kicks > 0))
     }
 
     fn contains(&self, item: u64) -> bool {
@@ -285,10 +260,6 @@ impl PatternStore for CuckooFilter {
 
     fn security_of(&self, item: u64) -> Option<u8> {
         self.slot_of(item).map(|slot| self.table[slot].security())
-    }
-
-    fn security_threshold(&self) -> u8 {
-        self.params.security_threshold()
     }
 
     fn len(&self) -> usize {
@@ -305,13 +276,13 @@ impl PatternStore for CuckooFilter {
     }
 
     fn stats_snapshot(&self) -> FilterStats {
-        self.stats.clone()
+        self.promotion.stats()
     }
 
     fn clear(&mut self) {
         self.table.fill(Entry::vacant());
         self.occupied = 0;
-        self.stats = FilterStats::default();
+        self.promotion.reset();
     }
 
     fn backend(&self) -> FilterBackend {

@@ -29,7 +29,7 @@ use std::ops::Range;
 use crate::hash::mix64;
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
-use crate::store::{FilterBackend, PatternStore, QueryOutcome};
+use crate::store::{FilterBackend, PatternStore, Promotion, QueryOutcome};
 
 /// Width of a physical line number: 40-bit physical addresses, 64-byte
 /// lines. A record's tag is this minus the set-index bits.
@@ -84,7 +84,7 @@ pub struct DirectoryPatternStore {
     /// One tick per query; a record's `stamp` is its last tick.
     clock: u64,
     len: usize,
-    stats: FilterStats,
+    promotion: Promotion,
 }
 
 impl DirectoryPatternStore {
@@ -99,7 +99,7 @@ impl DirectoryPatternStore {
             table: vec![Record::default(); params.capacity()],
             clock: 0,
             len: 0,
-            stats: FilterStats::default(),
+            promotion: Promotion::new(&params),
             params,
         })
     }
@@ -126,7 +126,6 @@ impl PatternStore for DirectoryPatternStore {
     /// LRU stamp. A miss fills the set's first empty way, or else evicts its
     /// least recently used record (the first in way order on a tie).
     fn query(&mut self, item: u64) -> QueryOutcome {
-        self.stats.queries += 1;
         self.clock += 1;
         let thr = self.params.security_threshold();
         let slots = self.set_slots(item);
@@ -135,19 +134,7 @@ impl PatternStore for DirectoryPatternStore {
         if let Some(record) = set.iter_mut().find(|r| r.valid && r.line == item) {
             record.security = (record.security + 1).min(thr);
             record.stamp = self.clock;
-            let captured = record.security >= thr;
-            self.stats.merges += 1;
-            if captured {
-                self.stats.captures += 1;
-            }
-            return QueryOutcome {
-                security: record.security,
-                inserted: false,
-                merged: true,
-                captured,
-                kicks: 0,
-                autonomic_deletion: None,
-            };
+            return self.promotion.merge(record.security);
         }
 
         let way = set.iter().position(|r| !r.valid).unwrap_or_else(|| {
@@ -156,7 +143,7 @@ impl PatternStore for DirectoryPatternStore {
                 .expect("a set has at least one way")
         });
         if set[way].valid {
-            self.stats.autonomic_deletions += 1;
+            self.promotion.count_eviction();
         } else {
             self.len += 1;
         }
@@ -166,15 +153,7 @@ impl PatternStore for DirectoryPatternStore {
             security: 0,
             stamp: self.clock,
         };
-        self.stats.inserts += 1;
-        QueryOutcome {
-            security: 0,
-            inserted: true,
-            merged: false,
-            captured: false,
-            kicks: 0,
-            autonomic_deletion: None,
-        }
+        self.promotion.insert(0, None)
     }
 
     /// Exact: the table holds full tags, so there are no false merges.
@@ -189,10 +168,6 @@ impl PatternStore for DirectoryPatternStore {
             .iter()
             .find(|r| r.valid && r.line == item)
             .map(|r| r.security)
-    }
-
-    fn security_threshold(&self) -> u8 {
-        self.params.security_threshold()
     }
 
     fn len(&self) -> usize {
@@ -212,14 +187,14 @@ impl PatternStore for DirectoryPatternStore {
     }
 
     fn stats_snapshot(&self) -> FilterStats {
-        self.stats.clone()
+        self.promotion.stats()
     }
 
     fn clear(&mut self) {
         self.table.fill(Record::default());
         self.clock = 0;
         self.len = 0;
-        self.stats = FilterStats::default();
+        self.promotion.reset();
     }
 
     fn backend(&self) -> FilterBackend {

@@ -18,6 +18,12 @@
 //! * [`stats_snapshot`](PatternStore::stats_snapshot) /
 //!   [`memory_bytes`](PatternStore::memory_bytes) — uniform observability so
 //!   harnesses can compare backends on false alarms vs. memory vs. speed.
+//!   `memory_bytes` is the only storage model: the §VII-D overhead figures
+//!   read it from a built store.
+//!
+//! Every backend's `query` ends in one shared promotion step, which counts
+//! the query, decides the capture (`security >= secThr`) and builds the
+//! outcome; a backend only finds and updates its own record.
 //!
 //! Four selectable backends implement the trait, each in its own module:
 //! the paper's Auto-Cuckoo filter and the vulnerable classic baseline (one
@@ -182,7 +188,9 @@ pub trait PatternStore: fmt::Debug + Send {
     fn security_of(&self, item: u64) -> Option<u8>;
 
     /// The `secThr` capture threshold this store promotes toward.
-    fn security_threshold(&self) -> u8;
+    fn security_threshold(&self) -> u8 {
+        self.params().security_threshold()
+    }
 
     /// Number of records (or, for counter-based backends, distinct inserts)
     /// currently tracked.
@@ -211,6 +219,92 @@ pub trait PatternStore: fmt::Debug + Send {
 
     /// The shared geometry/policy parameters the store was built from.
     fn params(&self) -> &FilterParams;
+}
+
+/// The promotion step every backend's [`PatternStore::query`] ends in
+/// (paper §IV). A backend finds and updates its own record, then reports
+/// what happened here: [`merge`](Self::merge) for a promoted record,
+/// [`insert`](Self::insert) for a fresh one, [`refuse`](Self::refuse) when
+/// it placed none. The step counts the query, decides the capture, builds
+/// the outcome and owns the store's statistics.
+#[derive(Debug, Clone)]
+pub(crate) struct Promotion {
+    threshold: u8,
+    stats: FilterStats,
+}
+
+impl Promotion {
+    pub(crate) fn new(params: &FilterParams) -> Self {
+        Self {
+            threshold: params.security_threshold(),
+            stats: FilterStats::default(),
+        }
+    }
+
+    /// The query found a record and promoted its `Security` to `security`;
+    /// the line is captured once that reaches `secThr`.
+    #[inline]
+    pub(crate) fn merge(&mut self, security: u8) -> QueryOutcome {
+        let captured = security >= self.threshold;
+        self.stats.queries += 1;
+        self.stats.merges += 1;
+        self.stats.captures += u64::from(captured);
+        QueryOutcome {
+            security,
+            inserted: false,
+            merged: true,
+            captured,
+            kicks: 0,
+            autonomic_deletion: None,
+        }
+    }
+
+    /// The query found no record and placed a fresh one with `Security = 0`,
+    /// after `kicks` relocations that dropped the record whose fingerprint
+    /// is `autonomic_deletion`, if any.
+    #[inline]
+    pub(crate) fn insert(&mut self, kicks: u32, autonomic_deletion: Option<u16>) -> QueryOutcome {
+        self.stats.queries += 1;
+        self.stats.inserts += 1;
+        self.stats.kicks += u64::from(kicks);
+        self.stats.autonomic_deletions += u64::from(autonomic_deletion.is_some());
+        QueryOutcome {
+            security: 0,
+            inserted: true,
+            merged: false,
+            captured: false,
+            kicks,
+            autonomic_deletion,
+        }
+    }
+
+    /// The query found no record and placed none after `kicks` relocations,
+    /// losing the resident whose fingerprint is `lost`, if any.
+    pub(crate) fn refuse(&mut self, kicks: u32, lost: Option<u16>) -> QueryOutcome {
+        self.stats.queries += 1;
+        QueryOutcome {
+            security: 0,
+            inserted: false,
+            merged: false,
+            captured: false,
+            kicks,
+            autonomic_deletion: lost,
+        }
+    }
+
+    /// Counts a resident record dropped to place a new one when the outcome
+    /// names no fingerprint for it (the directory table's LRU eviction).
+    pub(crate) fn count_eviction(&mut self) {
+        self.stats.autonomic_deletions += 1;
+    }
+
+    pub(crate) fn stats(&self) -> FilterStats {
+        self.stats.clone()
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.stats = FilterStats::default();
+    }
 }
 
 /// Builds a boxed store of the requested backend from the shared parameters.

@@ -33,7 +33,7 @@ use std::fmt;
 use crate::hash::mix64;
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
-use crate::store::{FilterBackend, PatternStore, QueryOutcome};
+use crate::store::{FilterBackend, PatternStore, Promotion, QueryOutcome};
 
 /// Sentinel in the `secs` array marking a vacant live slot (valid security
 /// levels are tiny, so `0xFF` is unambiguous).
@@ -119,7 +119,7 @@ pub struct XorPatternStore {
     build_queue: Vec<u32>,
     stack_key: Vec<u64>,
     stack_slot: Vec<u32>,
-    stats: FilterStats,
+    promotion: Promotion,
 }
 
 impl fmt::Debug for XorPatternStore {
@@ -129,7 +129,7 @@ impl fmt::Debug for XorPatternStore {
             .field("live_len", &self.live_len)
             .field("frozen_len", &self.frozen_len)
             .field("rebuilds", &self.rebuilds)
-            .field("stats", &self.stats)
+            .field("promotion", &self.promotion)
             .finish_non_exhaustive()
     }
 }
@@ -161,7 +161,7 @@ impl XorPatternStore {
             build_queue: Vec::with_capacity(c_max),
             stack_key: Vec::with_capacity(slots),
             stack_slot: Vec::with_capacity(slots),
-            stats: FilterStats::default(),
+            promotion: Promotion::new(&params),
             params,
         })
     }
@@ -291,7 +291,6 @@ impl PatternStore for XorPatternStore {
     /// of re-entry credit, then insert (rebuilding first if the window is
     /// full).
     fn query(&mut self, item: u64) -> QueryOutcome {
-        self.stats.queries += 1;
         let thr = self.params.security_threshold();
         let mut idx = self.home_slot(item);
         loop {
@@ -301,19 +300,7 @@ impl PatternStore for XorPatternStore {
             if self.keys[idx] == item {
                 let sec = (self.secs[idx] + 1).min(thr);
                 self.secs[idx] = sec;
-                let captured = sec >= thr;
-                self.stats.merges += 1;
-                if captured {
-                    self.stats.captures += 1;
-                }
-                return QueryOutcome {
-                    security: sec,
-                    inserted: false,
-                    merged: true,
-                    captured,
-                    kicks: 0,
-                    autonomic_deletion: None,
-                };
+                return self.promotion.merge(sec);
             }
             idx = (idx + 1) & self.mask;
         }
@@ -331,22 +318,10 @@ impl PatternStore for XorPatternStore {
         self.keys[idx] = item;
         self.secs[idx] = sec;
         self.live_len += 1;
-        let captured = remembered && sec >= thr;
         if remembered {
-            self.stats.merges += 1;
+            self.promotion.merge(sec)
         } else {
-            self.stats.inserts += 1;
-        }
-        if captured {
-            self.stats.captures += 1;
-        }
-        QueryOutcome {
-            security: sec,
-            inserted: !remembered,
-            merged: remembered,
-            captured,
-            kicks: 0,
-            autonomic_deletion: None,
+            self.promotion.insert(0, None)
         }
     }
 
@@ -363,10 +338,6 @@ impl PatternStore for XorPatternStore {
         }
         self.frozen_contains(item)
             .then(|| 1u8.min(self.params.security_threshold()))
-    }
-
-    fn security_threshold(&self) -> u8 {
-        self.params.security_threshold()
     }
 
     /// Lines in the live window (frozen history is membership-only and not
@@ -396,11 +367,11 @@ impl PatternStore for XorPatternStore {
         self.frozen_seed = 0;
         self.frozen_len = 0;
         self.rebuilds = 0;
-        self.stats = FilterStats::default();
+        self.promotion.reset();
     }
 
     fn stats_snapshot(&self) -> FilterStats {
-        self.stats.clone()
+        self.promotion.stats()
     }
 
     fn backend(&self) -> FilterBackend {
