@@ -7,23 +7,22 @@
 //! reverse attacks using eviction sets to evict target records".
 //!
 //! The two flushing attacks (directory table vs PiPoMonitor) are two
-//! sweep-engine cells; the storage rows are pure arithmetic.
+//! sweep-engine cells; each storage row is a built store's `memory_bytes`.
 //!
 //! Run: `cargo run --release -p pipo_bench --bin baseline_stateful -- \
 //!       [--json PATH] [--sequential | --threads N]`
 
-use auto_cuckoo::{build_store, FilterBackend, FilterParams, StorageOverhead};
+use auto_cuckoo::{build_store, FilterBackend, FilterParams};
 use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
 use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
-use pipomonitor::MonitorConfig;
+use pipomonitor::{MonitorConfig, OverheadReport};
 
 const WINDOWS: usize = 150;
 
 struct StorageRow {
     structure: &'static str,
-    entries: u64,
-    kib: f64,
-    relative_to_llc: f64,
+    entries: usize,
+    report: OverheadReport,
 }
 
 fn main() {
@@ -52,8 +51,8 @@ fn main() {
             Json::object()
                 .field("structure", row.structure)
                 .field("entries", row.entries)
-                .field("kib", row.kib)
-                .field("relative_to_llc", row.relative_to_llc)
+                .field("kib", row.report.storage_kib())
+                .field("relative_to_llc", row.report.storage_relative_to_llc)
         })
         .collect();
     let meta = Json::object()
@@ -66,35 +65,41 @@ fn main() {
     );
 }
 
-fn storage_rows() -> Vec<StorageRow> {
-    let llc_bits = (4u64 << 20) * 8;
-    let filter = StorageOverhead::for_filter(&FilterParams::paper_default(), 4 << 20);
-    // The directory table of `sets` x `ways` records, priced by its store.
-    let table_row = |structure, sets, ways| {
-        let table = FilterParams::builder()
+fn storage_rows() -> [StorageRow; 3] {
+    // Each row is a store of `sets` x `ways` records, priced by the store.
+    [
+        (
+            "Auto-Cuckoo filter (1024x8, f=12)",
+            FilterBackend::Auto,
+            1024,
+            8,
+        ),
+        (
+            "tag table, same capacity (1024x8)",
+            FilterBackend::Directory,
+            1024,
+            8,
+        ),
+        (
+            "directory extension (per LLC line)",
+            FilterBackend::Directory,
+            65_536,
+            1,
+        ),
+    ]
+    .map(|(structure, backend, sets, ways)| {
+        let params = FilterParams::builder()
             .buckets(sets)
             .entries_per_bucket(ways)
             .build()
-            .expect("valid table geometry");
-        let store = build_store(FilterBackend::Directory, table).expect("valid table geometry");
-        let bits = store.memory_bytes() as u64 * 8;
+            .expect("valid store geometry");
+        let store = build_store(backend, params).expect("valid store geometry");
         StorageRow {
             structure,
-            entries: table.capacity() as u64,
-            kib: bits as f64 / 8.0 / 1024.0,
-            relative_to_llc: bits as f64 / llc_bits as f64,
+            entries: params.capacity(),
+            report: OverheadReport::for_store(store.as_ref(), 4 << 20),
         }
-    };
-    vec![
-        StorageRow {
-            structure: "Auto-Cuckoo filter (1024x8, f=12)",
-            entries: filter.entries,
-            kib: filter.total_kib,
-            relative_to_llc: filter.relative_to_llc,
-        },
-        table_row("tag table, same capacity (1024x8)", 1024, 8),
-        table_row("directory extension (per LLC line)", 65_536, 1),
-    ]
+    })
 }
 
 fn print_storage(rows: &[StorageRow]) {
@@ -108,8 +113,8 @@ fn print_storage(rows: &[StorageRow]) {
             "{:>34} {:>10} {:>10.1} {:>10.3}",
             row.structure,
             row.entries,
-            row.kib,
-            row.relative_to_llc * 100.0
+            row.report.storage_kib(),
+            row.report.storage_relative_to_llc * 100.0
         );
     }
     println!("paper: filter = 15 KB (0.37%), an order of magnitude below stateful prior work");

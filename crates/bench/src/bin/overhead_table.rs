@@ -3,8 +3,9 @@
 //!
 //! Paper result (l=1024, b=8, f=12, CACTI 7 @ 22 nm): 8192 entries × 15 bits
 //! = 15 KB storage = 0.37 % of the LLC; 0.013 mm² = 0.32 % of the LLC area.
-//! Area here is scaled linearly from the paper's published CACTI data point
-//! (see EXPERIMENTS.md, substitutions).
+//! Storage is each built filter's `memory_bytes`; area is scaled linearly
+//! from it and the paper's published CACTI data point (see EXPERIMENTS.md,
+//! substitutions).
 //!
 //! The five filter geometries are five sweep-engine cells (pure arithmetic,
 //! but routed through the engine so every harness shares one code path and
@@ -13,6 +14,7 @@
 //! Run: `cargo run --release -p pipo_bench --bin overhead_table -- \
 //!       [--json PATH] [--sequential | --threads N]`
 
+use auto_cuckoo::CuckooFilter;
 use pipo_bench::{
     emit_json, fig8_filter_sizes, filter_with_size, run_cells, sweep_document, HarnessArgs, Json,
 };
@@ -28,19 +30,21 @@ fn main() {
     );
 
     let sizes = fig8_filter_sizes();
-    let reports = run_cells(args.mode, &sizes, |_, &(l, b)| {
-        OverheadReport::for_filter(&filter_with_size(l, b), llc_bytes)
+    let rows = run_cells(args.mode, &sizes, |_, &(l, b)| {
+        let params = filter_with_size(l, b);
+        let filter = CuckooFilter::auto(params).expect("figure-8 geometry is valid");
+        (params, OverheadReport::for_store(&filter, llc_bytes))
     });
 
-    for (&(l, b), report) in sizes.iter().zip(&reports) {
+    for (&(l, b), (params, report)) in sizes.iter().zip(&rows) {
         println!(
             "{:>6}x{:<2} {:>8} {:>12} {:>10.2} {:>12.3} {:>10.4} {:>12.3}",
             l,
             b,
-            report.storage.entries,
-            report.storage.bits_per_entry,
-            report.storage.total_kib,
-            report.storage.relative_to_llc * 100.0,
+            params.capacity(),
+            params.entry_bits(),
+            report.storage_kib(),
+            report.storage_relative_to_llc * 100.0,
             report.area_mm2,
             report.area_relative_to_llc * 100.0
         );
@@ -49,15 +53,15 @@ fn main() {
 
     let cells = sizes
         .iter()
-        .zip(&reports)
-        .map(|(&(l, b), report)| {
+        .zip(&rows)
+        .map(|(&(l, b), (params, report))| {
             Json::object()
                 .field("l", l)
                 .field("b", b)
-                .field("entries", report.storage.entries)
-                .field("bits_per_entry", report.storage.bits_per_entry)
-                .field("storage_kib", report.storage.total_kib)
-                .field("storage_relative_to_llc", report.storage.relative_to_llc)
+                .field("entries", params.capacity())
+                .field("bits_per_entry", params.entry_bits())
+                .field("storage_kib", report.storage_kib())
+                .field("storage_relative_to_llc", report.storage_relative_to_llc)
                 .field("area_mm2", report.area_mm2)
                 .field("area_relative_to_llc", report.area_relative_to_llc)
         })

@@ -12,6 +12,12 @@
 //! monitor prefetches it back after a short delay, so the attacker's probes
 //! always observe a resident line and learn nothing.
 //!
+//! The hardware cost (§VII-D) is read from the store itself:
+//! [`OverheadReport::for_store`] prices a built store's
+//! [`memory_bytes`](auto_cuckoo::PatternStore::memory_bytes) against the
+//! LLC it protects, and [`area_estimate_mm2`] scales those bytes to silicon
+//! area from the paper's CACTI data point.
+//!
 //! The monitor participates in the simulator's allocation-free hot path: its
 //! [`PrefetchQueue`] deduplicates pending lines through an O(1) membership
 //! set, exposes the earliest release time via [`PrefetchQueue::next_due`] so

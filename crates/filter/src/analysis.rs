@@ -1,6 +1,7 @@
-//! Analytic models from the paper: false-positive rate (§V-B), brute-force
-//! and reverse-engineering attack costs (§VI-B), and the storage-overhead
-//! accounting (§VII-D).
+//! Analytic models from the paper: false-positive rate (§V-B), and
+//! brute-force and reverse-engineering attack costs (§VI-B). Storage
+//! (§VII-D) has no model here: each store prices its own state in
+//! [`PatternStore::memory_bytes`](crate::PatternStore::memory_bytes).
 
 use crate::params::FilterParams;
 
@@ -70,58 +71,6 @@ pub fn reverse_eviction_set_size(params: &FilterParams) -> u64 {
     size
 }
 
-/// Storage-overhead accounting for a PiPoMonitor deployment (paper §VII-D).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageOverhead {
-    /// Bits per filter entry (valid + fingerprint + Security).
-    pub bits_per_entry: u64,
-    /// Total filter entries (`l × b`).
-    pub entries: u64,
-    /// Total filter storage in bits.
-    pub total_bits: u64,
-    /// Total filter storage in KiB.
-    pub total_kib: f64,
-    /// Overhead relative to the protected LLC capacity, as a fraction.
-    pub relative_to_llc: f64,
-}
-
-impl StorageOverhead {
-    /// Computes the overhead of a filter protecting an LLC of
-    /// `llc_bytes` bytes.
-    ///
-    /// Entries are [`FilterParams::entry_bits`] wide, as in the paper.
-    ///
-    /// # Examples
-    ///
-    /// The paper's 1024×8, f = 12 filter over a 4 MiB LLC costs 15 KiB,
-    /// i.e. 0.37 %:
-    ///
-    /// ```
-    /// use auto_cuckoo::{FilterParams, StorageOverhead};
-    ///
-    /// let o = StorageOverhead::for_filter(&FilterParams::paper_default(), 4 << 20);
-    /// assert_eq!(o.bits_per_entry, 15);
-    /// assert_eq!(o.entries, 8192);
-    /// assert!((o.total_kib - 15.0).abs() < 1e-9);
-    /// assert!((o.relative_to_llc - 0.00366).abs() < 0.0002);
-    /// ```
-    #[must_use]
-    pub fn for_filter(params: &FilterParams, llc_bytes: u64) -> Self {
-        let bits_per_entry = u64::from(params.entry_bits());
-        let entries = params.capacity() as u64;
-        let total_bits = bits_per_entry * entries;
-        let total_kib = total_bits as f64 / 8.0 / 1024.0;
-        let relative_to_llc = total_bits as f64 / (llc_bytes as f64 * 8.0);
-        Self {
-            bits_per_entry,
-            entries,
-            total_bits,
-            total_kib,
-            relative_to_llc,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,32 +134,5 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(reverse_eviction_set_size(&p), u64::MAX);
-    }
-
-    #[test]
-    fn storage_overhead_matches_paper_table() {
-        let o = StorageOverhead::for_filter(&FilterParams::paper_default(), 4 << 20);
-        assert_eq!(o.bits_per_entry, 15);
-        assert_eq!(o.entries, 8192);
-        assert_eq!(o.total_bits, 122_880);
-        assert!((o.total_kib - 15.0).abs() < 1e-9);
-        // 15 KiB / 4 MiB = 0.366%; the paper rounds to 0.37%.
-        assert!((o.relative_to_llc * 100.0 - 0.37).abs() < 0.01);
-    }
-
-    #[test]
-    fn storage_overhead_scales_with_filter_size() {
-        let small = StorageOverhead::for_filter(
-            &FilterParams::builder().buckets(512).build().expect("valid"),
-            4 << 20,
-        );
-        let big = StorageOverhead::for_filter(
-            &FilterParams::builder()
-                .buckets(2048)
-                .build()
-                .expect("valid"),
-            4 << 20,
-        );
-        assert!((big.total_bits as f64 / small.total_bits as f64 - 4.0).abs() < 1e-9);
     }
 }

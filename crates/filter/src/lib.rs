@@ -62,9 +62,7 @@ pub mod stats;
 pub mod store;
 pub mod xor;
 
-pub use analysis::{
-    brute_force_expected_fills, false_positive_rate, reverse_eviction_set_size, StorageOverhead,
-};
+pub use analysis::{brute_force_expected_fills, false_positive_rate, reverse_eviction_set_size};
 pub use bloom::BloomPatternStore;
 pub use cuckoo::{CuckooFilter, DeleteOutcome};
 pub use directory::DirectoryPatternStore;
