@@ -9,7 +9,7 @@
 //!
 //! * **false alarms / Mi** — captures the backend raised on lines whose
 //!   *exact* re-fetch count was still below `secThr + 1` (an exact oracle
-//!   replays the stream and attributes every capture). These are purely
+//!   counts the stream once and attributes every capture). These are purely
 //!   false-positive-driven: fingerprint collisions (cuckoo), counter sharing
 //!   (bloom), or frozen-membership collisions (xor).
 //! * **detection latency** — attacker accesses until a fresh Ping-Pong line
@@ -33,9 +33,10 @@ use pipo_bench::{emit_json, run_cells, sweep_document, CaptureOracle, HarnessArg
 /// Distinct benign line addresses (the tracked population) by default.
 const DEFAULT_TRACKED: u64 = 2_000_000;
 /// The most tracked lines a run takes (its scale's bound). The benign
-/// stream holds 24 bytes per line, and each backend cell in flight about
-/// 60 more (its store and its oracle): some 1.4 GB at the bound on two
-/// threads.
+/// stream holds 24 bytes per line and its exact-fetch marks 3 more. The
+/// count behind the marks (freed before the cells run) and each backend
+/// cell in flight (its store) take about 25 more each: a run at the bound
+/// peaks near 0.7 GB on two threads.
 const MAX_TRACKED: u64 = 10_000_000;
 /// Benign accesses generated per tracked line.
 const ACCESSES_PER_LINE: u64 = 3;
@@ -98,12 +99,20 @@ fn benign_stream(tracked_lines: u64) -> Vec<u64> {
     stream
 }
 
-fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> BackendResult {
+/// Runs one backend over `stream`; `exact_fetch[i]` says whether a capture
+/// at fetch `i` is exact ([`CaptureOracle::exact_fetches`]).
+fn run_backend(
+    backend: FilterBackend,
+    params: FilterParams,
+    stream: &[u64],
+    exact_fetch: &[bool],
+) -> BackendResult {
     let mut store = build_store(backend, params).expect("valid parameters");
 
     // Timed benign phase: the loop body is exactly the monitor's hot path
     // (one query-with-promotion per memory fetch). Capture indices are
-    // recorded for the oracle pass; the Vec is preallocated so a push cannot
+    // recorded and sorted against the exact-fetch marks afterwards, so the
+    // loop carries no oracle work; the Vec is preallocated so a push cannot
     // trigger a mid-loop reallocation spike.
     let mut captured_at: Vec<u32> = Vec::with_capacity(stream.len() / 16 + 16);
     let started = Instant::now();
@@ -115,16 +124,13 @@ fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> 
     let elapsed = started.elapsed();
     let ns_per_access = elapsed.as_nanos() as f64 / stream.len() as f64;
 
-    // Oracle pass: replay the stream beside the recorded captures, so the
-    // timed loop above carries no oracle work.
-    let mut oracle = CaptureOracle::new(params.security_threshold());
-    let mut capture_indices = captured_at.iter().peekable();
-    for (i, &line) in stream.iter().enumerate() {
-        let captured = capture_indices.next_if_eq(&&(i as u32)).is_some();
-        oracle.record(line, captured);
-    }
     let captures = captured_at.len() as u64;
-    let false_alarms_per_mi = oracle.collision_captures() as f64 * 1.0e6 / stream.len() as f64;
+    let exact_captures = captured_at
+        .iter()
+        .filter(|&&i| exact_fetch[i as usize])
+        .count() as u64;
+    let fp_captures = captures - exact_captures;
+    let false_alarms_per_mi = fp_captures as f64 * 1.0e6 / stream.len() as f64;
 
     // Detection-latency phase: fresh attacker lines outside every tenant
     // window, probed with benign traffic interleaved (the store keeps its
@@ -151,8 +157,8 @@ fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> 
 
     BackendResult {
         captures,
-        exact_captures: oracle.exact_captures(),
-        fp_captures: oracle.collision_captures(),
+        exact_captures,
+        fp_captures,
         false_alarms_per_mi,
         detection_latency,
         memory_bytes: store.memory_bytes(),
@@ -176,9 +182,10 @@ fn main() {
     );
 
     let stream = benign_stream(tracked_lines);
+    let exact_fetch = CaptureOracle::exact_fetches(params.security_threshold(), &stream);
     let backends = FilterBackend::ALL;
     let results = run_cells(args.mode, &backends, |_, &backend| {
-        run_backend(backend, params, &stream)
+        run_backend(backend, params, &stream, &exact_fetch)
     });
 
     println!(

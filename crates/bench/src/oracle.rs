@@ -6,8 +6,9 @@
 //! it and sorts each capture by cause: *exact* when the line was really
 //! fetched more than secThr times (a genuine capture needs secThr
 //! re-fetches after the insert), and *collision-driven* otherwise.
-//! `trace_replay` runs it beside a whole monitored system, and
-//! `ablation_filter` beside each backend's fetch stream.
+//! `trace_replay` runs it beside a whole monitored system. `ablation_filter`
+//! counts its fetch stream once ([`CaptureOracle::exact_fetches`]) and
+//! sorts every backend's captures against that one count.
 
 use std::collections::HashMap;
 
@@ -32,18 +33,34 @@ impl CaptureOracle {
         }
     }
 
+    /// Whether a capture at each fetch of `stream` would be exact, for a
+    /// store whose counters saturate at `security_threshold`. Every store
+    /// that replays the same stream can sort its captures against this one
+    /// count.
+    #[must_use]
+    pub fn exact_fetches(security_threshold: u8, stream: &[u64]) -> Vec<bool> {
+        let mut oracle = Self::new(security_threshold);
+        stream.iter().map(|&line| oracle.count(line)).collect()
+    }
+
     /// Records one memory fetch of `line`; `captured` says whether the
     /// store captured the line on this fetch.
     pub fn record(&mut self, line: u64, captured: bool) {
-        let count = self.counts.entry(line).or_insert(0);
-        *count += 1;
+        let exact = self.count(line);
         if captured {
-            if *count > self.security_threshold {
+            if exact {
                 self.exact += 1;
             } else {
                 self.collisions += 1;
             }
         }
+    }
+
+    /// Counts one fetch of `line`: whether a capture on it would be exact.
+    fn count(&mut self, line: u64) -> bool {
+        let count = self.counts.entry(line).or_insert(0);
+        *count += 1;
+        *count > self.security_threshold
     }
 
     /// Captures of lines fetched more than secThr times.
@@ -80,6 +97,10 @@ mod tests {
         assert_eq!(
             (oracle.exact_captures(), oracle.collision_captures()),
             (1, 1)
+        );
+        assert_eq!(
+            CaptureOracle::exact_fetches(3, &[7, 7, 8, 7, 7, 8]),
+            [false, false, false, false, true, false]
         );
     }
 }
