@@ -96,19 +96,7 @@ fn prepare_full_filter(filter: &mut CuckooFilter, target: u64, rng: &mut StdRng)
 /// ```
 #[must_use]
 pub fn brute_force_eviction(params: FilterParams, trials: usize, seed: u64) -> BruteForceResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut fills_per_trial = Vec::with_capacity(trials);
-    for trial in 0..trials {
-        let mut filter = fresh_filter(params, trial as u64 + 1);
-        let target = rng.gen::<u64>() | 1;
-        prepare_full_filter(&mut filter, target, &mut rng);
-        let mut fills = 0u64;
-        while filter.contains(target) && fills < FILL_CAP {
-            filter.query(rng.gen::<u64>() | 1);
-            fills += 1;
-        }
-        fills_per_trial.push(fills);
-    }
+    let fills_per_trial = flood_trials(params, trials, seed, 1, |_, rng| rng.gen::<u64>() | 1);
     let mean_fills = fills_per_trial.iter().sum::<u64>() as f64 / trials.max(1) as f64;
     BruteForceResult {
         fills_per_trial,
@@ -117,15 +105,38 @@ pub fn brute_force_eviction(params: FilterParams, trials: usize, seed: u64) -> B
     }
 }
 
+/// Fills needed in each of `trials` floods to evict a target's record. A
+/// trial fills a fresh filter (its seed offset by `first_trial` plus the
+/// trial's index), inserts a random target, then queries `fill(target, rng)`
+/// until the target's record is gone or [`FILL_CAP`] fills were made.
+fn flood_trials(
+    params: FilterParams,
+    trials: usize,
+    seed: u64,
+    first_trial: u64,
+    fill: impl Fn(u64, &mut StdRng) -> u64,
+) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (first_trial..first_trial + trials as u64)
+        .map(|trial| {
+            let mut filter = fresh_filter(params, trial);
+            let target = rng.gen::<u64>() | 1;
+            prepare_full_filter(&mut filter, target, &mut rng);
+            let mut fills = 0u64;
+            while filter.contains(target) && fills < FILL_CAP {
+                filter.query(fill(target, &mut rng));
+                fills += 1;
+            }
+            fills
+        })
+        .collect()
+}
+
 /// Finds an address (other than `target`) whose candidate buckets intersect
 /// the target's candidate buckets — the adversary knows the target address,
 /// hence both of its buckets.
-fn address_targeting_bucket(
-    params: &FilterParams,
-    target_pair: auto_cuckoo::IndexPair,
-    target: u64,
-    rng: &mut StdRng,
-) -> u64 {
+fn address_targeting_bucket(params: &FilterParams, target: u64, rng: &mut StdRng) -> u64 {
+    let target_pair = candidate_buckets(target, params);
     loop {
         let candidate = rng.gen::<u64>() | 1;
         if candidate == target {
@@ -156,24 +167,12 @@ pub fn reverse_engineering_attack(
     trials: usize,
     seed: u64,
 ) -> ReverseAttackResult {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut total = 0u64;
-    for trial in 0..trials {
-        let mut filter = fresh_filter(params, 1000 + trial as u64);
-        let target = rng.gen::<u64>() | 1;
-        prepare_full_filter(&mut filter, target, &mut rng);
-        let target_pair = candidate_buckets(target, &params);
-        let mut fills = 0u64;
-        while filter.contains(target) && fills < FILL_CAP {
-            let addr = address_targeting_bucket(&params, target_pair, target, &mut rng);
-            filter.query(addr);
-            fills += 1;
-        }
-        total += fills;
-    }
+    let fills = flood_trials(params, trials, seed, 1000, |target, rng| {
+        address_targeting_bucket(&params, target, rng)
+    });
     ReverseAttackResult {
         max_kicks: params.max_kicks(),
-        mean_fills: total as f64 / trials.max(1) as f64,
+        mean_fills: fills.iter().sum::<u64>() as f64 / trials.max(1) as f64,
         eviction_set_bound: reverse_eviction_set_size(&params),
     }
 }
