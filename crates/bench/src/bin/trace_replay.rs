@@ -54,6 +54,8 @@ const OCC_BASE_LINE: u64 = 48 << 36;
 /// Noisy-neighbor tenants occupy synthetic cores 16.. (benign cores 0–3 own
 /// regions 1–4, so tenants can never alias them).
 const TENANT_BASE: usize = 16;
+/// The noisy-neighbor tenants' profiles, one synthetic core each.
+const TENANTS: [&str; 3] = ["mcf", "gcc", "libquantum"];
 const TENANT_MAX_BURST: u64 = 32;
 /// Bursty region: 2^16 lines (4 MiB — exactly LLC-scale) at a private base.
 const BURSTY_BASE_LINE: u64 = 40 << 36;
@@ -91,10 +93,9 @@ impl Workload {
                 let span = (config.l3.ways as u64 + 1) * config.l3.sets as u64;
                 OCC_BASE_LINE..OCC_BASE_LINE + span
             }
-            // Three tenants at synthetic cores 16..19: ProfileSource regions
-            // start at (core + 1) << 36 lines.
             Workload::NoisyNeighbor => {
-                ((TENANT_BASE as u64 + 1) << 36)..((TENANT_BASE as u64 + 4) << 36)
+                let last = TENANT_BASE + TENANTS.len() - 1;
+                ProfileSource::region(TENANT_BASE).start..ProfileSource::region(last).end
             }
             Workload::Bursty => BURSTY_BASE_LINE..BURSTY_BASE_LINE + BURSTY_LINES,
             Workload::TraceFile { trace, .. } => {
@@ -117,11 +118,7 @@ impl Workload {
                 2,
             )),
             Workload::NoisyNeighbor => {
-                let tenants = [
-                    benchmark("mcf").expect("known"),
-                    benchmark("gcc").expect("known"),
-                    benchmark("libquantum").expect("known"),
-                ];
+                let tenants = TENANTS.map(|name| benchmark(name).expect("known"));
                 Box::new(NoisyNeighborSource::new(
                     &tenants,
                     TENANT_BASE,

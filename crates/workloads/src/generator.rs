@@ -1,5 +1,7 @@
 //! Turns a [`BenchProfile`] into a deterministic infinite access stream.
 
+use std::ops::Range;
+
 use cache_sim::{Access, AccessKind, AccessSource, Addr};
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
@@ -108,7 +110,7 @@ impl ProfileSource {
     #[must_use]
     pub fn new(profile: &BenchProfile, core_index: usize, seed: u64) -> Self {
         profile.assert_valid();
-        let region = (core_index as u64 + 1) * CORE_REGION_LINES;
+        let region = Self::region(core_index).start;
         let p = profile;
         Self {
             profile: *profile,
@@ -125,6 +127,14 @@ impl ProfileSource {
             thrash_cut: cut_off(p.p_hot + p.p_churn + p.p_thrash),
             write_cut: cut_off(p.write_fraction),
         }
+    }
+
+    /// The line addresses of core `core_index`'s stream. Distinct cores'
+    /// regions never overlap.
+    #[must_use]
+    pub fn region(core_index: usize) -> Range<u64> {
+        let base = (core_index as u64 + 1) * CORE_REGION_LINES;
+        base..base + CORE_REGION_LINES
     }
 
     /// The profile driving this stream.
@@ -245,7 +255,7 @@ mod tests {
         // streams, not just shift the address region.
         let draws = |core: usize, seed: u64| -> Vec<(u64, bool, u64)> {
             let mut src = ProfileSource::new(p, core, seed);
-            let base = (core as u64 + 1) * CORE_REGION_LINES * LINE_SIZE;
+            let base = ProfileSource::region(core).start * LINE_SIZE;
             (0..200)
                 .map(|_| {
                     let a = src.next_access().expect("infinite");

@@ -249,14 +249,12 @@ mod tests {
         let mut src = NoisyNeighborSource::new(&t, 16, 8, 5);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..5000 {
-            let a = src.next_access().expect("infinite");
-            // ProfileSource region layout: core index c owns lines starting
-            // at (c + 1) << 36.
-            seen.insert(a.addr.0 >> (36 + 6));
+            let line = src.next_access().expect("infinite").addr.0 / 64;
+            seen.insert((16..19).find(|&core| ProfileSource::region(core).contains(&line)));
         }
         assert_eq!(
             seen,
-            [17, 18, 19].into_iter().collect(),
+            [Some(16), Some(17), Some(18)].into_iter().collect(),
             "all three tenants (synthetic cores 16..19) must run"
         );
     }
