@@ -35,8 +35,9 @@ const DEFAULT_TRACKED: u64 = 2_000_000;
 /// The most tracked lines a run takes (its scale's bound). The benign
 /// stream holds 24 bytes per line and its exact-fetch marks 3 more. The
 /// count behind the marks (freed before the cells run) and each backend
-/// cell in flight (its store) take about 25 more each: a run at the bound
-/// peaks near 0.7 GB on two threads.
+/// cell in flight (its store) take up to about 30 more each: on two
+/// threads a run peaks near 170 MiB at the default and 710 MiB at the
+/// bound.
 const MAX_TRACKED: u64 = 10_000_000;
 /// Benign accesses generated per tracked line.
 const ACCESSES_PER_LINE: u64 = 3;
