@@ -599,6 +599,28 @@ mod tests {
     }
 
     #[test]
+    fn flushed_record_bytes_are_pinned() {
+        // Pin the whole on-disk frame: header, `rec` line (key hash,
+        // lengths, checksum), key, payload and terminator. Any change here
+        // orphans every store already written.
+        let path = temp_store("pinned_bytes");
+        std::fs::remove_file(&path).ok();
+        let mut store = ResultStore::open(&path).expect("open fresh");
+        store.put("key-a", "{\"v\": 1}");
+        store.flush().expect("flush");
+        let bytes = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            String::from_utf8(bytes).expect("utf-8"),
+            concat!(
+                "pipo-store v1\n",
+                "rec 71132af295f22d16 5 8 52a0d8c4627432ef\n",
+                "key-a{\"v\": 1}\n",
+            )
+        );
+    }
+
+    #[test]
     fn later_puts_supersede_and_update_size() {
         let path = temp_store("supersede");
         std::fs::remove_file(&path).ok();
