@@ -3,7 +3,7 @@
 
 use cache_sim::{
     AccessKind, Addr, CoreId, Cycle, Hierarchy, LineAddr, NullObserver, SystemConfig,
-    TrafficObserver,
+    TrafficObserver, LINE_SIZE,
 };
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 use rand::rngs::StdRng;
@@ -369,8 +369,8 @@ impl Flusher {
             Attack::PrimeProbe(Flush::Table) => {
                 let table = cell.defense.unwrap_or_default().filter;
                 Self::Table([
-                    TableFlusher::new(&table, layout.square.line(64), 0x60_0000_0000),
-                    TableFlusher::new(&table, layout.multiply.line(64), 0x68_0000_0000),
+                    TableFlusher::new(&table, layout.square.line(), 0x60_0000_0000),
+                    TableFlusher::new(&table, layout.multiply.line(), 0x68_0000_0000),
                 ])
             }
             Attack::PrimeProbe(Flush::Random) => Self::Random(StdRng::seed_from_u64(13)),
@@ -392,7 +392,7 @@ impl Flusher {
                 while lines.len() < RANDOM_FLUSH_LINES {
                     let line = (rng.gen::<u64>() >> 8) | (1 << 40);
                     if !avoid(LineAddr(line)) {
-                        lines.push(Addr(line * 64));
+                        lines.push(Addr(line * LINE_SIZE));
                     }
                 }
                 lines

@@ -18,7 +18,7 @@ use auto_cuckoo::{
     brute_force_expected_fills, reverse_eviction_set_size, CuckooFilter, DirectoryPatternStore,
     FilterParams, PatternStore,
 };
-use cache_sim::{Addr, LineAddr};
+use cache_sim::{Addr, LineAddr, LINE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -211,7 +211,7 @@ impl TableFlusher {
         Self {
             table: *table,
             target_set: DirectoryPatternStore::set_of(target.0, table),
-            base_line: attacker_base / 64,
+            base_line: attacker_base / LINE_SIZE,
             cursor: 0,
         }
     }
@@ -226,7 +226,7 @@ impl TableFlusher {
             let line = LineAddr(self.base_line + self.cursor);
             if DirectoryPatternStore::set_of(line.0, &self.table) == self.target_set && !avoid(line)
             {
-                out.push(Addr(line.0 * 64));
+                out.push(Addr(line.0 * LINE_SIZE));
             }
         }
         out

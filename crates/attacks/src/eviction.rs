@@ -1,6 +1,6 @@
 //! LLC eviction-set construction and the prime/probe primitives.
 
-use cache_sim::{AccessKind, Addr, CoreId, Cycle, Hierarchy, TrafficObserver};
+use cache_sim::{AccessKind, Addr, CoreId, Cycle, Hierarchy, TrafficObserver, LINE_SIZE};
 
 /// Latency above which a probe access is classified as an LLC miss.
 /// An L3 hit costs 35 cycles; a memory fetch costs 235. Anything above 100
@@ -49,14 +49,13 @@ impl EvictionSet {
     /// Builds an eviction set with an explicit number of lines.
     #[must_use]
     pub fn with_ways(hierarchy: &Hierarchy, target: Addr, attacker_base: u64, ways: usize) -> Self {
-        let line_size = hierarchy.line_size();
         let sets = hierarchy.llc_sets() as u64;
         let target_set = hierarchy.llc_set_of(target) as u64;
         // Align the attacker base to a set-0 line, then offset into the
         // target set; consecutive entries differ by one full LLC period.
-        let base_line = (attacker_base / line_size / sets) * sets;
+        let base_line = (attacker_base / LINE_SIZE / sets) * sets;
         let addrs = (1..=ways as u64)
-            .map(|i| Addr((base_line + i * sets + target_set) * line_size))
+            .map(|i| Addr((base_line + i * sets + target_set) * LINE_SIZE))
             .collect();
         Self {
             addrs,

@@ -14,9 +14,7 @@
 //! so each set's lines cycle through in LRU-pathological order. It is fully
 //! deterministic (no RNG).
 
-use cache_sim::{Access, AccessSource, Addr};
-
-const LINE_SIZE: u64 = 64;
+use cache_sim::{Access, AccessSource, Addr, LINE_SIZE};
 
 /// Deterministic occupancy-probe access stream (see module docs).
 ///

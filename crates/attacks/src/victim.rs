@@ -25,12 +25,13 @@ impl VictimLayout {
     ///
     /// # Panics
     ///
-    /// Panics if both addresses fall in the same 64-byte line.
+    /// Panics if both addresses fall in the same
+    /// [`LINE_SIZE`](cache_sim::LINE_SIZE)-byte line.
     #[must_use]
     pub fn new(square: Addr, multiply: Addr) -> Self {
         assert_ne!(
-            square.0 / 64,
-            multiply.0 / 64,
+            square.line(),
+            multiply.line(),
             "square and multiply must live in different lines"
         );
         Self { square, multiply }

@@ -45,7 +45,7 @@ use std::time::Instant;
 use auto_cuckoo::FilterBackend;
 use cache_sim::{
     Access, AccessSource, Addr, CoreId, NullObserver, SimReport, System, SystemConfig,
-    TrafficObserver,
+    TrafficObserver, LINE_SIZE,
 };
 use pipo_bench::args::{parse_command_line, Tokens};
 use pipo_bench::Json;
@@ -188,7 +188,7 @@ fn scheduler_ns_per_access(total_instructions: u64, samples: usize) -> f64 {
         for core in 0..4usize {
             system.set_source(
                 CoreId(core),
-                Box::new(move || Some(Access::read(Addr(core as u64 * 64)).after(3))),
+                Box::new(move || Some(Access::read(Addr(core as u64 * LINE_SIZE)).after(3))),
             );
         }
         let start = Instant::now();

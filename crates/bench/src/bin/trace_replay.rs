@@ -99,7 +99,7 @@ impl Workload {
             }
             Workload::Bursty => BURSTY_BASE_LINE..BURSTY_BASE_LINE + BURSTY_LINES,
             Workload::TraceFile { trace, .. } => {
-                let lines = trace.accesses().iter().map(|a| a.addr.0 / 64);
+                let lines = trace.accesses().iter().map(|a| a.addr.line().0);
                 let lo = lines.clone().min().unwrap_or(0);
                 let hi = lines.max().unwrap_or(0);
                 lo..hi + 1

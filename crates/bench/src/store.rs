@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use cache_sim::{Replacement, SystemConfig};
+use cache_sim::{Replacement, SystemConfig, LINE_SIZE};
 use pipo_workloads::Mix;
 use pipomonitor::MonitorConfig;
 
@@ -85,7 +85,7 @@ fn system_part(system: &SystemConfig) -> String {
     format!(
         "cores:{},line:{},l1:{}x{}@{},l2:{}x{}@{},l3:{}x{}@{},dram:{},repl:{}",
         system.cores,
-        system.line_size,
+        LINE_SIZE,
         system.l1.sets,
         system.l1.ways,
         system.l1.latency,

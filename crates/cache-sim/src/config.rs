@@ -4,14 +4,13 @@ use std::error::Error;
 use std::fmt;
 
 use crate::replacement::Replacement;
-use crate::types::Cycle;
+use crate::types::{Cycle, LINE_SIZE};
 
 /// Error produced when validating a [`CacheGeometry`] or [`SystemConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// A size, way count, or line size was zero or not a power of two where
-    /// required.
+    /// A set or way count was zero, or a set count not a power of two.
     BadGeometry(&'static str),
     /// The system needs at least one core.
     NoCores,
@@ -47,19 +46,17 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
-    /// Builds a geometry from a total capacity in bytes.
+    /// Builds a geometry from a total capacity in bytes of
+    /// [`LINE_SIZE`]-byte lines.
     ///
     /// # Panics
     ///
     /// Panics if the capacity is not divisible into a power-of-two number of
     /// sets, or any argument is zero.
     #[must_use]
-    pub fn from_capacity(bytes: usize, ways: usize, line_size: usize, latency: Cycle) -> Self {
-        assert!(
-            bytes > 0 && ways > 0 && line_size > 0,
-            "zero geometry argument"
-        );
-        let lines = bytes / line_size;
+    pub fn from_capacity(bytes: usize, ways: usize, latency: Cycle) -> Self {
+        assert!(bytes > 0 && ways > 0, "zero geometry argument");
+        let lines = bytes / LINE_SIZE as usize;
         assert!(
             lines.is_multiple_of(ways),
             "capacity must divide into whole sets"
@@ -82,10 +79,10 @@ impl CacheGeometry {
         self.sets * self.ways
     }
 
-    /// Total byte capacity for a given line size.
+    /// Total byte capacity (`lines × LINE_SIZE`).
     #[must_use]
-    pub fn capacity_bytes(&self, line_size: usize) -> usize {
-        self.lines() * line_size
+    pub fn capacity_bytes(&self) -> usize {
+        self.lines() * LINE_SIZE as usize
     }
 
     /// Validates the geometry.
@@ -128,8 +125,6 @@ impl CacheGeometry {
 pub struct SystemConfig {
     /// Number of cores.
     pub cores: usize,
-    /// Cache line size in bytes (power of two).
-    pub line_size: usize,
     /// Private L1 data cache geometry.
     pub l1: CacheGeometry,
     /// Private L2 cache geometry.
@@ -146,13 +141,11 @@ impl SystemConfig {
     /// The paper's Table II configuration.
     #[must_use]
     pub fn paper_default() -> Self {
-        let line = 64;
         Self {
             cores: 4,
-            line_size: line,
-            l1: CacheGeometry::from_capacity(64 << 10, 4, line, 2),
-            l2: CacheGeometry::from_capacity(256 << 10, 8, line, 18),
-            l3: CacheGeometry::from_capacity(4 << 20, 16, line, 35),
+            l1: CacheGeometry::from_capacity(64 << 10, 4, 2),
+            l2: CacheGeometry::from_capacity(256 << 10, 8, 18),
+            l3: CacheGeometry::from_capacity(4 << 20, 16, 35),
             dram_latency: 200,
             replacement: Replacement::Lru,
         }
@@ -162,13 +155,11 @@ impl SystemConfig {
     /// same latencies.
     #[must_use]
     pub fn small_test() -> Self {
-        let line = 64;
         Self {
             cores: 2,
-            line_size: line,
-            l1: CacheGeometry::from_capacity(2 << 10, 2, line, 2),
-            l2: CacheGeometry::from_capacity(8 << 10, 4, line, 18),
-            l3: CacheGeometry::from_capacity(64 << 10, 8, line, 35),
+            l1: CacheGeometry::from_capacity(2 << 10, 2, 2),
+            l2: CacheGeometry::from_capacity(8 << 10, 4, 18),
+            l3: CacheGeometry::from_capacity(64 << 10, 8, 35),
             dram_latency: 200,
             replacement: Replacement::Lru,
         }
@@ -178,7 +169,7 @@ impl SystemConfig {
     /// against).
     #[must_use]
     pub fn llc_bytes(&self) -> u64 {
-        self.l3.capacity_bytes(self.line_size) as u64
+        self.l3.capacity_bytes() as u64
     }
 
     /// Validates the configuration.
@@ -186,8 +177,7 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] for zero or more than 64 cores (the sharer
-    /// bitmap's limit), a non-power-of-two line size,
-    /// or invalid per-level geometry.
+    /// bitmap's limit), or invalid per-level geometry.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::NoCores);
@@ -196,9 +186,6 @@ impl SystemConfig {
         // back-invalidation trusts it: a 65th core would silently alias.
         if self.cores > 64 {
             return Err(ConfigError::TooManyCores(self.cores));
-        }
-        if !self.line_size.is_power_of_two() || self.line_size == 0 {
-            return Err(ConfigError::BadGeometry("line size not a power of two"));
         }
         self.l1.validate()?;
         self.l2.validate()?;
@@ -237,15 +224,15 @@ mod tests {
 
     #[test]
     fn geometry_capacity_round_trip() {
-        let g = CacheGeometry::from_capacity(4 << 20, 16, 64, 35);
-        assert_eq!(g.capacity_bytes(64), 4 << 20);
+        let g = CacheGeometry::from_capacity(4 << 20, 16, 35);
+        assert_eq!(g.capacity_bytes(), 4 << 20);
         assert_eq!(g.lines(), 65536);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn geometry_rejects_weird_capacity() {
-        let _ = CacheGeometry::from_capacity(3 * 1024, 4, 64, 1);
+        let _ = CacheGeometry::from_capacity(3 * 1024, 4, 1);
     }
 
     #[test]
@@ -263,16 +250,6 @@ mod tests {
         cfg.cores = 65;
         assert_eq!(cfg.validate().unwrap_err(), ConfigError::TooManyCores(65));
         assert!(cfg.validate().unwrap_err().to_string().contains("64"));
-    }
-
-    #[test]
-    fn validate_rejects_bad_line_size() {
-        let mut cfg = SystemConfig::paper_default();
-        cfg.line_size = 48;
-        assert!(matches!(
-            cfg.validate().unwrap_err(),
-            ConfigError::BadGeometry(_)
-        ));
     }
 
     #[test]

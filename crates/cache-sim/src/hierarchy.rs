@@ -43,9 +43,6 @@ pub struct Hierarchy {
     l3: Cache,
     dram: Dram,
     stats: HierarchyStats,
-    /// `log2(line_size)`, hoisted so the per-access address-to-line shift
-    /// does not recompute it.
-    line_shift: u32,
     /// Reusable buffer for observer prefetch draining; drained lines are
     /// staged here so steady-state draining allocates nothing.
     prefetch_scratch: Vec<LineAddr>,
@@ -73,7 +70,6 @@ impl Hierarchy {
         let l3 = Cache::new(config.l3, config.replacement);
         let dram = Dram::new(config.dram_latency);
         let stats = HierarchyStats::new(config.cores);
-        let line_shift = (config.line_size as u64).trailing_zeros();
         Self {
             config,
             l1,
@@ -81,7 +77,6 @@ impl Hierarchy {
             l3,
             dram,
             stats,
-            line_shift,
             prefetch_scratch: Vec::new(),
             l1_losses: 0,
         }
@@ -105,17 +100,11 @@ impl Hierarchy {
         &self.dram
     }
 
-    /// Line size in bytes.
-    #[must_use]
-    pub fn line_size(&self) -> u64 {
-        self.config.line_size as u64
-    }
-
     /// LLC set index of an address (the mapping attackers use to build
     /// eviction sets).
     #[must_use]
     pub fn llc_set_of(&self, addr: Addr) -> usize {
-        self.l3.set_of(addr.line(self.line_size()))
+        self.l3.set_of(addr.line())
     }
 
     /// LLC associativity.
@@ -133,19 +122,19 @@ impl Hierarchy {
     /// Whether a line is currently resident in the LLC.
     #[must_use]
     pub fn llc_contains(&self, addr: Addr) -> bool {
-        self.l3.contains(addr.line(self.line_size()))
+        self.l3.contains(addr.line())
     }
 
     /// Whether a line is resident in `core`'s L1.
     #[must_use]
     pub fn l1_contains(&self, core: CoreId, addr: Addr) -> bool {
-        self.l1[core.0].contains(addr.line(self.line_size()))
+        self.l1[core.0].contains(addr.line())
     }
 
     /// LLC metadata of a line, if resident (testing/diagnostics).
     #[must_use]
     pub fn llc_meta(&self, addr: Addr) -> Option<&LineMeta> {
-        self.l3.peek(addr.line(self.line_size()))
+        self.l3.peek(addr.line())
     }
 
     /// Performs one memory access by `core` at time `now`.
@@ -179,7 +168,7 @@ impl Hierarchy {
                 prefetch_hit: false,
             };
         }
-        let line = LineAddr(addr.0 >> self.line_shift);
+        let line = addr.line();
         self.access_shared(core, line, kind.is_write(), now, observer)
     }
 
@@ -196,7 +185,7 @@ impl Hierarchy {
         kind: AccessKind,
     ) -> Option<(usize, usize)> {
         let l1 = &self.l1[core.0];
-        let (set, way) = l1.find(LineAddr(addr.0 >> self.line_shift))?;
+        let (set, way) = l1.find(addr.line())?;
         (!kind.is_write() || l1.meta_at(set, way).modified()).then_some((set, way))
     }
 
@@ -553,6 +542,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::observer::{NullObserver, RecordingObserver};
+    use crate::types::LINE_SIZE;
 
     fn hierarchy() -> Hierarchy {
         Hierarchy::new(SystemConfig::small_test())
@@ -614,7 +604,7 @@ mod tests {
         let mut h = hierarchy();
         let mut obs = NullObserver;
         let addr = Addr(0x2000);
-        let line = addr.line(64);
+        let line = addr.line();
         let modified = |h: &Hierarchy, core: usize| h.l1[core].peek(line).map(LineMeta::modified);
         let r = h.access(CoreId(0), addr, AccessKind::Write, 0, &mut obs);
         assert_eq!(r.served_by, Level::Memory);
@@ -643,7 +633,6 @@ mod tests {
         let mut obs = RecordingObserver::default();
         let ways = h.llc_ways();
         let sets = h.llc_sets() as u64;
-        let line_size = h.line_size();
         // Core 0 owns the target; core 1 thrashes the target's LLC set. The
         // conflict lines alias only in core 1's private caches, so core 0's
         // L1 copy survives until the LLC eviction back-invalidates it.
@@ -651,7 +640,7 @@ mod tests {
         h.access(CoreId(0), target, AccessKind::Read, 0, &mut obs);
         assert!(h.l1_contains(CoreId(0), target));
         for i in 1..=(ways as u64) {
-            let addr = Addr(i * sets * line_size); // same LLC set, different tag
+            let addr = Addr(i * sets * LINE_SIZE); // same LLC set, different tag
             h.access(CoreId(1), addr, AccessKind::Read, i, &mut obs);
         }
         // The target must have been evicted from the LLC and, by
@@ -670,7 +659,7 @@ mod tests {
     fn observer_tag_marks_line_protected() {
         let mut h = hierarchy();
         let mut obs = RecordingObserver::default();
-        let line = Addr(0x4000).line(64);
+        let line = Addr(0x4000).line();
         obs.tag_lines.push(line);
         h.access(CoreId(0), Addr(0x4000), AccessKind::Read, 0, &mut obs);
         let meta = h.llc_meta(Addr(0x4000)).expect("resident");
@@ -682,7 +671,7 @@ mod tests {
     fn prefetch_fill_is_protected_and_unaccessed() {
         let mut h = hierarchy();
         let mut obs = NullObserver;
-        let line = Addr(0x8000).line(64);
+        let line = Addr(0x8000).line();
         h.insert_prefetch(line, 0, &mut obs);
         let meta = h.llc_meta(Addr(0x8000)).expect("resident");
         assert!(meta.protected());
@@ -697,7 +686,7 @@ mod tests {
         let mut h = hierarchy();
         let mut obs = NullObserver;
         let addr = Addr(0x8000);
-        h.insert_prefetch(addr.line(64), 0, &mut obs);
+        h.insert_prefetch(addr.line(), 0, &mut obs);
         let r = h.access(CoreId(0), addr, AccessKind::Read, 5, &mut obs);
         assert_eq!(r.served_by, Level::L3);
         assert!(r.prefetch_hit);
@@ -712,7 +701,7 @@ mod tests {
         let mut h = hierarchy();
         let mut obs = NullObserver;
         h.access(CoreId(0), Addr(0x1000), AccessKind::Read, 0, &mut obs);
-        h.insert_prefetch(Addr(0x1000).line(64), 1, &mut obs);
+        h.insert_prefetch(Addr(0x1000).line(), 1, &mut obs);
         assert_eq!(h.stats().prefetch_fills, 0);
         assert!(h.llc_meta(Addr(0x1000)).expect("resident").protected());
     }
@@ -723,12 +712,11 @@ mod tests {
         let mut obs = NullObserver;
         let ways = h.llc_ways();
         let sets = h.llc_sets() as u64;
-        let ls = h.line_size();
         h.access(CoreId(0), Addr(0), AccessKind::Write, 0, &mut obs);
         for i in 1..=(ways as u64) {
             h.access(
                 CoreId(0),
-                Addr(i * sets * ls),
+                Addr(i * sets * LINE_SIZE),
                 AccessKind::Read,
                 i,
                 &mut obs,
@@ -743,16 +731,15 @@ mod tests {
     fn eviction_notification_carries_tag_bits() {
         let mut h = hierarchy();
         let mut obs = RecordingObserver::default();
-        let target_line = Addr(0).line(64);
+        let target_line = Addr(0).line();
         obs.tag_lines.push(target_line);
         h.access(CoreId(0), Addr(0), AccessKind::Read, 0, &mut obs);
         let ways = h.llc_ways();
         let sets = h.llc_sets() as u64;
-        let ls = h.line_size();
         for i in 1..=(ways as u64) {
             h.access(
                 CoreId(0),
-                Addr(i * sets * ls),
+                Addr(i * sets * LINE_SIZE),
                 AccessKind::Read,
                 i,
                 &mut obs,

@@ -74,4 +74,4 @@ pub use observer::{NullObserver, RecordingObserver, TrafficObserver};
 pub use replacement::Replacement;
 pub use stats::{CoreStats, HierarchyStats, LevelStats};
 pub use system::{SimReport, System};
-pub use types::{AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAddr};
+pub use types::{AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAddr, LINE_SIZE};

@@ -5,6 +5,14 @@ use std::fmt;
 /// A simulation timestamp in core clock cycles.
 pub type Cycle = u64;
 
+/// The cache-line size in bytes at every level (paper Table II).
+///
+/// A property of the modelled machine, not a setting: the caches, the
+/// memory controller and PiPoMonitor's filter all work on [`LineAddr`]s,
+/// and every workload, attack and harness maps bytes to lines with this
+/// one constant.
+pub const LINE_SIZE: u64 = 64;
+
 /// A byte-granular physical address.
 ///
 /// # Examples
@@ -13,24 +21,16 @@ pub type Cycle = u64;
 /// use cache_sim::{Addr, LineAddr};
 ///
 /// let a = Addr(0x12345);
-/// assert_eq!(a.line(64), LineAddr(0x12345 >> 6));
+/// assert_eq!(a.line(), LineAddr(0x12345 >> 6));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
 
 impl Addr {
-    /// The cache line containing this address, for a given line size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_size` is not a power of two.
+    /// The cache line containing this address.
     #[must_use]
-    pub fn line(self, line_size: u64) -> LineAddr {
-        assert!(
-            line_size.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        LineAddr(self.0 >> line_size.trailing_zeros())
+    pub const fn line(self) -> LineAddr {
+        LineAddr(self.0 / LINE_SIZE)
     }
 }
 
@@ -52,20 +52,12 @@ impl From<u64> for Addr {
     }
 }
 
-/// A line-granular address (byte address divided by the line size).
+/// A line-granular address (byte address divided by [`LINE_SIZE`]).
 ///
 /// This is the unit the caches, the memory controller, and PiPoMonitor's
 /// Auto-Cuckoo filter operate on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(pub u64);
-
-impl LineAddr {
-    /// The first byte address of this line.
-    #[must_use]
-    pub fn base(self, line_size: u64) -> Addr {
-        Addr(self.0 << line_size.trailing_zeros())
-    }
-}
 
 impl fmt::Display for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -149,24 +141,10 @@ mod tests {
 
     #[test]
     fn addr_to_line_uses_line_size() {
-        assert_eq!(Addr(0).line(64), LineAddr(0));
-        assert_eq!(Addr(63).line(64), LineAddr(0));
-        assert_eq!(Addr(64).line(64), LineAddr(1));
-        assert_eq!(Addr(0x1_0040).line(64), LineAddr(0x401));
-        assert_eq!(Addr(128).line(128), LineAddr(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn addr_line_rejects_non_power_of_two() {
-        let _ = Addr(0).line(48);
-    }
-
-    #[test]
-    fn line_base_round_trips() {
-        let line = Addr(0x12345).line(64);
-        assert_eq!(line.base(64), Addr(0x12340));
-        assert_eq!(line.base(64).line(64), line);
+        assert_eq!(Addr(0).line(), LineAddr(0));
+        assert_eq!(Addr(63).line(), LineAddr(0));
+        assert_eq!(Addr(64).line(), LineAddr(1));
+        assert_eq!(Addr(0x1_0040).line(), LineAddr(0x401));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use cache_sim::{
     AccessKind, AccessResult, Addr, CoreId, Hierarchy, HierarchyStats, Level, LineAddr,
-    RecordingObserver, Replacement, SystemConfig,
+    RecordingObserver, Replacement, SystemConfig, LINE_SIZE,
 };
 
 /// Ops replayed per configuration.
@@ -142,7 +142,6 @@ fn pool(config: &SystemConfig) -> (Vec<LineAddr>, Vec<LineAddr>) {
 /// statistics.
 fn replay(config: SystemConfig) -> (u64, HierarchyStats) {
     let cores = config.cores as u64;
-    let line_size = config.line_size as u64;
     let (aliased, resident) = pool(&config);
     let mut h = Hierarchy::new(config);
     let mut obs = RecordingObserver {
@@ -174,7 +173,7 @@ fn replay(config: SystemConfig) -> (u64, HierarchyStats) {
             } else {
                 AccessKind::Read
             };
-            let addr = Addr(line.0 * line_size + ops.below(line_size));
+            let addr = Addr(line.0 * LINE_SIZE + ops.below(LINE_SIZE));
             digest.result(&h.access(core, addr, kind, now, &mut obs));
         }
         digest.events(&mut obs);

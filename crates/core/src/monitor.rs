@@ -158,7 +158,7 @@ impl TrafficObserver for PiPoMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessKind, Addr, CoreId, Hierarchy, SystemConfig};
+    use cache_sim::{AccessKind, Addr, CoreId, Hierarchy, SystemConfig, LINE_SIZE};
 
     fn monitor() -> PiPoMonitor {
         PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config")
@@ -261,7 +261,6 @@ mod tests {
         let mut m = monitor();
         let victim = Addr(0);
         let sets = h.llc_sets() as u64;
-        let ls = h.line_size();
         let ways = h.llc_ways() as u64;
 
         // Repeatedly: victim touches its line, attacker core blasts the set.
@@ -271,7 +270,7 @@ mod tests {
             for i in 1..=ways {
                 h.access(
                     CoreId(1),
-                    Addr((round * ways + i) * sets * ls),
+                    Addr((round * ways + i) * sets * LINE_SIZE),
                     AccessKind::Read,
                     t + i,
                     &mut m,

@@ -2,14 +2,13 @@
 
 use std::ops::Range;
 
-use cache_sim::{Access, AccessKind, AccessSource, Addr};
+use cache_sim::{Access, AccessKind, AccessSource, Addr, LINE_SIZE};
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::profile::BenchProfile;
 
-const LINE_SIZE: u64 = 64;
 /// Line-number stride separating per-core address regions (2^36 lines
 /// = 4 TiB of byte address space per core: regions can never overlap).
 const CORE_REGION_LINES: u64 = 1 << 36;

@@ -17,15 +17,13 @@
 //! `next_access` (the refill prefix-identity contract, pinned in
 //! `tests/workload_statistics.rs`).
 
-use cache_sim::{Access, AccessKind, AccessSource, Addr};
+use cache_sim::{Access, AccessKind, AccessSource, Addr, LINE_SIZE};
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::generator::ProfileSource;
 use crate::profile::BenchProfile;
-
-const LINE_SIZE: u64 = 64;
 
 /// Time-sliced interleaving of several tenants' profile streams.
 ///

@@ -1,6 +1,6 @@
 //! Simple synthetic streams for tests, microbenchmarks, and ablations.
 
-use cache_sim::{Access, AccessSource, Addr};
+use cache_sim::{Access, AccessSource, Addr, LINE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,7 +97,7 @@ impl AccessSource for PointerChaseSource {
     fn next_access(&mut self) -> Option<Access> {
         self.pos = self.next[self.pos as usize];
         let line = self.base_line + u64::from(self.pos);
-        Some(Access::read(Addr(line * 64)).after(self.think))
+        Some(Access::read(Addr(line * LINE_SIZE)).after(self.think))
     }
 }
 

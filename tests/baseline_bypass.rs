@@ -49,7 +49,7 @@ fn flushing_bypasses_the_directory_baseline() {
         recovery.distinguishability
     );
     let layout = VictimLayout::default_layout();
-    for line in [layout.square.line(64), layout.multiply.line(64)] {
+    for line in [layout.square.line(), layout.multiply.line()] {
         let security = monitor.pattern_store().security_of(line.0);
         assert!(
             security.is_none() || security < Some(3),

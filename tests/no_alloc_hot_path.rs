@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use auto_cuckoo::{build_store, FilterBackend, FilterParams};
-use cache_sim::{Access, Addr, CoreId, NullObserver, System, SystemConfig};
+use cache_sim::{Access, Addr, CoreId, NullObserver, System, SystemConfig, LINE_SIZE};
 use pipo_workloads::{benchmark, mixes::mix_by_name, ProfileSource, Trace};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
@@ -54,7 +54,7 @@ fn pingpong_system(cores: usize) -> System<PiPoMonitor> {
     config.cores = cores;
     let sets = config.l3.sets as u64;
     let ways = config.l3.ways as u64;
-    let line = config.line_size as u64;
+    let line = LINE_SIZE;
     let monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
     let mut system = System::new(config, monitor);
     system.set_source(

@@ -12,7 +12,7 @@
 
 use cache_sim::{
     Access, AccessSource, Addr, Core, CoreId, Hierarchy, HierarchyStats, NullObserver, Replacement,
-    SimReport, System, SystemConfig,
+    SimReport, System, SystemConfig, LINE_SIZE,
 };
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
@@ -85,7 +85,7 @@ fn run_monitored_pingpong() -> (Fingerprint, MonitorStats) {
     let config = SystemConfig::paper_default();
     let sets = config.l3.sets as u64;
     let ways = config.l3.ways as u64;
-    let line = config.line_size as u64;
+    let line = LINE_SIZE;
     let monitor = PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
     let mut system = System::new(config, monitor);
     // Victim: hammers one line with a think gap.
@@ -243,7 +243,7 @@ type RunState = (Vec<u64>, Vec<u64>, HierarchyStats, MonitorStats);
 fn differential_sources(config: &SystemConfig) -> Vec<Box<dyn AccessSource + Send>> {
     let sets = config.l3.sets as u64;
     let ways = config.l3.ways as u64;
-    let line = config.line_size as u64;
+    let line = LINE_SIZE;
     let mix = mix_by_name("mix7").expect("mix exists");
     (0..config.cores)
         .map(|core| -> Box<dyn AccessSource + Send> {
@@ -272,7 +272,7 @@ fn differential_sources(config: &SystemConfig) -> Vec<Box<dyn AccessSource + Sen
 /// accesses hit, while writes to the shared lines invalidate the other
 /// cores' copies and reads of them clear the writer's modified flag.
 fn shared_region_sources(config: &SystemConfig) -> Vec<Box<dyn AccessSource + Send>> {
-    let line = config.line_size as u64;
+    let line = LINE_SIZE;
     (0..config.cores as u64)
         .map(|core| -> Box<dyn AccessSource + Send> {
             let mut state = 0x9E37_79B9_7F4A_7C15 ^ (core + 1);
