@@ -13,9 +13,9 @@
 //!   instructions, seed) prefixed with a schema version. Execution knobs
 //!   (the cell label, `--threads`/`--sequential`) are deliberately
 //!   **excluded**: they never change a result, so every run of a cell
-//!   shares one record. The full key is stored next to each record and
-//!   verified on lookup, so a hash collision degrades to a miss, never a
-//!   wrong answer.
+//!   shares one record. Records are indexed by their full key, so two
+//!   keys whose hashes collide are simply two records, never a wrong
+//!   answer; the hash only guards each frame on disk.
 //! * **Append-only log, validated on open** — the file is a header line
 //!   followed by framed records (`rec <hash> <keylen> <paylen> <checksum>`
 //!   then the raw key and payload bytes). Recovery follows the trace_v2
@@ -65,7 +65,12 @@ const MAX_FRAME_LINE: usize = 96;
 /// on-disk addresses must outlive the binary that wrote them.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash state over more bytes: `fnv1a64(a ++ b)` is
+/// `fnv1a64_continue(fnv1a64(a), b)`.
+fn fnv1a64_continue(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -170,30 +175,20 @@ pub struct StoreTelemetry {
 
 #[derive(Debug)]
 struct Entry {
-    key: String,
     payload: String,
     /// Logical recency clock; larger = more recently touched.
     stamp: u64,
 }
 
-/// FNV-1a over the concatenated key and payload bytes: the per-record
-/// integrity checksum.
-fn body_checksum(key: &[u8], payload: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key.iter().chain(payload) {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
+/// A record's framing line: the key's FNV-1a hash, the two lengths, and
+/// the integrity checksum, FNV-1a over the key and payload bytes together.
 fn record_frame(key: &str, payload: &str) -> String {
+    let key_hash = fnv1a64(key.as_bytes());
     format!(
-        "rec {:016x} {} {} {:016x}\n",
-        fnv1a64(key.as_bytes()),
+        "rec {key_hash:016x} {} {} {:016x}\n",
         key.len(),
         payload.len(),
-        body_checksum(key.as_bytes(), payload.as_bytes()),
+        fnv1a64_continue(key_hash, payload.as_bytes()),
     )
 }
 
@@ -205,8 +200,8 @@ fn record_size(key: &str, payload: &str) -> u64 {
 #[derive(Debug)]
 pub struct ResultStore {
     path: PathBuf,
-    /// FNV key hash → entries whose keys hash there (collisions coexist).
-    entries: HashMap<u64, Vec<Entry>>,
+    /// Canonical key → its record.
+    entries: HashMap<String, Entry>,
     /// Logical clock driving LRU stamps.
     clock: u64,
     /// Size budget in encoded bytes (`None` = unbounded).
@@ -281,54 +276,48 @@ impl ResultStore {
             ));
         }
         let mut offset = HEADER.len();
+        let mut superseded = false;
         while offset < bytes.len() {
             let Some((key, payload, next)) = parse_record(bytes, offset) else {
                 break;
             };
-            self.insert_recovered(key, payload);
+            // Later records supersede earlier ones (append-only updates).
+            superseded |= self.insert(key, payload);
             offset = next;
         }
         self.telemetry.dropped_tail_bytes = (bytes.len() - offset) as u64;
         self.telemetry.recovered_records = self.len() as u64;
-        // A dropped tail (or superseded duplicate records) means the file
-        // and the index disagree; rewrite on the next flush.
-        self.dirty = self.telemetry.dropped_tail_bytes > 0;
+        // A dropped tail or superseded duplicate records mean the file and
+        // the index disagree; rewrite on the next flush.
+        self.dirty = self.telemetry.dropped_tail_bytes > 0 || superseded;
         Ok(())
     }
 
-    fn insert_recovered(&mut self, key: String, payload: String) {
+    /// Makes `payload` the record of `key`, as the most recently used one.
+    /// Returns whether it replaced a record already held under `key`.
+    fn insert(&mut self, key: String, payload: String) -> bool {
         self.clock += 1;
-        let hash = fnv1a64(key.as_bytes());
-        let bucket = self.entries.entry(hash).or_default();
-        if let Some(entry) = bucket.iter_mut().find(|e| e.key == key) {
-            // Later records supersede earlier ones (append-only updates).
-            self.live_bytes -= record_size(&entry.key, &entry.payload);
-            self.live_bytes += record_size(&key, &payload);
-            entry.payload = payload;
-            entry.stamp = self.clock;
-            self.dirty = true;
-        } else {
-            self.live_bytes += record_size(&key, &payload);
-            bucket.push(Entry {
-                key,
-                payload,
-                stamp: self.clock,
-            });
+        self.live_bytes += record_size(&key, &payload);
+        let stamp = self.clock;
+        match self.entries.get_mut(&key) {
+            Some(entry) => {
+                self.live_bytes -= record_size(&key, &entry.payload);
+                *entry = Entry { payload, stamp };
+                true
+            }
+            None => {
+                self.entries.insert(key, Entry { payload, stamp });
+                false
+            }
         }
     }
 
     /// Looks up a record by its canonical key, refreshing its LRU recency.
     pub fn get(&mut self, key: &str) -> Option<&str> {
         self.clock += 1;
-        let clock = self.clock;
-        let hash = fnv1a64(key.as_bytes());
-        let entry = self
-            .entries
-            .get_mut(&hash)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.key == key));
-        match entry {
+        match self.entries.get_mut(key) {
             Some(entry) => {
-                entry.stamp = clock;
+                entry.stamp = self.clock;
                 self.telemetry.hits += 1;
                 Some(&entry.payload)
             }
@@ -343,23 +332,9 @@ impl ResultStore {
     /// records if a budget is exceeded. Nothing touches disk until
     /// [`flush`](Self::flush).
     pub fn put(&mut self, key: &str, payload: &str) {
-        self.clock += 1;
-        let clock = self.clock;
-        let hash = fnv1a64(key.as_bytes());
-        let bucket = self.entries.entry(hash).or_default();
-        if let Some(entry) = bucket.iter_mut().find(|e| e.key == key) {
-            self.live_bytes -= record_size(&entry.key, &entry.payload);
-            self.live_bytes += record_size(key, payload);
-            entry.payload = payload.to_string();
-            entry.stamp = clock;
+        if self.insert(key.to_string(), payload.to_string()) {
             self.telemetry.replacements += 1;
         } else {
-            self.live_bytes += record_size(key, payload);
-            bucket.push(Entry {
-                key: key.to_string(),
-                payload: payload.to_string(),
-                stamp: clock,
-            });
             self.telemetry.puts += 1;
         }
         self.dirty = true;
@@ -369,28 +344,14 @@ impl ResultStore {
     fn enforce_budget(&mut self) {
         let Some(budget) = self.budget else { return };
         while self.live_bytes > budget && self.len() > 1 {
-            let (&hash, min_stamp) = self
+            let oldest = self
                 .entries
                 .iter()
-                .filter(|(_, bucket)| !bucket.is_empty())
-                .map(|(hash, bucket)| {
-                    (
-                        hash,
-                        bucket.iter().map(|e| e.stamp).min().expect("non-empty"),
-                    )
-                })
-                .min_by_key(|&(_, stamp)| stamp)
-                .expect("len > 1 means a bucket is non-empty");
-            let bucket = self.entries.get_mut(&hash).expect("bucket exists");
-            let pos = bucket
-                .iter()
-                .position(|e| e.stamp == min_stamp)
-                .expect("stamp came from this bucket");
-            let entry = bucket.swap_remove(pos);
-            if bucket.is_empty() {
-                self.entries.remove(&hash);
-            }
-            self.live_bytes -= record_size(&entry.key, &entry.payload);
+                .min_by_key(|(_, entry)| entry.stamp)
+                .map(|(key, _)| key.clone())
+                .expect("len > 1");
+            let entry = self.entries.remove(&oldest).expect("key came from the map");
+            self.live_bytes -= record_size(&oldest, &entry.payload);
             self.telemetry.evictions += 1;
             self.dirty = true;
         }
@@ -408,13 +369,13 @@ impl ResultStore {
         if !self.dirty {
             return Ok(());
         }
-        let mut records: Vec<&Entry> = self.entries.values().flatten().collect();
-        records.sort_by_key(|e| e.stamp);
+        let mut records: Vec<(&String, &Entry)> = self.entries.iter().collect();
+        records.sort_by_key(|(_, entry)| entry.stamp);
         let mut image = String::with_capacity(self.live_bytes as usize);
         image.push_str(HEADER);
-        for entry in records {
-            image.push_str(&record_frame(&entry.key, &entry.payload));
-            image.push_str(&entry.key);
+        for (key, entry) in records {
+            image.push_str(&record_frame(key, &entry.payload));
+            image.push_str(key);
             image.push_str(&entry.payload);
             image.push('\n');
         }
@@ -427,13 +388,13 @@ impl ResultStore {
     /// Number of live records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// Whether the store holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.values().all(Vec::is_empty)
+        self.entries.is_empty()
     }
 
     /// Encoded size of the live log in bytes (header + records).
@@ -458,9 +419,8 @@ impl ResultStore {
     /// (the `pipo-serve` dashboard aggregates these).
     pub fn records(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries
-            .values()
-            .flatten()
-            .map(|e| (e.key.as_str(), e.payload.as_str()))
+            .iter()
+            .map(|(key, entry)| (key.as_str(), entry.payload.as_str()))
     }
 }
 
@@ -519,10 +479,8 @@ fn parse_record(bytes: &[u8], offset: usize) -> Option<(String, String, usize)> 
     }
     let key_bytes = &rest[body_start..body_start + keylen];
     let payload_bytes = &rest[body_start + keylen..body_end];
-    if fnv1a64(key_bytes) != hash {
-        return None;
-    }
-    if body_checksum(key_bytes, payload_bytes) != check {
+    let key_hash = fnv1a64(key_bytes);
+    if key_hash != hash || fnv1a64_continue(key_hash, payload_bytes) != check {
         return None;
     }
     let key = std::str::from_utf8(key_bytes).ok()?.to_string();
@@ -634,6 +592,22 @@ mod tests {
         store.put("k", "short");
         assert_eq!(store.bytes(), small);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recovery_keeps_the_last_duplicate_and_compacts_it_away() {
+        let path = temp_store("duplicates");
+        let record = |payload: &str| format!("{}k{payload}\n", record_frame("k", payload));
+        let log = format!("{HEADER}{}{}", record("old"), record("new"));
+        std::fs::write(&path, &log).expect("write");
+        let mut store = ResultStore::open(&path).expect("open");
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.bytes(), (HEADER.len() + record("new").len()) as u64);
+        assert_eq!(store.get("k"), Some("new"));
+        store.flush().expect("flush");
+        let compacted = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(compacted, format!("{HEADER}{}", record("new")));
     }
 
     #[test]
