@@ -35,7 +35,9 @@
 //! Every failure is a structured `{"ok":false,"error":…}` line; the server
 //! validates everything it reads off the socket (parse errors carry byte
 //! offsets, cell specs reject unknown fields, instruction counts are capped
-//! by [`ServeOptions::max_instructions`]) and never panics on client input.
+//! by [`ServeOptions::max_instructions`], a cell's `l × b` is capped at
+//! 2^20 filter entries and its `mnk` at 4096) and never panics on client
+//! input.
 //!
 //! # Concurrency model
 //!
@@ -70,6 +72,16 @@ const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Upper bound on cells per job, so one request cannot queue unbounded work.
 const MAX_JOB_CELLS: usize = 1024;
+
+/// Upper bound on a cell's filter table, `l × b` entries, so one request
+/// cannot make the cold pass allocate past the host's memory (a failed
+/// allocation aborts the whole server). The largest Fig. 8 table is
+/// 2048 × 8.
+const MAX_FILTER_ENTRIES: usize = 1 << 20;
+
+/// Upper bound on a cell's `mnk`: once a table is full, every insert walks
+/// this many kicks while the cold gate is held. The largest in use is 500.
+const MAX_FILTER_KICKS: u32 = 4096;
 
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -559,8 +571,9 @@ fn narrow<T: TryFrom<u64>>(value: u64, name: &str) -> Result<T, String> {
 }
 
 /// Parses one job cell spec into a [`MixCell`], strictly: unknown fields,
-/// wrong types, unknown names and over-limit instruction counts are all
-/// rejected with a message naming the field.
+/// wrong types, unknown names, over-limit instruction counts and filter
+/// geometries past the server's caps are all rejected with a message
+/// naming the field.
 fn cell_from_spec(spec: &Json, max_instructions: u64) -> Result<MixCell, String> {
     let Json::Object(fields) = spec else {
         return Err("cell spec must be an object".to_string());
@@ -614,6 +627,18 @@ fn cell_from_spec(spec: &Json, max_instructions: u64) -> Result<MixCell, String>
         .seed(opt_u64(spec, "filter_seed")?.unwrap_or_else(|| defaults.filter.seed()))
         .build()
         .map_err(|e| format!("invalid filter parameters: {e}"))?;
+    let (l, b) = (filter.buckets(), filter.entries_per_bucket());
+    if l.checked_mul(b).is_none_or(|n| n > MAX_FILTER_ENTRIES) {
+        return Err(format!(
+            "l * b = {l} * {b} exceeds this server's limit of {MAX_FILTER_ENTRIES} entries"
+        ));
+    }
+    if filter.max_kicks() > MAX_FILTER_KICKS {
+        return Err(format!(
+            "mnk {} exceeds this server's limit of {MAX_FILTER_KICKS}",
+            filter.max_kicks()
+        ));
+    }
     let backend = match opt_str(spec, "backend")? {
         None => defaults.backend,
         Some(name) => FilterBackend::ALL
@@ -705,6 +730,10 @@ mod tests {
             (r#"{"mix":"mix1","instructions":0}"#, "must be positive"),
             (r#"{"mix":"mix1","backend":"gpu"}"#, "unknown backend"),
             (r#"{"mix":"mix1","l":1000}"#, "invalid filter parameters"),
+            (r#"{"mix":"mix3","l":1099511627776}"#, "l * b"),
+            (r#"{"mix":"mix1","l":262144,"b":8}"#, "l * b"),
+            (r#"{"mix":"mix1","l":9223372036854775808,"b":2}"#, "l * b"),
+            (r#"{"mix":"mix1","mnk":4097}"#, "mnk 4097 exceeds"),
             (
                 r#"{"mix":"mix1","replacement":"fifo"}"#,
                 "unknown replacement",
@@ -744,6 +773,17 @@ mod tests {
         assert_eq!(lines.len(), 1, "only the good cell streams: {streamed}");
         assert_eq!(lines[0].get("cell").and_then(Json::as_u64), Some(0));
         assert_eq!(lines[0].get("label").and_then(Json::as_str), Some("good"));
+    }
+
+    #[test]
+    fn cell_spec_accepts_filter_geometry_at_the_caps() {
+        let cell = cell_from_spec(
+            &spec(r#"{"mix":"mix1","l":131072,"b":8,"mnk":4096}"#),
+            u64::MAX,
+        )
+        .expect("at the caps is accepted");
+        assert_eq!(cell.monitor.filter.capacity(), MAX_FILTER_ENTRIES);
+        assert_eq!(cell.monitor.filter.max_kicks(), MAX_FILTER_KICKS);
     }
 
     #[test]
