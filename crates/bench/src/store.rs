@@ -6,16 +6,16 @@
 //! design follows the `jdb_wal`/`size_lru` append-only-log pattern named in
 //! `ROADMAP.md`:
 //!
-//! * **Content addressing** — a record's address is the stable FNV-1a hash
-//!   of its *canonical cell key*: a single-line ASCII rendering of every
-//!   input that determines a cell's result (`SystemConfig`, mix + component
-//!   benchmarks, `MonitorConfig` including filter geometry and backend,
-//!   instructions, seed) prefixed with a schema version. Execution knobs
+//! * **Content addressing** — a record's address is its *canonical cell
+//!   key*: a single-line ASCII rendering of every input that determines a
+//!   cell's result (`SystemConfig`, mix + component benchmarks,
+//!   `MonitorConfig` including filter geometry and backend, instructions,
+//!   seed) prefixed with a schema version. Execution knobs
 //!   (the cell label, `--threads`/`--sequential`) are deliberately
 //!   **excluded**: they never change a result, so every run of a cell
-//!   shares one record. Records are indexed by their full key, so two
-//!   keys whose hashes collide are simply two records, never a wrong
-//!   answer; the hash only guards each frame on disk.
+//!   shares one record. The index compares full keys, so two keys whose
+//!   FNV-1a hashes collide are two records, never a wrong answer; each
+//!   frame on disk carries its key's hash.
 //! * **Append-only log, validated on open** — the file is a header line
 //!   followed by framed records (`rec <hash> <keylen> <paylen> <checksum>`
 //!   then the raw key and payload bytes). Recovery follows the trace_v2
@@ -349,7 +349,7 @@ impl ResultStore {
                 .iter()
                 .min_by_key(|(_, entry)| entry.stamp)
                 .map(|(key, _)| key.clone())
-                .expect("len > 1");
+                .expect("len > 1 means the map holds a record");
             let entry = self.entries.remove(&oldest).expect("key came from the map");
             self.live_bytes -= record_size(&oldest, &entry.payload);
             self.telemetry.evictions += 1;

@@ -12,6 +12,12 @@
 //!   (or any other defense) watches LLC↔memory traffic and injects
 //!   prefetches.
 //!
+//! Every level holds [`LINE_SIZE`]-byte lines. The line size is a constant
+//! of the modelled machine (64 bytes, Table II), not a [`SystemConfig`]
+//! field: the caches, the observer hook and PiPoMonitor's filter all work
+//! on [`LineAddr`]s, and every workload, attack and harness maps bytes to
+//! lines through the same constant ([`Addr::line`]).
+//!
 //! Everything is deterministic: replacement randomness comes from seeded
 //! generators, so every experiment is exactly reproducible.
 //!
