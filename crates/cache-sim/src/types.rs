@@ -5,12 +5,9 @@ use std::fmt;
 /// A simulation timestamp in core clock cycles.
 pub type Cycle = u64;
 
-/// The cache-line size in bytes at every level (paper Table II).
-///
-/// A property of the modelled machine, not a setting: the caches, the
-/// memory controller and PiPoMonitor's filter all work on [`LineAddr`]s,
-/// and every workload, attack and harness maps bytes to lines with this
-/// one constant.
+/// The cache-line size in bytes at every level (paper Table II): a
+/// constant of the modelled machine, not a
+/// [`SystemConfig`](crate::SystemConfig) setting.
 pub const LINE_SIZE: u64 = 64;
 
 /// A byte-granular physical address.
