@@ -12,14 +12,16 @@
 //! Every `AccessResult`, every `RecordingObserver` event in order, the final
 //! `HierarchyStats` and the DRAM counters are folded into one FNV-1a digest
 //! per configuration. The hierarchy is reached only through its public API,
-//! so the digests pin behaviour however the caches are implemented.
+//! so the digests pin behaviour however the caches are implemented. A
+//! hierarchy built on a thread where one of the same configuration ran a
+//! different stream and was dropped must give the same digests.
 //!
 //! Run with `GOLDEN_PRINT=1 cargo test -q -p cache_sim --test hierarchy_golden -- --nocapture`
 //! to print the current digests when intentionally re-baselining.
 
 use cache_sim::{
-    AccessKind, AccessResult, Addr, CoreId, Hierarchy, HierarchyStats, Level, LineAddr,
-    RecordingObserver, Replacement, SystemConfig, LINE_SIZE,
+    AccessKind, AccessResult, Addr, CacheGeometry, CoreId, Hierarchy, HierarchyStats, Level,
+    LineAddr, RecordingObserver, Replacement, SystemConfig, LINE_SIZE,
 };
 
 /// Ops replayed per configuration.
@@ -28,21 +30,36 @@ const OPS: u64 = 60_000;
 /// Seed of every configuration's op stream.
 const SEED: u64 = 0x601d_e115;
 
-/// `(name, digest)`, captured before the modified-state fast path.
-const GOLDEN: [(&str, u64); 3] = [
+/// Seed of the stream a hierarchy runs before it is dropped.
+const OTHER_SEED: u64 = 0xd1ff_5eed;
+
+/// `(name, digest)`. The first three were captured before the
+/// modified-state fast path.
+const GOLDEN: [(&str, u64); 5] = [
     ("small_test", 0x01c799af6112f300),
     ("paper_default", 0x907f2bbb3e187f0d),
     ("tree_plru_3c", 0xad009ef39a8d8316),
+    ("random_2c", 0xac86c946ebc4a155),
+    ("lru_llc12", 0xb9eb0c25694e10ba),
 ];
 
-fn configs() -> [(&'static str, SystemConfig); 3] {
+/// The golden configurations. Besides the two shipped ones: three cores
+/// under Tree-PLRU, random replacement, and a 12-way LLC, whose sets span
+/// one full fingerprint word and half of a second.
+fn configs() -> [(&'static str, SystemConfig); 5] {
     let mut tree = SystemConfig::small_test();
     tree.cores = 3;
     tree.replacement = Replacement::TreePlru;
+    let mut random = SystemConfig::small_test();
+    random.replacement = Replacement::Random { seed: 0x5eed };
+    let mut llc12 = SystemConfig::small_test();
+    llc12.l3 = CacheGeometry::from_capacity(96 << 10, 12, 35);
     [
         ("small_test", SystemConfig::small_test()),
         ("paper_default", SystemConfig::paper_default()),
         ("tree_plru_3c", tree),
+        ("random_2c", random),
+        ("lru_llc12", llc12),
     ]
 }
 
@@ -138,9 +155,9 @@ fn pool(config: &SystemConfig) -> (Vec<LineAddr>, Vec<LineAddr>) {
     (aliased, resident)
 }
 
-/// Replays the configuration's op stream: returns the digest and the final
-/// statistics.
-fn replay(config: SystemConfig) -> (u64, HierarchyStats) {
+/// Replays the op stream of `seed` on a new hierarchy of `config`: returns
+/// the digest and the final statistics.
+fn replay(config: SystemConfig, seed: u64) -> (u64, HierarchyStats) {
     let cores = config.cores as u64;
     let (aliased, resident) = pool(&config);
     let mut h = Hierarchy::new(config);
@@ -153,7 +170,7 @@ fn replay(config: SystemConfig) -> (u64, HierarchyStats) {
             .collect(),
         ..RecordingObserver::default()
     };
-    let mut ops = Stream(SEED);
+    let mut ops = Stream(seed);
     let mut digest = Digest::new();
     for now in 0..OPS {
         let roll = ops.below(100);
@@ -190,11 +207,15 @@ fn replay(config: SystemConfig) -> (u64, HierarchyStats) {
     (digest.0, stats)
 }
 
+/// One test, not two, so that no other test thread builds a hierarchy in
+/// between: each configuration first runs on a new hierarchy, then on one
+/// built right after a hierarchy of the same configuration ran another
+/// stream and was dropped. Both must give the golden digest.
 #[test]
 fn every_config_matches_the_golden_digest() {
     let mut got = Vec::new();
     for (name, config) in configs() {
-        let (digest, stats) = replay(config);
+        let (digest, stats) = replay(config, SEED);
         if std::env::var("GOLDEN_PRINT").is_ok() {
             println!("GOLDEN {name} stats: {stats:?}");
         }
@@ -219,4 +240,13 @@ fn every_config_matches_the_golden_digest() {
         }
     }
     assert_eq!(got, GOLDEN);
+
+    let mut after_drop = Vec::new();
+    for (name, config) in configs() {
+        let (other, _) = replay(config.clone(), OTHER_SEED);
+        let (digest, _) = replay(config, SEED);
+        assert_ne!(other, digest, "{name}: the streams must differ");
+        after_drop.push((name, digest));
+    }
+    assert_eq!(after_drop, GOLDEN, "built after a dropped hierarchy");
 }
