@@ -177,7 +177,8 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] for zero or more than 64 cores (the sharer
-    /// bitmap's limit), or invalid per-level geometry.
+    /// bitmap's limit), invalid per-level geometry, or Tree-PLRU
+    /// replacement on a level whose way count is not a power of two.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::NoCores);
@@ -190,6 +191,18 @@ impl SystemConfig {
         self.l1.validate()?;
         self.l2.validate()?;
         self.l3.validate()?;
+        // Tree-PLRU's decision tree has one leaf per way.
+        if self.replacement == Replacement::TreePlru {
+            for (geometry, error) in [
+                (self.l1, "L1 ways not a power of two, as tree-PLRU requires"),
+                (self.l2, "L2 ways not a power of two, as tree-PLRU requires"),
+                (self.l3, "L3 ways not a power of two, as tree-PLRU requires"),
+            ] {
+                if !geometry.ways.is_power_of_two() {
+                    return Err(ConfigError::BadGeometry(error));
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -260,6 +273,23 @@ mod tests {
             cfg.validate().unwrap_err(),
             ConfigError::BadGeometry(_)
         ));
+    }
+
+    #[test]
+    fn validate_rejects_tree_plru_with_non_power_of_two_ways() {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.l3 = CacheGeometry::from_capacity(3 << 20, 12, 35);
+        cfg.validate().expect("a 12-way LLC is valid under LRU");
+        cfg.replacement = Replacement::TreePlru;
+        let err = cfg.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::BadGeometry(what) if what.starts_with("L3 ")));
+        let mut cfg = SystemConfig::small_test();
+        cfg.replacement = Replacement::TreePlru;
+        cfg.validate().expect("power-of-two ways at every level");
+        cfg.l1.ways = 3;
+        cfg.l1.sets = 8;
+        let err = cfg.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::BadGeometry(what) if what.starts_with("L1 ")));
     }
 
     #[test]
