@@ -56,6 +56,11 @@ fn zero_byte_lanes(x: u64) -> u64 {
 /// that misses a 16-way set reads 16 bytes of fingerprints instead of 16
 /// tag words.
 ///
+/// A way is empty exactly when its fingerprint byte is 0, and nothing reads
+/// an empty way's tag, metadata or replacement state. So emptying a cache
+/// for reuse (as [`Hierarchy::new`](crate::Hierarchy::new) does with a
+/// dropped machine's caches) zeroes only the fingerprint words.
+///
 /// # Examples
 ///
 /// ```
@@ -123,6 +128,37 @@ impl Cache {
             geometry,
             policy,
         }
+    }
+
+    /// A cache with no sets and no storage, to stand in for one moved out
+    /// of its owner. It allocates nothing.
+    pub(crate) fn unallocated() -> Self {
+        Self {
+            geometry: CacheGeometry {
+                sets: 0,
+                ways: 0,
+                latency: 0,
+            },
+            fps: Vec::new(),
+            tags: Vec::new(),
+            metas: Vec::new(),
+            policy: ReplacementPolicy::new(Replacement::Random { seed: 0 }, 0, 0),
+            set_mask: 0,
+            set_shift: 0,
+            words_per_set: 0,
+            tail_lanes: 0,
+        }
+    }
+
+    /// Empties the cache and keeps its storage. Only the fingerprint words
+    /// are zeroed and the replacement policy's clock or generator reset
+    /// ([`ReplacementPolicy::reset`]); the stale tags, metadata and
+    /// replacement state of the emptied ways are never read (see the type
+    /// docs). The result behaves exactly as a new cache of the same
+    /// geometry and policy.
+    pub(crate) fn clear(&mut self) {
+        self.fps.fill(0);
+        self.policy.reset();
     }
 
     /// The cache geometry.
@@ -340,11 +376,8 @@ impl Cache {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineMeta> {
         let (set, way) = self.find(line)?;
         let idx = self.slot_index(set, way);
-        let meta = self.metas[idx];
         self.set_fp_byte(set, way, 0);
-        self.tags[idx] = 0;
-        self.metas[idx] = LineMeta::default();
-        Some(meta)
+        Some(self.metas[idx])
     }
 
     /// Number of valid lines resident.
@@ -572,6 +605,40 @@ mod tests {
             c.fill(LineAddr(i), LineMeta::default());
             assert!(c.contains(LineAddr(i)));
             assert!(c.len() <= 4);
+        }
+    }
+
+    #[test]
+    fn cleared_cache_behaves_as_a_new_one() {
+        for (replacement, ways) in [
+            (Replacement::Lru, 12),
+            (Replacement::TreePlru, 8),
+            (Replacement::Random { seed: 3 }, 12),
+        ] {
+            let geometry = CacheGeometry {
+                sets: 2,
+                ways,
+                latency: 1,
+            };
+            let evictions = |c: &mut Cache, stride: u64| {
+                (0..200u64)
+                    .filter_map(|i| {
+                        let line = LineAddr(i * stride % 61);
+                        if i % 7 == 0 {
+                            c.invalidate(line);
+                        }
+                        c.touch(LineAddr(i % 5));
+                        c.fill(line, LineMeta::default())
+                    })
+                    .map(|e| e.line.0)
+                    .collect::<Vec<_>>()
+            };
+            let mut reused = Cache::new(geometry, replacement);
+            evictions(&mut reused, 3);
+            reused.clear();
+            assert!(reused.is_empty());
+            let fresh = evictions(&mut Cache::new(geometry, replacement), 5);
+            assert_eq!(evictions(&mut reused, 5), fresh, "{replacement:?}");
         }
     }
 

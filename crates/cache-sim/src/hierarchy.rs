@@ -12,6 +12,11 @@
 //! * **Memory-controller hooks.** Every LLC→memory demand fetch and every
 //!   LLC eviction is reported to a [`TrafficObserver`]; observers may tag
 //!   incoming lines as protected and inject prefetches.
+//!
+//! A dropped hierarchy leaves its caches to the next one of the same
+//! configuration (see [`Hierarchy::new`]).
+
+use std::sync::{Mutex, PoisonError};
 
 use crate::cache::Cache;
 use crate::config::SystemConfig;
@@ -51,8 +56,36 @@ pub struct Hierarchy {
     l1_losses: u64,
 }
 
+/// The caches of a dropped [`Hierarchy`], kept for the next hierarchy of
+/// the same configuration. It has no `Drop` of its own, so a newer spare
+/// that replaces it simply frees its arrays.
+#[derive(Debug)]
+struct Spare {
+    config: SystemConfig,
+    l1: Vec<Cache>,
+    l2: Vec<Cache>,
+    l3: Cache,
+}
+
+/// The caches of the last hierarchy dropped in the process, on any thread.
+///
+/// One slot for the process rather than one per thread. A thread that
+/// exits would free its spare into its own malloc arena, below what it
+/// allocated later and that outlives it, and glibc returns an arena's
+/// memory only from the top of its heap: perfbench's `fig8_grid` kept
+/// 1.5 to 3 MiB resident that way after its reference pass on a worker
+/// thread. A worker that drops a machine builds its next one at once, so
+/// it nearly always takes back its own spare.
+static SPARE: Mutex<Option<Spare>> = Mutex::new(None);
+
 impl Hierarchy {
     /// Builds an empty hierarchy from a configuration.
+    ///
+    /// When the last hierarchy dropped had an equal configuration, its
+    /// caches are emptied and reused instead of allocated again: the paper
+    /// configuration's arrays take 2.75 MB, and a sweep builds many
+    /// machines of one configuration in turn. The result does not depend
+    /// on it (`tests/hierarchy_golden.rs` checks).
     ///
     /// # Panics
     ///
@@ -61,13 +94,32 @@ impl Hierarchy {
     #[must_use]
     pub fn new(config: SystemConfig) -> Self {
         config.validate().expect("invalid system configuration");
-        let l1 = (0..config.cores)
-            .map(|_| Cache::new(config.l1, config.replacement))
-            .collect();
-        let l2 = (0..config.cores)
-            .map(|_| Cache::new(config.l2, config.replacement))
-            .collect();
-        let l3 = Cache::new(config.l3, config.replacement);
+        let spare = SPARE
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take_if(|spare| spare.config == config);
+        let (l1, l2, l3) = match spare {
+            Some(Spare {
+                mut l1,
+                mut l2,
+                mut l3,
+                ..
+            }) => {
+                for cache in l1.iter_mut().chain(&mut l2).chain([&mut l3]) {
+                    cache.clear();
+                }
+                (l1, l2, l3)
+            }
+            None => (
+                (0..config.cores)
+                    .map(|_| Cache::new(config.l1, config.replacement))
+                    .collect(),
+                (0..config.cores)
+                    .map(|_| Cache::new(config.l2, config.replacement))
+                    .collect(),
+                Cache::new(config.l3, config.replacement),
+            ),
+        };
         let dram = Dram::new(config.dram_latency);
         let stats = HierarchyStats::new(config.cores);
         Self {
@@ -535,6 +587,24 @@ impl Hierarchy {
             meta.sharers = SharerSet::only(core);
         }
         self.config.l3.latency
+    }
+}
+
+impl Drop for Hierarchy {
+    /// Leaves the caches to the next hierarchy of the same configuration,
+    /// replacing (and so freeing) the previous spare.
+    fn drop(&mut self) {
+        let spare = Spare {
+            config: self.config.clone(),
+            l1: std::mem::take(&mut self.l1),
+            l2: std::mem::take(&mut self.l2),
+            l3: std::mem::replace(&mut self.l3, Cache::unallocated()),
+        };
+        // The previous spare is freed after the lock is released.
+        let _previous = SPARE
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .replace(spare);
     }
 }
 

@@ -51,6 +51,8 @@ pub(crate) enum ReplacementPolicy {
     Random {
         /// Generator state.
         state: u64,
+        /// The state the generator starts from, derived from the seed.
+        start: u64,
         /// Ways per set.
         ways: usize,
     },
@@ -81,14 +83,33 @@ impl ReplacementPolicy {
                     ways,
                 }
             }
-            Replacement::Random { seed } => ReplacementPolicy::Random {
-                state: if seed == 0 {
+            Replacement::Random { seed } => {
+                let start = if seed == 0 {
                     0xdead_beef_cafe_f00d
                 } else {
                     seed
-                },
-                ways,
-            },
+                };
+                ReplacementPolicy::Random {
+                    state: start,
+                    start,
+                    ways,
+                }
+            }
+        }
+    }
+
+    /// Returns the policy to the state a new one starts in, for a cache
+    /// whose every way was just emptied: LRU's clock restarts at 0 and the
+    /// random generator at its seed. The per-way stamps and tree bits stay
+    /// as they are. A victim is chosen only in a full set, and each fill
+    /// into an empty way touches that way, so by then every stamp of the
+    /// set, and every tree node on a path to one of its ways, was
+    /// rewritten since the reset.
+    pub fn reset(&mut self) {
+        match self {
+            ReplacementPolicy::Lru { clock, .. } => *clock = 0,
+            ReplacementPolicy::TreePlru { .. } => {}
+            ReplacementPolicy::Random { state, start, .. } => *state = *start,
         }
     }
 
@@ -166,7 +187,7 @@ impl ReplacementPolicy {
                 }
                 lo
             }
-            ReplacementPolicy::Random { state, ways } => {
+            ReplacementPolicy::Random { state, ways, .. } => {
                 let mut x = *state;
                 x ^= x << 13;
                 x ^= x >> 7;
@@ -220,6 +241,18 @@ mod tests {
         assert!(a.iter().all(|&v| v < 16));
         // Not constant.
         assert!(a.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn reset_restarts_the_clock_and_the_generator() {
+        let mut p = ReplacementPolicy::new(Replacement::Random { seed: 9 }, 1, 16);
+        let first: Vec<_> = (0..20).map(|_| p.victim(0)).collect();
+        p.reset();
+        assert_eq!((0..20).map(|_| p.victim(0)).collect::<Vec<_>>(), first);
+        let mut p = ReplacementPolicy::new(Replacement::Lru, 2, 2);
+        p.on_touch(1, 0);
+        p.reset();
+        assert!(matches!(p, ReplacementPolicy::Lru { clock: 0, .. }));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! must allocate *exactly the same* amount — i.e. the per-run constant
 //! (SimReport vectors, stats clone) is all that remains, and the per-access
 //! allocation count is zero. A paired test pins the absolute per-window
-//! number so a regression in either direction is caught.
+//! number so a regression in either direction is caught. A last section
+//! pins what building a machine allocates when one of the same
+//! configuration was just dropped: none of its cache arrays.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,6 +220,30 @@ fn steady_state_run_allocates_nothing_per_access() {
     assert!(
         window1 <= 8,
         "per-run trace replay constant too large: {window1}"
+    );
+
+    // --- Building a machine after dropping one of the same configuration ---
+    // A dropped hierarchy leaves its caches to the next one of the same
+    // configuration. So the rebuild allocates only the core vector, each
+    // core's batch buffer and the per-core statistics, and none of the
+    // cache arrays: four per cache, 2.75 MB for the paper machine. The
+    // cores run first, so the reused caches are not empty.
+    let config = SystemConfig::paper_default();
+    let mut system = System::new(config.clone(), NullObserver);
+    for (core, name) in ["gcc", "mcf", "libquantum", "hmmer"].iter().enumerate() {
+        let profile = benchmark(name).expect("known benchmark");
+        system.set_source(CoreId(core), Box::new(ProfileSource::new(profile, core, 7)));
+    }
+    system.run(20_000);
+    drop(system);
+    let before = allocations();
+    let rebuilt = System::new(config.clone(), NullObserver);
+    let rebuild = allocations() - before;
+    drop(rebuilt);
+    assert_eq!(
+        rebuild,
+        config.cores as u64 + 2,
+        "building a machine after dropping one of the same configuration"
     );
 
     // --- Every PatternStore backend's query path, in isolation ---
