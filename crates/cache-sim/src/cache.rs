@@ -42,19 +42,26 @@ fn zero_byte_lanes(x: u64) -> u64 {
     x.wrapping_sub(LANE_LO) & !x & LANE_HI
 }
 
+/// A way's full tag and metadata, stored side by side.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    tag: u64,
+    meta: LineMeta,
+}
+
 /// One set-associative cache level.
 ///
 /// Lines are identified by [`LineAddr`]; the set index is the low bits of the
 /// line address and the tag is the remainder. The cache does not know its
 /// level — the [`Hierarchy`](crate::Hierarchy) composes caches into L1/L2/L3.
 ///
-/// Storage is flat structure-of-arrays, laid out for the probe-dominated
-/// simulation hot path: one-byte tag *fingerprints* packed eight per `u64`
-/// word (so a whole 8-way set is compared in a single branchless SWAR
-/// operation), with the full tags and [`LineMeta`] in separate parallel
-/// arrays that are only dereferenced on a fingerprint hit. A probe
-/// that misses a 16-way set reads 16 bytes of fingerprints instead of 16
-/// tag words.
+/// Storage is two flat arrays, laid out for the probe-dominated simulation
+/// hot path: one-byte tag *fingerprints* packed eight per `u64` word (so a
+/// whole 8-way set is compared in a single branchless SWAR operation), and
+/// one slot per way holding its full tag beside its [`LineMeta`], read only
+/// on a fingerprint hit. A probe that misses a 16-way set reads 16 bytes
+/// of fingerprints instead of 16 tags, and a fill, or a metadata update
+/// after a probe, touches one host cache line of slots.
 ///
 /// A way is empty exactly when its fingerprint byte is 0, and nothing reads
 /// an empty way's tag, metadata or replacement state. So emptying a cache
@@ -81,11 +88,9 @@ pub struct Cache {
     /// beyond the associativity stay `0x00` forever and are masked out of
     /// every scan by the lane masks.
     fps: Vec<u64>,
-    /// Full tag of each way, indexed `set * ways + way`; meaningful only
-    /// where the fingerprint byte is nonzero.
-    tags: Vec<u64>,
-    /// Metadata of each way, parallel to `tags`.
-    metas: Vec<LineMeta>,
+    /// Tag and metadata of each way, indexed `set * ways + way`;
+    /// meaningful only where the fingerprint byte is nonzero.
+    slots: Vec<Slot>,
     policy: ReplacementPolicy,
     set_mask: u64,
     set_shift: u32,
@@ -109,7 +114,6 @@ impl Cache {
             "set count must be a power of two"
         );
         let policy = ReplacementPolicy::new(replacement, geometry.sets, geometry.ways);
-        let lines = geometry.lines();
         let words_per_set = geometry.ways.div_ceil(8);
         let tail_ways = geometry.ways - (words_per_set - 1) * 8;
         let tail_lanes = if tail_ways == 8 {
@@ -119,8 +123,7 @@ impl Cache {
         };
         Self {
             fps: vec![0; geometry.sets * words_per_set],
-            tags: vec![0; lines],
-            metas: vec![LineMeta::default(); lines],
+            slots: vec![Slot::default(); geometry.lines()],
             set_mask: (geometry.sets as u64) - 1,
             set_shift: geometry.sets.trailing_zeros(),
             words_per_set,
@@ -140,8 +143,7 @@ impl Cache {
                 latency: 0,
             },
             fps: Vec::new(),
-            tags: Vec::new(),
-            metas: Vec::new(),
+            slots: Vec::new(),
             policy: ReplacementPolicy::new(Replacement::Random { seed: 0 }, 0, 0),
             set_mask: 0,
             set_shift: 0,
@@ -232,7 +234,7 @@ impl Cache {
             let mut cand = zero_byte_lanes(self.fps[word_base] ^ target) & self.tail_lanes;
             while cand != 0 {
                 let way = (cand.trailing_zeros() >> 3) as usize;
-                if self.tags[base + way] == tag {
+                if self.slots[base + way].tag == tag {
                     return Some(way);
                 }
                 cand &= cand - 1;
@@ -244,7 +246,7 @@ impl Cache {
                 zero_byte_lanes(self.fps[word_base + word] ^ target) & self.lanes_of(word);
             while cand != 0 {
                 let way = word * 8 + (cand.trailing_zeros() >> 3) as usize;
-                if self.tags[base + way] == tag {
+                if self.slots[base + way].tag == tag {
                     return Some(way);
                 }
                 cand &= cand - 1;
@@ -290,7 +292,7 @@ impl Cache {
         let (set, way) = self.find(line)?;
         self.policy.on_touch(set, way);
         let idx = self.slot_index(set, way);
-        Some(&mut self.metas[idx])
+        Some(&mut self.slots[idx].meta)
     }
 
     /// Updates replacement state as a hit on `way` of `set` would, for a
@@ -304,21 +306,21 @@ impl Cache {
     /// [`find`](Self::find).
     #[inline]
     pub(crate) fn meta_at(&self, set: usize, way: usize) -> &LineMeta {
-        &self.metas[self.slot_index(set, way)]
+        &self.slots[self.slot_index(set, way)].meta
     }
 
     /// Reads a line's metadata without updating replacement state.
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> Option<&LineMeta> {
         let (set, way) = self.find(line)?;
-        Some(&self.metas[self.slot_index(set, way)])
+        Some(&self.slots[self.slot_index(set, way)].meta)
     }
 
     /// Mutates a line's metadata without updating replacement state.
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
         let (set, way) = self.find(line)?;
         let idx = self.slot_index(set, way);
-        Some(&mut self.metas[idx])
+        Some(&mut self.slots[idx].meta)
     }
 
     /// Inserts a line, evicting a victim if the set is full. The new line is
@@ -331,7 +333,7 @@ impl Cache {
         if let Some(way) = self.probe_set(set, tag) {
             self.policy.on_touch(set, way);
             let idx = self.slot_index(set, way);
-            self.metas[idx] = meta;
+            self.slots[idx].meta = meta;
             return None;
         }
         self.insert(set, tag, meta)
@@ -352,23 +354,19 @@ impl Cache {
         if let Some(way) = self.first_invalid_way(set) {
             let idx = self.slot_index(set, way);
             self.set_fp_byte(set, way, fingerprint(tag));
-            self.tags[idx] = tag;
-            self.metas[idx] = meta;
+            self.slots[idx] = Slot { tag, meta };
             self.policy.on_touch(set, way);
             return None;
         }
         // Evict a victim.
         let way = self.policy.victim(set);
         let idx = self.slot_index(set, way);
-        let victim_tag = self.tags[idx];
-        let victim_meta = self.metas[idx];
+        let victim = std::mem::replace(&mut self.slots[idx], Slot { tag, meta });
         self.set_fp_byte(set, way, fingerprint(tag));
-        self.tags[idx] = tag;
-        self.metas[idx] = meta;
         self.policy.on_touch(set, way);
         Some(EvictedLine {
-            line: self.line_of(set, victim_tag),
-            meta: victim_meta,
+            line: self.line_of(set, victim.tag),
+            meta: victim.meta,
         })
     }
 
@@ -377,7 +375,7 @@ impl Cache {
         let (set, way) = self.find(line)?;
         let idx = self.slot_index(set, way);
         self.set_fp_byte(set, way, 0);
-        Some(self.metas[idx])
+        Some(self.slots[idx].meta)
     }
 
     /// Number of valid lines resident.
@@ -418,7 +416,7 @@ impl Cache {
         let tag = self.tag_of(line);
         let base = set * self.geometry.ways;
         (0..self.geometry.ways)
-            .find(|&way| self.fp_byte(set, way) != 0 && self.tags[base + way] == tag)
+            .find(|&way| self.fp_byte(set, way) != 0 && self.slots[base + way].tag == tag)
     }
 
     /// Iterates over resident lines and their metadata.
@@ -427,8 +425,8 @@ impl Cache {
         (0..self.geometry.sets).flat_map(move |set| {
             (0..ways).filter_map(move |way| {
                 if self.fp_byte(set, way) != 0 {
-                    let idx = set * ways + way;
-                    Some((self.line_of(set, self.tags[idx]), &self.metas[idx]))
+                    let slot = &self.slots[set * ways + way];
+                    Some((self.line_of(set, slot.tag), &slot.meta))
                 } else {
                     None
                 }
