@@ -10,7 +10,8 @@ use crate::types::{Cycle, LINE_SIZE};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// A set or way count was zero, or a set count not a power of two.
+    /// A set or way count was zero, a set count not a power of two, or a
+    /// way count not a power of two under Tree-PLRU replacement.
     BadGeometry(&'static str),
     /// The system needs at least one core.
     NoCores,

@@ -76,6 +76,9 @@ struct Spare {
 /// 1.5 to 3 MiB resident that way after its reference pass on a worker
 /// thread. A worker that drops a machine builds its next one at once, so
 /// it nearly always takes back its own spare.
+///
+/// Every update takes or replaces the whole spare, so a lock poisoned by a
+/// panicking thread still guards a valid slot and is used as it is.
 static SPARE: Mutex<Option<Spare>> = Mutex::new(None);
 
 impl Hierarchy {
