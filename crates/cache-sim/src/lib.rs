@@ -32,6 +32,9 @@
 //! [`TrafficObserver::drain_due_prefetches`] sink API, and [`Cache`] packs
 //! one-byte tag fingerprints eight to a word, so a probe compares a whole
 //! 8-way set in one word operation before it reads any full tag.
+//! A machine built right after one of the same configuration was dropped
+//! reuses its cache arrays instead of allocating them again (see
+//! [`Hierarchy::new`]).
 //! `tests/scheduler_regression.rs` pins the engine's results bit-exactly
 //! and checks the scheduler against a naive reference, and
 //! `tests/no_alloc_hot_path.rs` counts allocations to keep these properties
