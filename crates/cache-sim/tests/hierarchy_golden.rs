@@ -13,7 +13,7 @@
 //! `HierarchyStats` and the DRAM counters are folded into one FNV-1a digest
 //! per configuration. The hierarchy is reached only through its public API,
 //! so the digests pin behaviour however the caches are implemented. A
-//! hierarchy built on a thread where one of the same configuration ran a
+//! hierarchy built right after one of the same configuration ran a
 //! different stream and was dropped must give the same digests.
 //!
 //! Run with `GOLDEN_PRINT=1 cargo test -q -p cache_sim --test hierarchy_golden -- --nocapture`

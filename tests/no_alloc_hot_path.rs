@@ -226,8 +226,9 @@ fn steady_state_run_allocates_nothing_per_access() {
     // A dropped hierarchy leaves its caches to the next one of the same
     // configuration. So the rebuild allocates only the core vector, each
     // core's batch buffer and the per-core statistics, and none of the
-    // cache arrays: four per cache, 2.75 MB for the paper machine. The
-    // cores run first, so the reused caches are not empty.
+    // cache arrays (fingerprints, slots and LRU stamps: 2.75 MB for the
+    // paper machine). The cores run first, so the reused caches are not
+    // empty.
     let config = SystemConfig::paper_default();
     let mut system = System::new(config.clone(), NullObserver);
     for (core, name) in ["gcc", "mcf", "libquantum", "hmmer"].iter().enumerate() {
