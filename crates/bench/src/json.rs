@@ -642,6 +642,61 @@ mod tests {
     }
 
     #[test]
+    fn pretty_and_line_bytes_are_pinned() {
+        let doc = Json::object()
+            .field("null", Json::Null)
+            .field("yes", true)
+            .field("no", false)
+            .field("max", u64::MAX)
+            .field("neg", -7i64)
+            .field("frac", 0.25)
+            .field("nan", f64::NAN)
+            .field("text", "q\"b\\n\nt\tr\r\u{1}é")
+            .field("empty_arr", Vec::new())
+            .field("empty_obj", Json::object())
+            .field(
+                "nest",
+                vec![Json::object().field(
+                    "inner",
+                    vec![Json::UInt(1), Json::object().field("deep", Json::Null)],
+                )],
+            );
+        assert_eq!(
+            doc.to_pretty(),
+            r#"{
+  "null": null,
+  "yes": true,
+  "no": false,
+  "max": 18446744073709551615,
+  "neg": -7,
+  "frac": 0.25,
+  "nan": null,
+  "text": "q\"b\\n\nt\tr\r\u0001é",
+  "empty_arr": [],
+  "empty_obj": {},
+  "nest": [
+    {
+      "inner": [
+        1,
+        {
+          "deep": null
+        }
+      ]
+    }
+  ]
+}
+"#
+        );
+        assert_eq!(
+            doc.to_line(),
+            r#"{"null":null,"yes":true,"no":false,"max":18446744073709551615,"neg":-7,"#
+                .to_string()
+                + r#""frac":0.25,"nan":null,"text":"q\"b\\n\nt\tr\r\u0001é","empty_arr":[],"#
+                + r#""empty_obj":{},"nest":[{"inner":[1,{"deep":null}]}]}"#
+        );
+    }
+
+    #[test]
     fn empty_containers_and_non_finite_floats() {
         let doc = Json::object()
             .field("empty_arr", Vec::new())
