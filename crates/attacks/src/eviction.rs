@@ -3,8 +3,9 @@
 use cache_sim::{AccessKind, Addr, CoreId, Cycle, Hierarchy, TrafficObserver, LINE_SIZE};
 
 /// Latency above which a probe access is classified as an LLC miss.
-/// An L3 hit costs 35 cycles; a memory fetch costs 235. Anything above 100
-/// must have left the chip.
+/// An L3 hit costs [`LLC_LATENCY`](cache_sim::LLC_LATENCY) (35 cycles); a
+/// memory fetch adds [`DRAM_LATENCY`](cache_sim::DRAM_LATENCY) (235 in
+/// all). Anything above 100 must have left the chip.
 pub const MISS_THRESHOLD: Cycle = 100;
 
 /// A set of attacker-controlled addresses that all map to one LLC set.

@@ -214,9 +214,7 @@ impl HarnessArgs {
                 "--threads" => threads = Some(tokens.positive("--threads", "a thread count")?),
                 "--filter" => {
                     let raw = tokens.value("--filter", "a backend name")?;
-                    filter = Some(raw.parse().map_err(|_| {
-                        format!("--filter expects one of auto, classic, bloom, xor; got {raw:?}")
-                    })?);
+                    filter = Some(raw.parse().map_err(|e| format!("--filter: {e}"))?);
                 }
                 "--trace" => trace = Some(tokens.value("--trace", "a file path")?),
                 "--store" => store = Some(tokens.value("--store", "a file path")?),

@@ -27,9 +27,9 @@ fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(u64::MAX), Input::Filter, Input::Store]);
     let backend = args.filter_backend();
     let policies = [
-        ("lru", Replacement::Lru),
-        ("tree-plru", Replacement::TreePlru),
-        ("random", Replacement::Random { seed: 5 }),
+        Replacement::Lru,
+        Replacement::TreePlru,
+        Replacement::Random { seed: 5 },
     ];
 
     // The baseline and defended attack distinguishability per policy.
@@ -37,7 +37,7 @@ fn main() {
         iterations: 100,
         ..AttackConfig::paper_default()
     };
-    let attack_results = run_cells(args.mode, &policies, |_, &(_, policy)| {
+    let attack_results = run_cells(args.mode, &policies, |_, &policy| {
         let mut system = SystemConfig::paper_default();
         system.replacement = policy;
         [
@@ -53,8 +53,8 @@ fn main() {
 
     println!("replacement ablation — attack channel distinguishability");
     println!("{:>10} {:>14} {:>14}", "policy", "baseline", "with monitor");
-    for ((name, _), [base, defended]) in policies.iter().zip(&attack_results) {
-        println!("{name:>10} {base:>14.3} {defended:>14.3}");
+    for (policy, [base, defended]) in policies.iter().zip(&attack_results) {
+        println!("{:>10} {base:>14.3} {defended:>14.3}", policy.name());
     }
 
     // Monitor false positives under each policy (mix1, scaled run).
@@ -62,12 +62,12 @@ fn main() {
     println!("\nmonitor false positives on mix1 ({instructions} instructions/core)");
     println!("{:>10} {:>10} {:>12}", "policy", "fp/Mi", "norm perf");
     let mut sweep = Sweep::new();
-    for (name, policy) in policies {
+    for policy in policies {
         let mut cfg = SystemConfig::paper_default();
         cfg.replacement = policy;
         sweep.push(
             MixCell::new(
-                format!("{name}/mix1"),
+                format!("{}/mix1", policy.name()),
                 all_mixes()[0],
                 MonitorConfig::paper_default().with_backend(backend),
                 instructions,
@@ -82,9 +82,10 @@ fn main() {
     let started = std::time::Instant::now();
     let (mix_runs, outcome) = sweep.run_with_store(args.mode, store.as_mut());
     finish_store(store.as_mut(), outcome, started.elapsed());
-    for ((name, _), run) in policies.iter().zip(&mix_runs) {
+    for (policy, run) in policies.iter().zip(&mix_runs) {
         println!(
-            "{name:>10} {:>10.1} {:>12.4}",
+            "{:>10} {:>10.1} {:>12.4}",
+            policy.name(),
             run.false_positives_per_mi(),
             run.normalized_performance()
         );
@@ -94,9 +95,9 @@ fn main() {
         .iter()
         .zip(&attack_results)
         .zip(&mix_runs)
-        .map(|(((name, _), [base, defended]), run)| {
+        .map(|((policy, [base, defended]), run)| {
             run.to_json()
-                .field("policy", *name)
+                .field("policy", policy.name())
                 .field("attack_distinguishability_baseline", *base)
                 .field("attack_distinguishability_monitored", *defended)
         })

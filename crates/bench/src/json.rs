@@ -5,7 +5,10 @@
 //! the `throughput` binary's `BENCH_cache_sim.json` (top-level metadata plus
 //! a `cells` array, one element per sweep cell). The build environment has no
 //! registry access, so this is a small hand-rolled emitter and parser rather
-//! than serde; the schema is our own and stays flat.
+//! than serde; the schema is our own and stays flat. One writer walks a
+//! value for both layouts: [`Json::to_pretty`] indents by two spaces (the
+//! `--json` documents and the store's payloads) and [`Json::to_line`] puts
+//! it on one line (`pipo-serve` replies).
 //!
 //! Since the persistent result store and the `pipo-serve` protocol both read
 //! JSON back, the module also carries [`Json::parse`] (a strict
@@ -65,7 +68,7 @@ impl Json {
     #[must_use]
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_value(&mut out, 0);
+        self.write_value(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -75,37 +78,8 @@ impl Json {
     #[must_use]
     pub fn to_line(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_value(&mut out, None);
         out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Object(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, key);
-                    out.push(':');
-                    value.write_compact(out);
-                }
-                out.push('}');
-            }
-            // Scalars never contain newlines (strings escape them).
-            other => other.write_value(out, 0),
-        }
     }
 
     /// Writes the pretty-printed document to `path` atomically
@@ -200,7 +174,11 @@ impl Json {
         Ok(value)
     }
 
-    fn write_value(&self, out: &mut String, indent: usize) {
+    /// Writes the value in the pretty layout at nesting depth `indent`, or
+    /// in the compact one-line layout when `indent` is `None` (scalars never
+    /// contain a newline: strings escape them).
+    fn write_value(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|depth| depth + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -220,44 +198,44 @@ impl Json {
             Json::Float(_) => out.push_str("null"),
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => write_block(out, indent, ('[', ']'), items.len(), |out, i| {
-                items[i].write_value(out, indent + 1);
+                items[i].write_value(out, inner);
             }),
             Json::Object(fields) => write_block(out, indent, ('{', '}'), fields.len(), |out, i| {
                 write_escaped(out, &fields[i].0);
-                out.push_str(": ");
-                fields[i].1.write_value(out, indent + 1);
+                out.push_str(if indent.is_some() { ": " } else { ":" });
+                fields[i].1.write_value(out, inner);
             }),
         }
     }
 }
 
-/// Writes a `[...]`/`{...}` block with one element per line.
+/// Writes a `[...]`/`{...}` block: one element per line in the pretty
+/// layout at depth `indent`, all on one line in the compact layout (`None`).
 fn write_block(
     out: &mut String,
-    indent: usize,
+    indent: Option<usize>,
     (open, close): (char, char),
     len: usize,
     mut write_item: impl FnMut(&mut String, usize),
 ) {
-    if len == 0 {
-        out.push(open);
-        out.push(close);
-        return;
-    }
-    out.push(open);
-    for i in 0..len {
+    let newline = |out: &mut String, depth: usize| {
         out.push('\n');
-        for _ in 0..=indent {
+        for _ in 0..depth {
             out.push_str("  ");
         }
-        write_item(out, i);
-        if i + 1 < len {
+    };
+    out.push(open);
+    for i in 0..len {
+        if i > 0 {
             out.push(',');
         }
+        if let Some(depth) = indent {
+            newline(out, depth + 1);
+        }
+        write_item(out, i);
     }
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
+    if let Some(depth) = indent.filter(|_| len > 0) {
+        newline(out, depth);
     }
     out.push(close);
 }

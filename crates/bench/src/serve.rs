@@ -53,12 +53,12 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use auto_cuckoo::{FilterBackend, FilterParams};
+use auto_cuckoo::{FilterParams, ParseBackendError};
 use cache_sim::{Replacement, SystemConfig};
-use pipo_workloads::all_mixes;
+use pipo_workloads::mixes::mix_by_name;
 use pipomonitor::MonitorConfig;
 
 use crate::json::Json;
@@ -387,7 +387,7 @@ fn cell_doc(index: usize, label: &str, cached: bool, run: &MixRun) -> Json {
         .field("result", run.to_json())
 }
 
-fn handle_job(shared: &Shared, request: &Json, out: &mut impl Write) -> io::Result<()> {
+fn handle_job(shared: &Shared, request: &Json, out: &mut (impl Write + Send)) -> io::Result<()> {
     let Some(specs) = request.get("cells").and_then(Json::as_array) else {
         return send(out, &error_doc("job needs a \"cells\" array"));
     };
@@ -485,10 +485,11 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut impl Write) -> io::Resu
     )
 }
 
-/// Runs a job's missed cells (`pending` indexes `cells`) as one sweep on a
-/// scoped thread across `workers` threads, while this thread streams each
-/// cell to `out` as it completes (completion order; the `"cell"` index
-/// identifies them).
+/// Runs a job's missed cells (`pending` indexes `cells`) as one sweep
+/// across `workers` threads. The sweep's completion hook streams each cell
+/// to `out` as it completes (completion order; the `"cell"` index
+/// identifies them) and records its run. After a failed write the rest of
+/// the sweep still runs, unstreamed, and the write's error is returned.
 ///
 /// Returns each pending cell's run, by position in `pending`, and the
 /// number of systems simulated. That number is `None` when a panicking cell
@@ -497,39 +498,31 @@ fn run_cold(
     cells: &[MixCell],
     pending: &[usize],
     workers: usize,
-    out: &mut impl Write,
+    out: &mut (impl Write + Send),
 ) -> io::Result<(Vec<Option<MixRun>>, Option<usize>)> {
     let mut sweep = Sweep::new();
     for &i in pending {
         sweep.push(cells[i].clone());
     }
-    let mode = ExecMode::with_threads(workers);
-    let (tx, rx) = mpsc::channel::<(usize, MixRun)>();
     let mut computed: Vec<Option<MixRun>> = vec![None; pending.len()];
-    std::thread::scope(|scope| {
-        let sweep = &sweep;
-        let runner = scope.spawn(move || {
-            catch_unwind(AssertUnwindSafe(move || {
-                sweep
-                    .run_streaming(mode, None, move |slot, run| {
-                        let _ = tx.send((slot, run.clone()));
-                    })
-                    .1
-                    .simulated_systems
-            }))
-            .ok()
-        });
-        for (slot, run) in rx {
-            let cell_index = pending[slot];
-            send(
-                out,
-                &cell_doc(cell_index, &cells[cell_index].label, false, &run),
-            )?;
-            computed[slot] = Some(run);
-        }
-        let simulated = runner.join().ok().flatten();
-        Ok((computed, simulated))
-    })
+    let mut written = Ok(());
+    let mode = ExecMode::with_threads(workers);
+    let simulated = catch_unwind(AssertUnwindSafe(|| {
+        let on_cell = |slot: usize, run: &MixRun| {
+            if written.is_ok() {
+                let cell_index = pending[slot];
+                written = send(
+                    out,
+                    &cell_doc(cell_index, &cells[cell_index].label, false, run),
+                );
+            }
+            computed[slot] = Some(run.clone());
+        };
+        sweep.run_streaming(mode, None, on_cell).1.simulated_systems
+    }))
+    .ok();
+    written?;
+    Ok((computed, simulated))
 }
 
 /// Every field a job cell spec may carry. `mix` is required; everything else
@@ -587,10 +580,7 @@ fn cell_from_spec(spec: &Json, max_instructions: u64) -> Result<MixCell, String>
         }
     }
     let mix_name = opt_str(spec, "mix")?.ok_or("cell spec needs a \"mix\" field")?;
-    let mix = all_mixes()
-        .into_iter()
-        .find(|m| m.name == mix_name)
-        .ok_or_else(|| format!("unknown mix {mix_name:?}"))?;
+    let mix = mix_by_name(mix_name).ok_or_else(|| format!("unknown mix {mix_name:?}"))?;
     let instructions = opt_u64(spec, "instructions")?.unwrap_or(DEFAULT_INSTRUCTIONS);
     if instructions == 0 {
         return Err("instructions must be positive".to_string());
@@ -641,35 +631,34 @@ fn cell_from_spec(spec: &Json, max_instructions: u64) -> Result<MixCell, String>
     }
     let backend = match opt_str(spec, "backend")? {
         None => defaults.backend,
-        Some(name) => FilterBackend::ALL
-            .into_iter()
-            .find(|b| b.name() == name)
-            .ok_or_else(|| format!("unknown backend {name:?} (auto, classic, bloom, xor)"))?,
+        Some(name) => name.parse().map_err(|e: ParseBackendError| e.to_string())?,
     };
+    let delay = opt_u64(spec, "delay")?.unwrap_or(defaults.prefetch_delay);
     let monitor = defaults
         .with_filter(filter)
         .with_backend(backend)
-        .with_prefetch_delay(opt_u64(spec, "delay")?.unwrap_or(50));
+        .with_prefetch_delay(delay);
 
     let mut system = SystemConfig::paper_default();
-    match opt_str(spec, "replacement")? {
-        Some("lru") => system.replacement = Replacement::Lru,
-        Some("tree-plru") => system.replacement = Replacement::TreePlru,
-        Some("random") => {
-            system.replacement = Replacement::Random {
-                seed: opt_u64(spec, "replacement_seed")?.unwrap_or(0),
-            };
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown replacement {other:?} (lru, tree-plru, random)"
-            ))
-        }
-        None => {
-            if spec.get("replacement_seed").is_some() {
-                return Err("replacement_seed needs replacement: \"random\"".to_string());
-            }
-        }
+    let replacement_seed = opt_u64(spec, "replacement_seed")?;
+    if let Some(name) = opt_str(spec, "replacement")? {
+        let policies = [
+            Replacement::Lru,
+            Replacement::TreePlru,
+            Replacement::Random {
+                seed: replacement_seed.unwrap_or(0),
+            },
+        ];
+        system.replacement = policies
+            .into_iter()
+            .find(|policy| policy.name() == name)
+            .ok_or_else(|| {
+                let names = policies.map(|policy| policy.name()).join(", ");
+                format!("unknown replacement {name:?} ({names})")
+            })?;
+    }
+    if replacement_seed.is_some() && !matches!(system.replacement, Replacement::Random { .. }) {
+        return Err("replacement_seed needs replacement: \"random\"".to_string());
     }
     let label = opt_str(spec, "label")?.unwrap_or(mix_name).to_string();
     Ok(MixCell::new(label, mix, monitor, instructions, seed).on_system(system))
@@ -678,6 +667,8 @@ fn cell_from_spec(spec: &Json, max_instructions: u64) -> Result<MixCell, String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use auto_cuckoo::FilterBackend;
+    use pipo_workloads::all_mixes;
 
     fn spec(text: &str) -> Json {
         Json::parse(text).expect("test spec parses")
@@ -742,6 +733,10 @@ mod tests {
                 r#"{"mix":"mix1","replacement_seed":3}"#,
                 "needs replacement",
             ),
+            (
+                r#"{"mix":"mix3","replacement":"lru","replacement_seed":5}"#,
+                "needs replacement",
+            ),
             (r#"[1]"#, "must be an object"),
         ] {
             let err = cell_from_spec(&spec(text), u64::MAX).unwrap_err();
@@ -773,6 +768,28 @@ mod tests {
         assert_eq!(lines.len(), 1, "only the good cell streams: {streamed}");
         assert_eq!(lines[0].get("cell").and_then(Json::as_u64), Some(0));
         assert_eq!(lines[0].get("label").and_then(Json::as_str), Some("good"));
+    }
+
+    #[test]
+    fn a_failed_cold_write_ends_the_stream_and_is_returned() {
+        /// A client that hung up: every write fails.
+        struct Gone(usize);
+        impl Write for Gone {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mixes = all_mixes();
+        let cells =
+            [2, 3].map(|m| MixCell::new("c", mixes[m], MonitorConfig::paper_default(), 20_000, 1));
+        let mut out = Gone(0);
+        let err = run_cold(&cells, &[0, 1], 1, &mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert_eq!(out.0, 1, "no write after the failed one");
     }
 
     #[test]

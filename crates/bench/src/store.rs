@@ -40,7 +40,9 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use cache_sim::{Replacement, SystemConfig, LINE_SIZE};
+use cache_sim::{
+    Replacement, SystemConfig, DRAM_LATENCY, L1_LATENCY, L2_LATENCY, LINE_SIZE, LLC_LATENCY,
+};
 use pipo_workloads::Mix;
 use pipomonitor::MonitorConfig;
 
@@ -80,12 +82,14 @@ fn fnv1a64_continue(mut hash: u64, bytes: &[u8]) -> u64 {
 
 fn replacement_part(replacement: &Replacement) -> String {
     match replacement {
-        Replacement::Lru => "lru".to_string(),
-        Replacement::TreePlru => "tree-plru".to_string(),
-        Replacement::Random { seed } => format!("random:{seed}"),
+        Replacement::Random { seed } => format!("{}:{seed}", replacement.name()),
+        _ => replacement.name().to_string(),
     }
 }
 
+/// The machine's fixed timing is spelled out too (`@2`, `dram:200`), so a
+/// change to a Table II constant changes every key instead of serving
+/// stale records.
 fn system_part(system: &SystemConfig) -> String {
     format!(
         "cores:{},line:{},l1:{}x{}@{},l2:{}x{}@{},l3:{}x{}@{},dram:{},repl:{}",
@@ -93,14 +97,14 @@ fn system_part(system: &SystemConfig) -> String {
         LINE_SIZE,
         system.l1.sets,
         system.l1.ways,
-        system.l1.latency,
+        L1_LATENCY,
         system.l2.sets,
         system.l2.ways,
-        system.l2.latency,
+        L2_LATENCY,
         system.l3.sets,
         system.l3.ways,
-        system.l3.latency,
-        system.dram_latency,
+        LLC_LATENCY,
+        DRAM_LATENCY,
         replacement_part(&system.replacement),
     )
 }

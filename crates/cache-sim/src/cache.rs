@@ -74,7 +74,7 @@ struct Slot {
 /// use cache_sim::{Cache, CacheGeometry, LineAddr, LineMeta};
 /// use cache_sim::Replacement;
 ///
-/// let mut c = Cache::new(CacheGeometry { sets: 4, ways: 2, latency: 2 }, Replacement::Lru);
+/// let mut c = Cache::new(CacheGeometry { sets: 4, ways: 2 }, Replacement::Lru);
 /// assert!(!c.contains(LineAddr(5)));
 /// let evicted = c.fill(LineAddr(5), LineMeta::default());
 /// assert!(evicted.is_none());
@@ -137,11 +137,7 @@ impl Cache {
     /// of its owner. It allocates nothing.
     pub(crate) fn unallocated() -> Self {
         Self {
-            geometry: CacheGeometry {
-                sets: 0,
-                ways: 0,
-                latency: 0,
-            },
+            geometry: CacheGeometry { sets: 0, ways: 0 },
             fps: Vec::new(),
             slots: Vec::new(),
             policy: ReplacementPolicy::new(Replacement::Random { seed: 0 }, 0, 0),
@@ -440,14 +436,7 @@ mod tests {
     use super::*;
 
     fn cache(sets: usize, ways: usize) -> Cache {
-        Cache::new(
-            CacheGeometry {
-                sets,
-                ways,
-                latency: 1,
-            },
-            Replacement::Lru,
-        )
+        Cache::new(CacheGeometry { sets, ways }, Replacement::Lru)
     }
 
     #[test]
@@ -591,14 +580,7 @@ mod tests {
 
     #[test]
     fn tree_plru_cache_evicts_valid_ways() {
-        let mut c = Cache::new(
-            CacheGeometry {
-                sets: 1,
-                ways: 4,
-                latency: 1,
-            },
-            Replacement::TreePlru,
-        );
+        let mut c = Cache::new(CacheGeometry { sets: 1, ways: 4 }, Replacement::TreePlru);
         for i in 0..16u64 {
             c.fill(LineAddr(i), LineMeta::default());
             assert!(c.contains(LineAddr(i)));
@@ -613,11 +595,7 @@ mod tests {
             (Replacement::TreePlru, 8),
             (Replacement::Random { seed: 3 }, 12),
         ] {
-            let geometry = CacheGeometry {
-                sets: 2,
-                ways,
-                latency: 1,
-            };
+            let geometry = CacheGeometry { sets: 2, ways };
             let evictions = |c: &mut Cache, stride: u64| {
                 (0..200u64)
                     .filter_map(|i| {
@@ -644,11 +622,7 @@ mod tests {
     fn random_cache_is_deterministic() {
         let run = || {
             let mut c = Cache::new(
-                CacheGeometry {
-                    sets: 2,
-                    ways: 2,
-                    latency: 1,
-                },
+                CacheGeometry { sets: 2, ways: 2 },
                 Replacement::Random { seed: 3 },
             );
             (0..100u64)

@@ -4,14 +4,16 @@ use std::error::Error;
 use std::fmt;
 
 use crate::replacement::Replacement;
-use crate::types::{Cycle, LINE_SIZE};
+use crate::types::LINE_SIZE;
 
 /// Error produced when validating a [`CacheGeometry`] or [`SystemConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
     /// A set or way count was zero, a set count not a power of two, or a
-    /// way count not a power of two under Tree-PLRU replacement.
+    /// way count not a power of two under Tree-PLRU replacement. From
+    /// [`SystemConfig::validate`], the text begins with the level (`L1`,
+    /// `L2` or `L3`).
     BadGeometry(&'static str),
     /// The system needs at least one core.
     NoCores,
@@ -35,15 +37,14 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// Geometry and latency of one cache level.
+/// Geometry of one cache level. Its hit latency is a Table II constant
+/// ([`L1_LATENCY`](crate::L1_LATENCY) and the others), not a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Number of sets. Power of two.
     pub sets: usize,
     /// Associativity (ways per set).
     pub ways: usize,
-    /// Hit latency in cycles.
-    pub latency: Cycle,
 }
 
 impl CacheGeometry {
@@ -55,7 +56,7 @@ impl CacheGeometry {
     /// Panics if the capacity is not divisible into a power-of-two number of
     /// sets, or any argument is zero.
     #[must_use]
-    pub fn from_capacity(bytes: usize, ways: usize, latency: Cycle) -> Self {
+    pub fn from_capacity(bytes: usize, ways: usize) -> Self {
         assert!(bytes > 0 && ways > 0, "zero geometry argument");
         let lines = bytes / LINE_SIZE as usize;
         assert!(
@@ -67,11 +68,7 @@ impl CacheGeometry {
             sets.is_power_of_two(),
             "set count {sets} must be a power of two"
         );
-        Self {
-            sets,
-            ways,
-            latency,
-        }
+        Self { sets, ways }
     }
 
     /// Total line capacity (`sets × ways`).
@@ -90,18 +87,28 @@ impl CacheGeometry {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::BadGeometry`] for zero or non-power-of-two sets.
+    /// Returns [`ConfigError::BadGeometry`] for zero or non-power-of-two
+    /// sets, or zero ways.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.sets == 0 {
-            return Err(ConfigError::BadGeometry("zero sets"));
-        }
-        if !self.sets.is_power_of_two() {
-            return Err(ConfigError::BadGeometry("sets not a power of two"));
-        }
-        if self.ways == 0 {
-            return Err(ConfigError::BadGeometry("zero ways"));
-        }
-        Ok(())
+        self.check(["zero sets", "sets not a power of two", "zero ways"])
+    }
+
+    /// [`validate`](Self::validate), reporting the error texts given, in
+    /// the order of its checks.
+    fn check(
+        &self,
+        [zero_sets, odd_sets, zero_ways]: [&'static str; 3],
+    ) -> Result<(), ConfigError> {
+        let error = if self.sets == 0 {
+            zero_sets
+        } else if !self.sets.is_power_of_two() {
+            odd_sets
+        } else if self.ways == 0 {
+            zero_ways
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::BadGeometry(error))
     }
 }
 
@@ -109,9 +116,9 @@ impl CacheGeometry {
 ///
 /// # Examples
 ///
-/// The paper's baseline (Table II): quad-core, 64 KB 4-way L1 (2 cycles),
-/// 256 KB 8-way L2 (18 cycles), shared 4 MB 16-way L3 (35 cycles), 200-cycle
-/// DRAM:
+/// The paper's baseline (Table II): quad-core, 64 KB 4-way L1, 256 KB
+/// 8-way L2, shared 4 MB 16-way L3. The table's latencies are the crate's
+/// constants ([`L1_LATENCY`](crate::L1_LATENCY) and the others).
 ///
 /// ```
 /// use cache_sim::SystemConfig;
@@ -120,7 +127,6 @@ impl CacheGeometry {
 /// assert_eq!(cfg.cores, 4);
 /// assert_eq!(cfg.l3.sets, 4096);
 /// assert_eq!(cfg.l3.ways, 16);
-/// assert_eq!(cfg.dram_latency, 200);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
@@ -132,8 +138,6 @@ pub struct SystemConfig {
     pub l2: CacheGeometry,
     /// Shared inclusive L3 geometry.
     pub l3: CacheGeometry,
-    /// DRAM access latency in cycles.
-    pub dram_latency: Cycle,
     /// Replacement policy used at every level.
     pub replacement: Replacement,
 }
@@ -144,24 +148,21 @@ impl SystemConfig {
     pub fn paper_default() -> Self {
         Self {
             cores: 4,
-            l1: CacheGeometry::from_capacity(64 << 10, 4, 2),
-            l2: CacheGeometry::from_capacity(256 << 10, 8, 18),
-            l3: CacheGeometry::from_capacity(4 << 20, 16, 35),
-            dram_latency: 200,
+            l1: CacheGeometry::from_capacity(64 << 10, 4),
+            l2: CacheGeometry::from_capacity(256 << 10, 8),
+            l3: CacheGeometry::from_capacity(4 << 20, 16),
             replacement: Replacement::Lru,
         }
     }
 
-    /// A scaled-down configuration for fast unit tests: 2 cores, tiny caches,
-    /// same latencies.
+    /// A scaled-down configuration for fast unit tests: 2 cores, tiny caches.
     #[must_use]
     pub fn small_test() -> Self {
         Self {
             cores: 2,
-            l1: CacheGeometry::from_capacity(2 << 10, 2, 2),
-            l2: CacheGeometry::from_capacity(8 << 10, 4, 18),
-            l3: CacheGeometry::from_capacity(64 << 10, 8, 35),
-            dram_latency: 200,
+            l1: CacheGeometry::from_capacity(2 << 10, 2),
+            l2: CacheGeometry::from_capacity(8 << 10, 4),
+            l3: CacheGeometry::from_capacity(64 << 10, 8),
             replacement: Replacement::Lru,
         }
     }
@@ -179,8 +180,22 @@ impl SystemConfig {
     ///
     /// Returns [`ConfigError`] for zero or more than 64 cores (the sharer
     /// bitmap's limit), invalid per-level geometry, or Tree-PLRU
-    /// replacement on a level whose way count is not a power of two.
+    /// replacement on a level whose way count is not a power of two. A
+    /// geometry error names its level.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        // One level's geometry error texts: `CacheGeometry::check`'s three,
+        // then Tree-PLRU's.
+        macro_rules! level_errors {
+            ($level:literal) => {
+                [
+                    concat!($level, " has zero sets"),
+                    concat!($level, " sets not a power of two"),
+                    concat!($level, " has zero ways"),
+                    concat!($level, " ways not a power of two, as tree-PLRU requires"),
+                ]
+            };
+        }
+
         if self.cores == 0 {
             return Err(ConfigError::NoCores);
         }
@@ -189,19 +204,15 @@ impl SystemConfig {
         if self.cores > 64 {
             return Err(ConfigError::TooManyCores(self.cores));
         }
-        self.l1.validate()?;
-        self.l2.validate()?;
-        self.l3.validate()?;
-        // Tree-PLRU's decision tree has one leaf per way.
-        if self.replacement == Replacement::TreePlru {
-            for (geometry, error) in [
-                (self.l1, "L1 ways not a power of two, as tree-PLRU requires"),
-                (self.l2, "L2 ways not a power of two, as tree-PLRU requires"),
-                (self.l3, "L3 ways not a power of two, as tree-PLRU requires"),
-            ] {
-                if !geometry.ways.is_power_of_two() {
-                    return Err(ConfigError::BadGeometry(error));
-                }
+        for (geometry, [zero_sets, odd_sets, zero_ways, odd_ways]) in [
+            (self.l1, level_errors!("L1")),
+            (self.l2, level_errors!("L2")),
+            (self.l3, level_errors!("L3")),
+        ] {
+            geometry.check([zero_sets, odd_sets, zero_ways])?;
+            // Tree-PLRU's decision tree has one leaf per way.
+            if self.replacement == Replacement::TreePlru && !geometry.ways.is_power_of_two() {
+                return Err(ConfigError::BadGeometry(odd_ways));
             }
         }
         Ok(())
@@ -238,7 +249,7 @@ mod tests {
 
     #[test]
     fn geometry_capacity_round_trip() {
-        let g = CacheGeometry::from_capacity(4 << 20, 16, 35);
+        let g = CacheGeometry::from_capacity(4 << 20, 16);
         assert_eq!(g.capacity_bytes(), 4 << 20);
         assert_eq!(g.lines(), 65536);
     }
@@ -246,7 +257,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn geometry_rejects_weird_capacity() {
-        let _ = CacheGeometry::from_capacity(3 * 1024, 4, 1);
+        let _ = CacheGeometry::from_capacity(3 * 1024, 4);
     }
 
     #[test]
@@ -277,9 +288,25 @@ mod tests {
     }
 
     #[test]
+    fn validate_names_the_level_of_a_geometry_error() {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.l2.ways = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::BadGeometry(what) if what.starts_with("L2 ")));
+        assert!(err.to_string().contains("zero ways"), "{err}");
+        let mut cfg = SystemConfig::paper_default();
+        cfg.l3.sets = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::BadGeometry(what) if what.starts_with("L3 ")));
+        cfg.l3.sets = 3;
+        let err = cfg.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::BadGeometry(what) if what.starts_with("L3 ")));
+    }
+
+    #[test]
     fn validate_rejects_tree_plru_with_non_power_of_two_ways() {
         let mut cfg = SystemConfig::paper_default();
-        cfg.l3 = CacheGeometry::from_capacity(3 << 20, 12, 35);
+        cfg.l3 = CacheGeometry::from_capacity(3 << 20, 12);
         cfg.validate().expect("a 12-way LLC is valid under LRU");
         cfg.replacement = Replacement::TreePlru;
         let err = cfg.validate().unwrap_err();

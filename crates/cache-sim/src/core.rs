@@ -2,7 +2,7 @@
 
 use crate::hierarchy::Hierarchy;
 use crate::observer::TrafficObserver;
-use crate::types::{AccessKind, Addr, CoreId, Cycle};
+use crate::types::{AccessKind, Addr, CoreId, Cycle, L1_LATENCY};
 
 /// One memory access plus the non-memory work preceding it.
 ///
@@ -109,7 +109,8 @@ pub struct Core {
     id: CoreId,
     source: Box<dyn AccessSource + Send>,
     /// Pre-drawn accesses from the source ([`AccessSource::refill`]); the
-    /// cursor `batch_pos` marks the next unconsumed entry.
+    /// cursor `batch_pos` marks the next unconsumed entry. Allocated at the
+    /// first refill, so a core replaced before it runs allocates nothing.
     batch: Vec<Access>,
     batch_pos: usize,
     /// Local clock: when the core can issue its next instruction.
@@ -142,7 +143,7 @@ impl Core {
         Self {
             id,
             source,
-            batch: Vec::with_capacity(BATCH),
+            batch: Vec::new(),
             batch_pos: 0,
             now: 0,
             retired: 0,
@@ -205,7 +206,6 @@ impl Core {
     /// prefetch release time.
     #[inline]
     pub(crate) fn run_ahead(&mut self, hierarchy: &Hierarchy, due: Cycle, quota: u64) {
-        let latency = hierarchy.config().l1.latency;
         let (mut pos, mut now, mut retired) = (self.batch_pos, self.now, self.retired);
         while pos < self.batch.len() && now < due && retired < quota {
             let access = self.batch[pos];
@@ -220,7 +220,7 @@ impl Core {
             };
             self.pending_len += 1;
             pos += 1;
-            now += access.think_cycles + latency;
+            now += access.think_cycles + L1_LATENCY;
             retired += access.think_cycles + 1;
         }
         (self.batch_pos, self.now, self.retired) = (pos, now, retired);
@@ -304,6 +304,7 @@ impl Core {
     #[cold]
     fn refill_batch(&mut self) {
         self.batch.clear();
+        self.batch.reserve_exact(BATCH);
         self.batch_pos = 0;
         self.source.refill(&mut self.batch, BATCH);
     }

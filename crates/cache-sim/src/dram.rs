@@ -1,63 +1,45 @@
 //! Fixed-latency DRAM model behind the memory controller.
 
-use crate::types::Cycle;
+use crate::types::{Cycle, DRAM_LATENCY};
 
-/// Main memory with a constant access latency (Table II: 200 cycles) and
-/// read/write accounting.
+/// Main memory with a constant access latency ([`DRAM_LATENCY`], Table II)
+/// and read/write accounting.
 ///
 /// # Examples
 ///
 /// ```
 /// use cache_sim::Dram;
 ///
-/// let mut dram = Dram::new(200);
+/// let mut dram = Dram::default();
 /// assert_eq!(dram.read(), 200);
 /// dram.write();
 /// assert_eq!(dram.reads(), 1);
 /// assert_eq!(dram.writes(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Dram {
-    latency: Cycle,
     reads: u64,
     writes: u64,
     prefetch_reads: u64,
 }
 
 impl Dram {
-    /// Creates a DRAM model with the given access latency.
-    #[must_use]
-    pub fn new(latency: Cycle) -> Self {
-        Self {
-            latency,
-            reads: 0,
-            writes: 0,
-            prefetch_reads: 0,
-        }
-    }
-
     /// Performs a demand read; returns its latency.
     pub fn read(&mut self) -> Cycle {
         self.reads += 1;
-        self.latency
+        DRAM_LATENCY
     }
 
     /// Performs a prefetch read (issued by the monitor); returns its latency.
     pub fn prefetch_read(&mut self) -> Cycle {
         self.prefetch_reads += 1;
-        self.latency
+        DRAM_LATENCY
     }
 
     /// Performs a writeback. Writebacks are posted (off the critical path),
     /// so no latency is returned.
     pub fn write(&mut self) {
         self.writes += 1;
-    }
-
-    /// Configured access latency.
-    #[must_use]
-    pub fn latency(&self) -> Cycle {
-        self.latency
     }
 
     /// Demand reads served.
@@ -85,7 +67,7 @@ mod tests {
 
     #[test]
     fn read_returns_latency_and_counts() {
-        let mut d = Dram::new(200);
+        let mut d = Dram::default();
         assert_eq!(d.read(), 200);
         assert_eq!(d.read(), 200);
         assert_eq!(d.reads(), 2);
@@ -94,17 +76,16 @@ mod tests {
 
     #[test]
     fn writes_are_posted() {
-        let mut d = Dram::new(123);
+        let mut d = Dram::default();
         d.write();
         d.write();
         d.write();
         assert_eq!(d.writes(), 3);
-        assert_eq!(d.latency(), 123);
     }
 
     #[test]
     fn prefetch_reads_counted_separately() {
-        let mut d = Dram::new(200);
+        let mut d = Dram::default();
         d.read();
         d.prefetch_read();
         assert_eq!(d.reads(), 1);

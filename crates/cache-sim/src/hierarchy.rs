@@ -24,7 +24,10 @@ use crate::dram::Dram;
 use crate::line::{LineMeta, SharerSet};
 use crate::observer::TrafficObserver;
 use crate::stats::HierarchyStats;
-use crate::types::{AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAddr};
+use crate::types::{
+    AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAddr, L1_LATENCY, L2_LATENCY,
+    LLC_LATENCY,
+};
 
 /// The simulated memory system: per-core L1/L2, shared L3, DRAM.
 ///
@@ -123,14 +126,13 @@ impl Hierarchy {
                 Cache::new(config.l3, config.replacement),
             ),
         };
-        let dram = Dram::new(config.dram_latency);
         let stats = HierarchyStats::new(config.cores);
         Self {
             config,
             l1,
             l2,
             l3,
-            dram,
+            dram: Dram::default(),
             stats,
             prefetch_scratch: Vec::new(),
             l1_losses: 0,
@@ -215,10 +217,9 @@ impl Hierarchy {
     ) -> AccessResult {
         if let Some((set, way)) = self.private_hit(core, addr, kind) {
             self.l1[core.0].touch_way(set, way);
-            let latency = self.config.l1.latency;
-            self.stats.record_served(core, Level::L1, latency);
+            self.stats.record_served(core, Level::L1, L1_LATENCY);
             return AccessResult {
-                latency,
+                latency: L1_LATENCY,
                 served_by: Level::L1,
                 prefetch_hit: false,
             };
@@ -259,7 +260,7 @@ impl Hierarchy {
         }
         let stats = self.stats.core_mut(core);
         stats.l1.hits += count;
-        stats.stall_cycles += count * self.config.l1.latency;
+        stats.stall_cycles += count * L1_LATENCY;
     }
 
     /// Returns and clears the cores, one bit each, that lost an L1 line or
@@ -302,7 +303,7 @@ impl Hierarchy {
                 // which is what the modified flag records.
                 meta.set_dirty(true);
                 meta.set_modified(true);
-                let latency = self.config.l1.latency + self.write_upgrade(core, line);
+                let latency = L1_LATENCY + self.write_upgrade(core, line);
                 self.stats.record_served(core, Level::L1, latency);
                 return AccessResult {
                     latency,
@@ -315,7 +316,7 @@ impl Hierarchy {
         // ---- L2 hit ----
         if self.l2[core.0].touch(line).is_some() {
             self.fill_l1(core, line, is_write);
-            let mut latency = self.config.l2.latency;
+            let mut latency = L2_LATENCY;
             if is_write {
                 latency += self.write_upgrade(core, line);
             }
@@ -338,7 +339,7 @@ impl Hierarchy {
             if prefetch_hit {
                 self.stats.prefetch_hits += 1;
             }
-            let mut latency = self.config.l3.latency;
+            let mut latency = LLC_LATENCY;
             if is_write {
                 latency += self.invalidate_other_sharers(core, line);
             } else {
@@ -365,7 +366,7 @@ impl Hierarchy {
 
         // ---- Memory ----
         let protect = observer.on_memory_fetch(line, now);
-        let latency = self.config.l3.latency + self.dram.read();
+        let latency = LLC_LATENCY + self.dram.read();
         let meta = LineMeta::demand_fill(core, is_write, protect);
         self.fill_l3(line, meta, now, observer);
         self.fill_l2(core, line);
@@ -589,7 +590,7 @@ impl Hierarchy {
         if let Some(meta) = self.l3.peek_mut(line) {
             meta.sharers = SharerSet::only(core);
         }
-        self.config.l3.latency
+        LLC_LATENCY
     }
 }
 

@@ -16,7 +16,12 @@
 //! of the modelled machine (64 bytes, Table II), not a [`SystemConfig`]
 //! field: the caches, the observer hook and PiPoMonitor's filter all work
 //! on [`LineAddr`]s, and every workload, attack and harness maps bytes to
-//! lines through the same constant ([`Addr::line`]).
+//! lines through the same constant ([`Addr::line`]). The machine's timing
+//! is fixed beside it, from the same table: [`L1_LATENCY`],
+//! [`L2_LATENCY`] and [`LLC_LATENCY`] per hit (2, 18 and 35 cycles) and
+//! [`DRAM_LATENCY`] per memory access (200 cycles). A [`SystemConfig`]
+//! sets only the core count, each level's sets and ways, and the
+//! replacement policy.
 //!
 //! Everything is deterministic: replacement randomness comes from seeded
 //! generators, so every experiment is exactly reproducible.
@@ -83,4 +88,7 @@ pub use observer::{NullObserver, RecordingObserver, TrafficObserver};
 pub use replacement::Replacement;
 pub use stats::{CoreStats, HierarchyStats, LevelStats};
 pub use system::{SimReport, System};
-pub use types::{AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAddr, LINE_SIZE};
+pub use types::{
+    AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAddr, DRAM_LATENCY, L1_LATENCY,
+    L2_LATENCY, LINE_SIZE, LLC_LATENCY,
+};

@@ -26,6 +26,19 @@ pub enum Replacement {
     },
 }
 
+impl Replacement {
+    /// The policy's name (`lru`, `tree-plru` or `random`), as result-store
+    /// keys, `pipo_serve` cell specs and the harness outputs spell it.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Replacement::Lru => "lru",
+            Replacement::TreePlru => "tree-plru",
+            Replacement::Random { .. } => "random",
+        }
+    }
+}
+
 /// Per-cache replacement state machine, driven by [`Cache`](crate::Cache)
 /// through [`on_touch`](Self::on_touch) and [`victim`](Self::victim).
 #[derive(Debug, Clone)]

@@ -10,6 +10,17 @@ pub type Cycle = u64;
 /// [`SystemConfig`](crate::SystemConfig) setting.
 pub const LINE_SIZE: u64 = 64;
 
+/// L1 hit latency in cycles (paper Table II). Like [`LINE_SIZE`], each
+/// latency is a constant of the modelled machine, not a
+/// [`SystemConfig`](crate::SystemConfig) setting.
+pub const L1_LATENCY: Cycle = 2;
+/// L2 hit latency in cycles (paper Table II).
+pub const L2_LATENCY: Cycle = 18;
+/// LLC (L3) hit latency in cycles (paper Table II).
+pub const LLC_LATENCY: Cycle = 35;
+/// DRAM access latency in cycles (paper Table II).
+pub const DRAM_LATENCY: Cycle = 200;
+
 /// A byte-granular physical address.
 ///
 /// # Examples

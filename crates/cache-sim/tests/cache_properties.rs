@@ -8,7 +8,6 @@ fn arb_geometry() -> impl Strategy<Value = CacheGeometry> {
     ((0u32..=6), (1usize..=8)).prop_map(|(log_sets, ways)| CacheGeometry {
         sets: 1 << log_sets,
         ways,
-        latency: 1,
     })
 }
 
@@ -106,7 +105,7 @@ proptest! {
     /// long as other ways absorb the fills.
     #[test]
     fn lru_protects_touched_lines(ways in 2usize..8, fills in 1u64..100) {
-        let geometry = CacheGeometry { sets: 1, ways, latency: 1 };
+        let geometry = CacheGeometry { sets: 1, ways };
         let mut cache = Cache::new(geometry, Replacement::Lru);
         let protected = LineAddr(1000);
         cache.fill(protected, LineMeta::default());
@@ -139,7 +138,7 @@ proptest! {
     /// Metadata written at fill time is returned intact on eviction.
     #[test]
     fn metadata_round_trips_through_eviction(ways in 1usize..4, dirty in any::<bool>()) {
-        let geometry = CacheGeometry { sets: 1, ways, latency: 1 };
+        let geometry = CacheGeometry { sets: 1, ways };
         let mut cache = Cache::new(geometry, Replacement::Lru);
         let meta = LineMeta::default().with_dirty(dirty).with_protected(true);
         cache.fill(LineAddr(0), meta);

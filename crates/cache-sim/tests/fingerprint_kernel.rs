@@ -32,7 +32,6 @@ fn arb_config() -> impl Strategy<Value = (CacheGeometry, Replacement)> {
             CacheGeometry {
                 sets: 1 << log_sets,
                 ways,
-                latency: 1,
             },
             replacement,
         )
@@ -139,11 +138,7 @@ proptest! {
 /// guarantees hundreds of aliases by pigeonhole.)
 #[test]
 fn aliasing_tags_resolve_by_full_tag_confirm() {
-    let geometry = CacheGeometry {
-        sets: 4,
-        ways: 12,
-        latency: 1,
-    };
+    let geometry = CacheGeometry { sets: 4, ways: 12 };
     let mut cache = Cache::new(geometry, Replacement::Lru);
     let stride = geometry.sets as u64;
     // Fill one set to capacity with distinct tags.

@@ -53,7 +53,7 @@ fn configs() -> [(&'static str, SystemConfig); 5] {
     let mut random = SystemConfig::small_test();
     random.replacement = Replacement::Random { seed: 0x5eed };
     let mut llc12 = SystemConfig::small_test();
-    llc12.l3 = CacheGeometry::from_capacity(96 << 10, 12, 35);
+    llc12.l3 = CacheGeometry::from_capacity(96 << 10, 12);
     [
         ("small_test", SystemConfig::small_test()),
         ("paper_default", SystemConfig::paper_default()),

@@ -139,8 +139,9 @@ impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown filter backend {:?} (expected auto, classic, bloom or xor)",
-            self.input
+            "unknown backend {:?} (expected one of {})",
+            self.input,
+            FilterBackend::ALL.map(|backend| backend.name()).join(", ")
         )
     }
 }
@@ -151,15 +152,12 @@ impl FromStr for FilterBackend {
     type Err = ParseBackendError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(FilterBackend::Auto),
-            "classic" => Ok(FilterBackend::Classic),
-            "bloom" => Ok(FilterBackend::Bloom),
-            "xor" => Ok(FilterBackend::Xor),
-            other => Err(ParseBackendError {
-                input: other.to_string(),
-            }),
-        }
+        FilterBackend::ALL
+            .into_iter()
+            .find(|backend| backend.name() == s)
+            .ok_or_else(|| ParseBackendError {
+                input: s.to_string(),
+            })
     }
 }
 
