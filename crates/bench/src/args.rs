@@ -26,6 +26,7 @@
 //! the scale), with exit status 2. `throughput` and `pipo_serve` keep their
 //! own usage text and flags, read through the same walker.
 
+use std::io::{self, Write};
 use std::str::FromStr;
 
 use auto_cuckoo::FilterBackend;
@@ -58,16 +59,16 @@ usage: <binary> [scale] [--json PATH] [--sequential | --threads N]
 
 /// Reads the process's command line with `parse`. `--help` or `-h`
 /// anywhere prints `usage` and exits 0; an error from `parse` prints
-/// `error: <message>` and `usage` on stderr and exits 2.
+/// `error: <message>` and `usage` on stderr and exits 2. The status holds
+/// even when the reader has already gone: a failed write is ignored.
 pub fn parse_command_line<T>(usage: &str, parse: impl FnOnce(Tokens) -> Result<T, String>) -> T {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{usage}");
+        let _ = writeln!(io::stdout(), "{usage}");
         std::process::exit(0);
     }
     parse(Tokens::new(args)).unwrap_or_else(|message| {
-        eprintln!("error: {message}");
-        eprintln!("{usage}");
+        let _ = writeln!(io::stderr(), "error: {message}\n{usage}");
         std::process::exit(2);
     })
 }

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! pipo_serve --store PATH [--addr HOST:PORT] [--workers N]
-//!            [--budget BYTES] [--max-instructions N]
+//!            [--max-instructions N]
 //! pipo_serve --connect HOST:PORT --request JSON
 //! ```
 //!
@@ -28,7 +28,7 @@ use pipo_bench::{Json, ResultStore};
 
 const USAGE: &str = "\
 usage: pipo_serve --store PATH [--addr HOST:PORT] [--workers N]
-                  [--budget BYTES] [--max-instructions N]
+                  [--max-instructions N]
        pipo_serve --connect HOST:PORT --request JSON
 
 server mode:
@@ -39,7 +39,6 @@ server mode:
   --workers N           threads a job's cold cells fan across; each
                         simulated system runs on one thread, and cold jobs
                         run one at a time (default: one per host core)
-  --budget BYTES        LRU size budget for the store (default: unbounded)
   --max-instructions N  reject job cells asking for more than N instructions
                         per core (admission control)
 
@@ -55,7 +54,6 @@ enum Mode {
     /// Serve the store at `store` (`--store PATH`).
     Server {
         store: String,
-        budget: Option<u64>,
         options: ServeOptions,
     },
     /// Send `request` to the server at `addr` (`--connect ADDR`); a job's
@@ -71,7 +69,6 @@ fn parse_args(mut tokens: Tokens) -> Result<Mode, String> {
     let mut store = None;
     let mut addr = None;
     let mut workers: Option<usize> = None;
-    let mut budget: Option<u64> = None;
     let mut max_instructions: Option<u64> = None;
     let mut connect = None;
     let mut request = None;
@@ -80,13 +77,6 @@ fn parse_args(mut tokens: Tokens) -> Result<Mode, String> {
             "--store" => store = Some(tokens.value("--store", "a value")?),
             "--addr" => addr = Some(tokens.value("--addr", "a value")?),
             "--workers" => workers = Some(tokens.positive("--workers", "a value")?),
-            "--budget" => {
-                let raw = tokens.value("--budget", "a value")?;
-                let bytes = raw
-                    .parse()
-                    .map_err(|_| format!("--budget expects a byte count, got {raw:?}"))?;
-                budget = Some(bytes);
-            }
             "--max-instructions" => {
                 max_instructions = Some(tokens.positive("--max-instructions", "a value")?);
             }
@@ -100,7 +90,6 @@ fn parse_args(mut tokens: Tokens) -> Result<Mode, String> {
             ("--store", store.is_some()),
             ("--addr", addr.is_some()),
             ("--workers", workers.is_some()),
-            ("--budget", budget.is_some()),
             ("--max-instructions", max_instructions.is_some()),
         ] {
             if set {
@@ -128,20 +117,12 @@ fn parse_args(mut tokens: Tokens) -> Result<Mode, String> {
         workers: workers.unwrap_or(defaults.workers),
         max_instructions: max_instructions.unwrap_or(defaults.max_instructions),
     };
-    Ok(Mode::Server {
-        store,
-        budget,
-        options,
-    })
+    Ok(Mode::Server { store, options })
 }
 
 fn main() {
     match parse_command_line(USAGE, parse_args) {
-        Mode::Server {
-            store,
-            budget,
-            options,
-        } => server_main(&store, budget, options),
+        Mode::Server { store, options } => server_main(&store, options),
         Mode::Client {
             addr,
             request,
@@ -150,12 +131,8 @@ fn main() {
     }
 }
 
-fn server_main(path: &str, budget: Option<u64>, options: ServeOptions) {
-    let store = match budget {
-        Some(budget) => ResultStore::with_budget(path, budget),
-        None => ResultStore::open(path),
-    };
-    let store = store.unwrap_or_else(|e| {
+fn server_main(path: &str, options: ServeOptions) {
+    let store = ResultStore::open(path).unwrap_or_else(|e| {
         eprintln!("error: cannot open result store {path}: {e}");
         std::process::exit(1);
     });

@@ -17,9 +17,11 @@
 //!   shorten each core's run of L1 hits) while every in-order step still
 //!   pays for the disturbance checks.
 //!
-//! This is the perf trajectory anchor for the repo: every hot-path change is
-//! judged against the numbers this binary emits. Results are written as JSON
-//! (default `BENCH_cache_sim.json`) so CI and future PRs can diff them.
+//! End-to-end numbers come from the repo benchmark, `perfbench/` (workloads
+//! `fig8_grid` and `serve_jobs` in `BENCHMARK.json`), whose runs are
+//! recorded in `BENCH_cache_sim.md`; this binary prices one machine at a
+//! time. Results are written as JSON (default `BENCH_cache_sim.json`, which
+//! holds an early run kept as a record) so two runs can be diffed.
 //!
 //! Usage:
 //!

@@ -73,8 +73,9 @@ impl MixRun {
     }
 
     /// All raw counters and derived metrics as a JSON object. This is also
-    /// the payload schema of the persistent [`store`]: what `to_json`
-    /// writes, [`from_stored`](Self::from_stored) reads back bit-identically.
+    /// the payload schema of the persistent [`store`]:
+    /// [`ResultStore::record`] writes it, and [`ResultStore::lookup`] reads
+    /// it back bit-identically.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::object()
@@ -87,29 +88,6 @@ impl MixRun {
             .field("prefetch_hits", self.prefetch_hits)
             .field("normalized_performance", self.normalized_performance())
             .field("false_positives_per_mi", self.false_positives_per_mi())
-    }
-
-    /// Rebuilds a run from a stored [`to_json`](Self::to_json) payload.
-    /// `mix` is the expecting cell's (static) mix name; a payload whose
-    /// recorded mix disagrees — or that does not parse — returns `None`,
-    /// which the sweep engine treats as a cache miss (validate-everything:
-    /// a corrupt record degrades to recomputation, never to a wrong figure).
-    #[must_use]
-    pub fn from_stored(mix: &'static str, payload: &str) -> Option<Self> {
-        let doc = Json::parse(payload).ok()?;
-        if doc.get("mix")?.as_str()? != mix {
-            return None;
-        }
-        let field = |name: &str| doc.get(name).and_then(Json::as_u64);
-        Some(Self {
-            mix,
-            baseline_cycles: field("baseline_cycles")?,
-            monitored_cycles: field("monitored_cycles")?,
-            instructions: field("instructions")?,
-            captures: field("captures")?,
-            prefetches: field("prefetches")?,
-            prefetch_hits: field("prefetch_hits")?,
-        })
     }
 }
 

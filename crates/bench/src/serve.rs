@@ -29,8 +29,8 @@
 //! flushed. The `"done"` line reports `simulated_systems`, the baseline and
 //! monitored runs the job actually simulated. The `"result"` object of a
 //! cell is byte-identical whether it was served warm or computed cold —
-//! [`MixRun::from_stored`] round-trips [`MixRun::to_json`] exactly — so
-//! clients may cache on either.
+//! [`ResultStore::lookup`] reads back exactly the run
+//! [`ResultStore::record`] wrote — so clients may cache on either.
 //!
 //! Every failure is a structured `{"ok":false,"error":…}` line; the server
 //! validates everything it reads off the socket (parse errors carry byte
@@ -62,7 +62,7 @@ use pipo_workloads::mixes::mix_by_name;
 use pipomonitor::MonitorConfig;
 
 use crate::json::Json;
-use crate::store::{mix_cell_key, ResultStore, STORE_SCHEMA_VERSION};
+use crate::store::{ResultStore, STORE_SCHEMA_VERSION};
 use crate::sweep::{ExecMode, MixCell, Sweep};
 use crate::{MixRun, DEFAULT_INSTRUCTIONS};
 
@@ -328,15 +328,13 @@ fn stats_doc(shared: &Shared) -> Json {
 }
 
 /// Aggregates every stored record into the all-figures dashboard: per-mix
-/// means over the decoded payloads plus the full sorted record list.
+/// means over the decoded payloads plus the full record list, in key order.
 fn dashboard_doc(shared: &Shared) -> Json {
     let store = shared.store.lock().expect("store mutex not poisoned");
-    let mut records: Vec<(&str, &str)> = store.records().collect();
-    records.sort_unstable();
     // (mix name, cell count, Σ normalized_performance, Σ fp/MI)
     let mut mixes: Vec<(String, u64, f64, f64)> = Vec::new();
     let mut cells = Vec::new();
-    for &(key, payload) in &records {
+    for (key, payload) in store.records() {
         let Ok(result) = Json::parse(payload) else {
             // A corrupt payload is a store bug, but the dashboard must not
             // die on it: skip the record (lookups already treat it as a miss).
@@ -412,18 +410,10 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut (impl Write + Send)) ->
     }
 
     let started = Instant::now();
-    let keys: Vec<String> = cells.iter().map(mix_cell_key).collect();
     // Warm pass: one store lock for the whole batch, stream hits right away.
     let warm: Vec<Option<MixRun>> = {
-        let mut store = shared.store.lock().expect("store mutex not poisoned");
-        cells
-            .iter()
-            .zip(&keys)
-            .map(|(cell, key)| {
-                let payload = store.get(key)?;
-                MixRun::from_stored(cell.mix.name, payload)
-            })
-            .collect()
+        let store = shared.store.lock().expect("store mutex not poisoned");
+        cells.iter().map(|cell| store.lookup(cell)).collect()
     };
     let mut hits = 0u64;
     for (i, run) in warm.iter().enumerate() {
@@ -446,7 +436,7 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut (impl Write + Send)) ->
         let mut store = shared.store.lock().expect("store mutex not poisoned");
         for (slot, run) in computed.iter().enumerate() {
             if let Some(run) = run {
-                store.put(&keys[pending[slot]], &run.to_json().to_pretty());
+                store.record(&cells[pending[slot]], run);
             }
         }
         store.flush()?;

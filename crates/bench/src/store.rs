@@ -2,9 +2,7 @@
 //!
 //! The sweep engine's in-memory baseline memoization dies with the process;
 //! this module generalises it into an on-disk cache shared by every figure
-//! binary (`--store PATH`) and the long-running `pipo-serve` service. The
-//! design follows the `jdb_wal`/`size_lru` append-only-log pattern named in
-//! `ROADMAP.md`:
+//! binary (`--store PATH`) and the long-running `pipo-serve` service:
 //!
 //! * **Content addressing** — a record's address is its *canonical cell
 //!   key*: a single-line ASCII rendering of every input that determines a
@@ -27,16 +25,19 @@
 //!   log through [`write_atomic`]
 //!   (write-temp-then-rename), so readers see either the previous log or
 //!   the complete new one even if a flush is killed mid-write.
-//! * **LRU size budget** — with [`ResultStore::with_budget`], inserting past
-//!   the byte budget evicts least-recently-used records (lookups refresh
-//!   recency; the newest record is never evicted). Compaction happens at
-//!   flush: live records are written oldest-first, so file order *is*
-//!   recency order on recovery.
+//! * **Key order** — the index is a map from canonical key to payload, and
+//!   flush writes it in key order, so a store's file depends only on the
+//!   records it holds, not on the order they were put or read.
+//! * **One record format** — [`ResultStore::record`] and
+//!   [`ResultStore::lookup`] are the only writer and reader of a sweep
+//!   cell's record: its key is [`mix_cell_key`] and its payload the
+//!   cell's [`MixRun::to_json`] document, pretty-printed.
 //!
 //! The store is single-writer: concurrent processes should go through
 //! `pipo-serve`, which serialises access behind one store.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -46,8 +47,9 @@ use cache_sim::{
 use pipo_workloads::Mix;
 use pipomonitor::MonitorConfig;
 
-use crate::json::write_atomic;
+use crate::json::{write_atomic, Json};
 use crate::sweep::MixCell;
+use crate::MixRun;
 
 /// Version stamped into both the canonical key prefix and the log header.
 /// Bump it whenever the simulation semantics or the payload schema change:
@@ -148,7 +150,7 @@ pub fn baseline_cell_key(system: &SystemConfig, mix: &Mix, instructions: u64, se
 
 /// Canonical key of a monitored sweep cell: the baseline key plus the full
 /// monitor configuration. This is the content address of one
-/// [`MixRun`](crate::MixRun) record.
+/// [`MixRun`] record.
 #[must_use]
 pub fn mix_cell_key(cell: &MixCell) -> String {
     format!(
@@ -158,30 +160,13 @@ pub fn mix_cell_key(cell: &MixCell) -> String {
     )
 }
 
-/// Counters describing one store session (plus what recovery found on open).
+/// What recovery found when the store was opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreTelemetry {
-    /// Lookups answered from the store.
-    pub hits: u64,
-    /// Lookups that found no record.
-    pub misses: u64,
-    /// Records inserted (new keys).
-    pub puts: u64,
-    /// Records overwritten in place (same key, new payload).
-    pub replacements: u64,
-    /// Records evicted to honour the size budget.
-    pub evictions: u64,
     /// Valid records recovered when the store was opened.
     pub recovered_records: u64,
     /// Bytes of invalid/truncated tail dropped when the store was opened.
     pub dropped_tail_bytes: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    payload: String,
-    /// Logical recency clock; larger = more recently touched.
-    stamp: u64,
 }
 
 /// A record's framing line: the key's FNV-1a hash, the two lengths, and
@@ -204,12 +189,8 @@ fn record_size(key: &str, payload: &str) -> u64 {
 #[derive(Debug)]
 pub struct ResultStore {
     path: PathBuf,
-    /// Canonical key → its record.
-    entries: HashMap<String, Entry>,
-    /// Logical clock driving LRU stamps.
-    clock: u64,
-    /// Size budget in encoded bytes (`None` = unbounded).
-    budget: Option<u64>,
+    /// Canonical key → payload.
+    records: BTreeMap<String, String>,
     /// Encoded size of the live log (header + all live records).
     live_bytes: u64,
     /// In-memory state differs from the file on disk.
@@ -218,8 +199,8 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Opens (or initialises) an unbounded store at `path`. The file is not
-    /// created until the first [`flush`](Self::flush).
+    /// Opens (or initialises) the store at `path`. The file is not created
+    /// until the first [`flush`](Self::flush).
     ///
     /// # Errors
     ///
@@ -227,27 +208,9 @@ impl ResultStore {
     /// `pipo-store v1` header (truncated tails — including a torn header
     /// prefix — recover instead of erroring; see module docs).
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(path, None)
-    }
-
-    /// Opens a store bounded to `budget_bytes` of encoded log. Inserting
-    /// past the budget evicts least-recently-used records; the most recent
-    /// record always survives even if it alone exceeds the budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open).
-    pub fn with_budget(path: impl AsRef<Path>, budget_bytes: u64) -> io::Result<Self> {
-        Self::open_with(path, Some(budget_bytes))
-    }
-
-    fn open_with(path: impl AsRef<Path>, budget: Option<u64>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
         let mut store = Self {
-            path,
-            entries: HashMap::new(),
-            clock: 0,
-            budget,
+            path: path.as_ref().to_path_buf(),
+            records: BTreeMap::new(),
             live_bytes: HEADER.len() as u64,
             dirty: false,
             telemetry: StoreTelemetry::default(),
@@ -258,8 +221,6 @@ impl ResultStore {
             Err(e) => return Err(e),
         };
         store.recover(&bytes)?;
-        // Recovered entries may already exceed a (new, smaller) budget.
-        store.enforce_budget();
         Ok(store)
     }
 
@@ -297,73 +258,69 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Makes `payload` the record of `key`, as the most recently used one.
-    /// Returns whether it replaced a record already held under `key`.
+    /// Makes `payload` the record of `key`. Returns whether it replaced a
+    /// record already held under `key`.
     fn insert(&mut self, key: String, payload: String) -> bool {
-        self.clock += 1;
         self.live_bytes += record_size(&key, &payload);
-        let stamp = self.clock;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                self.live_bytes -= record_size(&key, &entry.payload);
-                *entry = Entry { payload, stamp };
+        match self.records.entry(key) {
+            Entry::Occupied(mut record) => {
+                self.live_bytes -= record_size(record.key(), record.get());
+                record.insert(payload);
                 true
             }
-            None => {
-                self.entries.insert(key, Entry { payload, stamp });
+            Entry::Vacant(record) => {
+                record.insert(payload);
                 false
             }
         }
     }
 
-    /// Looks up a record by its canonical key, refreshing its LRU recency.
-    pub fn get(&mut self, key: &str) -> Option<&str> {
-        self.clock += 1;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = self.clock;
-                self.telemetry.hits += 1;
-                Some(&entry.payload)
-            }
-            None => {
-                self.telemetry.misses += 1;
-                None
-            }
-        }
+    /// Looks up a record by its canonical key.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.records.get(key).map(String::as_str)
     }
 
-    /// Inserts (or overwrites) a record, then evicts least-recently-used
-    /// records if a budget is exceeded. Nothing touches disk until
+    /// Inserts (or overwrites) a record. Nothing touches disk until
     /// [`flush`](Self::flush).
     pub fn put(&mut self, key: &str, payload: &str) {
-        if self.insert(key.to_string(), payload.to_string()) {
-            self.telemetry.replacements += 1;
-        } else {
-            self.telemetry.puts += 1;
-        }
+        self.insert(key.to_string(), payload.to_string());
         self.dirty = true;
-        self.enforce_budget();
     }
 
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.budget else { return };
-        while self.live_bytes > budget && self.len() > 1 {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.stamp)
-                .map(|(key, _)| key.clone())
-                .expect("len > 1 means the map holds a record");
-            let entry = self.entries.remove(&oldest).expect("key came from the map");
-            self.live_bytes -= record_size(&oldest, &entry.payload);
-            self.telemetry.evictions += 1;
-            self.dirty = true;
+    /// The stored run of `cell`: the record under its [`mix_cell_key`],
+    /// decoded bit-identically to the run [`record`](Self::record) wrote.
+    /// A missing record, or one that does not parse or whose recorded mix
+    /// is not the cell's, returns `None`, which the sweep engine treats as
+    /// a cache miss (validate-everything: a corrupt record degrades to
+    /// recomputation, never to a wrong figure).
+    #[must_use]
+    pub fn lookup(&self, cell: &MixCell) -> Option<MixRun> {
+        let doc = Json::parse(self.get(&mix_cell_key(cell))?).ok()?;
+        let mix = cell.mix.name;
+        if doc.get("mix")?.as_str()? != mix {
+            return None;
         }
+        let field = |name: &str| doc.get(name).and_then(Json::as_u64);
+        Some(MixRun {
+            mix,
+            baseline_cycles: field("baseline_cycles")?,
+            monitored_cycles: field("monitored_cycles")?,
+            instructions: field("instructions")?,
+            captures: field("captures")?,
+            prefetches: field("prefetches")?,
+            prefetch_hits: field("prefetch_hits")?,
+        })
+    }
+
+    /// Records `run` as the result of `cell`: its [`MixRun::to_json`]
+    /// document, pretty-printed, under the cell's [`mix_cell_key`].
+    pub fn record(&mut self, cell: &MixCell, run: &MixRun) {
+        self.put(&mix_cell_key(cell), &run.to_json().to_pretty());
     }
 
     /// Writes the compacted log atomically (temp file + rename) if anything
-    /// changed since the last flush. Live records are written in recency
-    /// order, oldest first, so recovery reconstructs the LRU order.
+    /// changed since the last flush. Live records are written in key order.
     ///
     /// # Errors
     ///
@@ -373,14 +330,12 @@ impl ResultStore {
         if !self.dirty {
             return Ok(());
         }
-        let mut records: Vec<(&String, &Entry)> = self.entries.iter().collect();
-        records.sort_by_key(|(_, entry)| entry.stamp);
         let mut image = String::with_capacity(self.live_bytes as usize);
         image.push_str(HEADER);
-        for (key, entry) in records {
-            image.push_str(&record_frame(key, &entry.payload));
+        for (key, payload) in &self.records {
+            image.push_str(&record_frame(key, payload));
             image.push_str(key);
-            image.push_str(&entry.payload);
+            image.push_str(payload);
             image.push('\n');
         }
         debug_assert_eq!(image.len() as u64, self.live_bytes);
@@ -392,13 +347,13 @@ impl ResultStore {
     /// Number of live records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.records.len()
     }
 
     /// Whether the store holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.records.is_empty()
     }
 
     /// Encoded size of the live log in bytes (header + records).
@@ -413,18 +368,18 @@ impl ResultStore {
         &self.path
     }
 
-    /// Session counters plus recovery statistics.
+    /// What recovery found when the store was opened.
     #[must_use]
     pub fn telemetry(&self) -> StoreTelemetry {
         self.telemetry
     }
 
-    /// Iterates `(key, payload)` over live records in unspecified order
-    /// (the `pipo-serve` dashboard aggregates these).
+    /// Iterates `(key, payload)` over live records in key order (the
+    /// `pipo-serve` dashboard aggregates these).
     pub fn records(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries
+        self.records
             .iter()
-            .map(|(key, entry)| (key.as_str(), entry.payload.as_str()))
+            .map(|(key, payload)| (key.as_str(), payload.as_str()))
     }
 }
 
@@ -552,7 +507,7 @@ mod tests {
         store.flush().expect("flush");
         store.flush().expect("idempotent flush");
 
-        let mut reopened = ResultStore::open(&path).expect("reopen");
+        let reopened = ResultStore::open(&path).expect("reopen");
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.telemetry().recovered_records, 2);
         assert_eq!(reopened.telemetry().dropped_tail_bytes, 0);
@@ -592,7 +547,6 @@ mod tests {
         store.put("k", "a considerably longer payload");
         assert!(store.bytes() > small);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.telemetry().replacements, 1);
         store.put("k", "short");
         assert_eq!(store.bytes(), small);
         std::fs::remove_file(&path).ok();

@@ -33,7 +33,7 @@ use cache_sim::{CoreId, NullObserver, SimReport, System, SystemConfig, TrafficOb
 use pipo_workloads::{Mix, ProfileSource};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
 
-use crate::store::{baseline_cell_key, mix_cell_key, ResultStore};
+use crate::store::{baseline_cell_key, ResultStore};
 use crate::{mix_run_from_parts, MixRun};
 
 /// How a sweep executes its cells.
@@ -265,24 +265,24 @@ impl Sweep {
     /// cell as soon as that cell's [`MixRun`] is final, and returns the runs
     /// in cell order.
     ///
-    /// A cell whose canonical key ([`mix_cell_key`]) resolves to a stored,
-    /// parsable record in `store` is a *warm* cell: its run is decoded
-    /// straight from the store, no simulation runs, and its hook fires
-    /// before any simulation starts. The remaining *cold* cells simulate.
-    /// Their baseline (unprotected) runs are memoized on the canonical
-    /// baseline key ([`baseline_cell_key`]: system config, mix,
-    /// instructions, seed), so cells differing only in monitor
-    /// configuration share one baseline simulation. Baseline and monitored
-    /// simulations go into one work queue across `mode`'s worker threads;
-    /// a cold cell's hook fires when the later of its two halves finishes,
-    /// so in parallel mode cells complete in any order. Hooks never run
-    /// concurrently with each other.
+    /// A cell that `store` answers ([`ResultStore::lookup`]) is a *warm*
+    /// cell: its run is decoded straight from the store, no simulation
+    /// runs, and its hook fires before any simulation starts. The
+    /// remaining *cold* cells simulate. Their baseline (unprotected) runs
+    /// are memoized on the canonical baseline key ([`baseline_cell_key`]:
+    /// system config, mix, instructions, seed), so cells differing only in
+    /// monitor configuration share one baseline simulation. Baseline and
+    /// monitored simulations go into one work queue across `mode`'s worker
+    /// threads; a cold cell's hook fires when the later of its two halves
+    /// finishes, so in parallel mode cells complete in any order. Hooks
+    /// never run concurrently with each other.
     ///
-    /// Cold results are `put` back into `store`, keyed identically, so the
-    /// next invocation (or a `pipo-serve` instance reading the same store)
-    /// answers them warm. The caller is responsible for
-    /// [`ResultStore::flush`]. Per-cell results are bit-identical with and
-    /// without a store, in either mode, and to [`MixCell::run`].
+    /// Cold results are written back into `store`
+    /// ([`ResultStore::record`]), so the next invocation (or a `pipo-serve`
+    /// instance reading the same store) answers them warm. The caller is
+    /// responsible for [`ResultStore::flush`]. Per-cell results are
+    /// bit-identical with and without a store, in either mode, and to
+    /// [`MixCell::run`].
     ///
     /// # Panics
     ///
@@ -295,20 +295,10 @@ impl Sweep {
         mut on_cell: impl FnMut(usize, &MixRun) + Send,
     ) -> (Vec<MixRun>, SweepStoreOutcome) {
         // Warm lookups first: a hit skips both halves of the cell's work.
-        let keys: Vec<Option<String>> = self
-            .cells
-            .iter()
-            .map(|cell| store.is_some().then(|| mix_cell_key(cell)))
-            .collect();
         let mut results: Vec<Option<MixRun>> = self
             .cells
             .iter()
-            .zip(&keys)
-            .map(|(cell, key)| {
-                let store = store.as_deref_mut()?;
-                let payload = store.get(key.as_deref().expect("key built when store present"))?;
-                MixRun::from_stored(cell.mix.name, payload)
-            })
+            .map(|cell| store.as_deref()?.lookup(cell))
             .collect();
         for (i, run) in results.iter().enumerate() {
             if let Some(run) = run {
@@ -392,8 +382,7 @@ impl Sweep {
         for (&i, run) in cold.iter().zip(computed) {
             let run = run.expect("every cold cell completed");
             if let Some(store) = store.as_deref_mut() {
-                let key = keys[i].as_deref().expect("key built when store present");
-                store.put(key, &run.to_json().to_pretty());
+                store.record(&self.cells[i], &run);
             }
             results[i] = Some(run);
         }

@@ -5,7 +5,9 @@
 //! reject them with exit status 2 and an error that names the offending
 //! flag. Conflicting execution-mode flags (`--sequential` with
 //! `--threads`) must be rejected the same way, in either order. Every
-//! binary's `--help` text is pinned, and so are `pipo_serve`'s refusals.
+//! binary's `--help` text is pinned, and so are `pipo_serve`'s refusals,
+//! the `--help` and refusal exit codes when the reader has gone, and the
+//! capture attribution of `ablation_filter` and `trace_replay`.
 //!
 //! Cargo exposes each binary's path to this integration test through the
 //! `CARGO_BIN_EXE_<name>` environment variables, so these tests exercise
@@ -168,7 +170,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 fn help_text_is_pinned() {
     const OWN_USAGE: &[(&str, u64)] = &[
         ("throughput", 0xaa7d_346b_3cb5_f45a),
-        ("pipo_serve", 0x5b92_be69_572a_892b),
+        ("pipo_serve", 0x8aad_b063_9bb6_0735),
     ];
     for name in BINARIES.iter().chain(["pipo_serve"].iter()) {
         let output = run_bounded(name, &["--help"]);
@@ -221,8 +223,15 @@ fn pipo_serve_rejects_bad_command_lines() {
         (&["--connect", ADDR], "--request"),
         (&["--store", &store, "--request", "{}"], "--request"),
         (
-            &["--budget", "5", "--connect", ADDR, "--request", "{}"],
-            "--budget",
+            &[
+                "--max-instructions",
+                "5",
+                "--connect",
+                ADDR,
+                "--request",
+                "{}",
+            ],
+            "--max-instructions",
         ),
     ];
     for (args, named) in cases {
@@ -288,6 +297,49 @@ fn every_binary_helps_and_exits_zero() {
             }
         }
     }
+}
+
+/// A reader that has already gone is no error: every binary's `--help`
+/// still exits 0 with its stdout's reader closed, and a refused command
+/// line still exits 2 with its stderr's reader closed, without a panic.
+#[test]
+fn help_and_usage_errors_survive_a_closed_reader() {
+    // A pipe whose reader is dropped before the child starts: every write
+    // to it fails with a broken pipe.
+    let closed_pipe = || {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        writer
+    };
+    for name in BINARIES.iter().chain(["pipo_serve"].iter()) {
+        let output = Command::new(bin_path(name))
+            .arg("--help")
+            .stdout(closed_pipe())
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{name} --help into a closed pipe must exit 0, got stderr:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{name} --help into a closed pipe panicked:\n{stderr}"
+        );
+    }
+    let output = Command::new(bin_path("fig8_performance"))
+        .args(["--filter", "ribbon"])
+        .stdout(Stdio::null())
+        .stderr(closed_pipe())
+        .output()
+        .expect("spawn fig8_performance");
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "a refused command line must exit 2 with its stderr closed"
+    );
 }
 
 #[test]
@@ -845,14 +897,16 @@ fn fig7_reports_the_paper_geometry_rows() {
     assert_eq!(verdicts, 5, "one verdict per paper MNK:\n{stdout}");
 }
 
-/// Runs `name --sequential --json PATH` and returns the parsed document.
-fn json_document(name: &str) -> Json {
+/// Runs `name ARGS --sequential --json PATH` and returns the parsed
+/// document.
+fn json_document(name: &str, args: &[&str]) -> Json {
     let json = format!(
         "{}/cli_{name}_{}.json",
         std::env::temp_dir().display(),
         std::process::id()
     );
     let output = Command::new(bin_path(name))
+        .args(args)
         .args(["--sequential", "--json", &json])
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
@@ -874,7 +928,7 @@ fn json_document(name: &str) -> Json {
 /// the 4 MB LLC).
 #[test]
 fn overhead_figures_are_pinned() {
-    let doc = json_document("overhead_table");
+    let doc = json_document("overhead_table", &[]);
     let paper_row = doc
         .get("cells")
         .and_then(Json::as_array)
@@ -896,7 +950,7 @@ fn overhead_figures_are_pinned() {
     assert_eq!(field("area_mm2"), Some(0.013));
     assert_eq!(field("area_relative_to_llc"), Some(0.0031999999999999997));
 
-    let doc = json_document("baseline_stateful");
+    let doc = json_document("baseline_stateful", &[]);
     let rows: Vec<(&str, u64, f64, f64)> = doc
         .get("storage")
         .and_then(Json::as_array)
@@ -936,4 +990,90 @@ fn overhead_figures_are_pinned() {
             ),
         ]
     );
+}
+
+/// The attribution checks of CI's filter-ablation and trace-replay smoke
+/// steps: every `ablation_filter` backend and every `trace_replay`
+/// scenario splits its captures into exact captures and false positives,
+/// and an undetected scenario's latency is its whole region's fetch count.
+#[test]
+fn filter_and_trace_figures_attribute_every_capture() {
+    let cells = |doc: &Json| -> Vec<Json> {
+        doc.get("cells")
+            .and_then(Json::as_array)
+            .expect("a cells array")
+            .to_vec()
+    };
+    let count = |cell: &Json, name: &str| {
+        cell.get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{name} missing from {cell:?}"))
+    };
+    let finite = |cell: &Json, name: &str| {
+        let value = cell.get(name).and_then(Json::as_f64);
+        assert!(
+            value.is_some_and(f64::is_finite),
+            "{name} is not a finite number in {cell:?}"
+        );
+        value.unwrap_or_default()
+    };
+    let attributed = |cell: &Json| {
+        assert_eq!(
+            count(cell, "captures"),
+            count(cell, "exact_captures") + count(cell, "fp_captures"),
+            "capture attribution must add up in {cell:?}"
+        );
+    };
+
+    let filter = cells(&json_document("ablation_filter", &["20000"]));
+    let backends: Vec<&str> = filter
+        .iter()
+        .map(|cell| cell.get("backend").and_then(Json::as_str).unwrap_or(""))
+        .collect();
+    assert_eq!(backends, ["auto", "classic", "bloom", "xor"]);
+    for cell in &filter {
+        for name in [
+            "false_alarms_per_mi",
+            "detection_latency_accesses",
+            "occupancy",
+        ] {
+            finite(cell, name);
+        }
+        assert!(finite(cell, "memory_bytes") > 0.0, "{cell:?}");
+        assert!(finite(cell, "ns_per_access") > 0.0, "{cell:?}");
+        attributed(cell);
+    }
+
+    let trace = corpus_trace("mix_gcc_prefix.trace2");
+    let replay = cells(&json_document(
+        "trace_replay",
+        &["100000", "--trace", &trace],
+    ));
+    let scenarios: Vec<&str> = replay
+        .iter()
+        .map(|cell| cell.get("scenario").and_then(Json::as_str).unwrap_or(""))
+        .collect();
+    assert_eq!(
+        scenarios[..3],
+        ["occupancy_channel", "noisy_neighbor", "bursty"]
+    );
+    assert!(
+        replay
+            .iter()
+            .any(|cell| cell.get("kind").and_then(Json::as_str) == Some("trace")),
+        "no trace cell recorded"
+    );
+    for cell in &replay {
+        finite(cell, "overhead_percent");
+        attributed(cell);
+        let detected = cell
+            .get("detected")
+            .and_then(Json::as_bool)
+            .unwrap_or_else(|| panic!("detected missing from {cell:?}"));
+        let latency = count(cell, "detection_latency_fetches");
+        assert!(
+            detected || latency == count(cell, "scenario_fetches"),
+            "an undetected scenario's latency must equal its region fetches: {cell:?}"
+        );
+    }
 }

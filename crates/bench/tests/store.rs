@@ -10,8 +10,9 @@
 //! * recovery must tolerate truncation at **every** byte offset and byte
 //!   flips at every offset without panicking, and must never resurrect a
 //!   record that differs from what was written;
-//! * the LRU budget must hold after eviction, evict the least-recently-used
-//!   record first, and survive reopen (file order is recency order);
+//! * a flushed file must depend only on the records it holds: the same
+//!   puts in another order, with lookups between them, write the same
+//!   bytes, frames in key order;
 //! * an interrupted atomic write (temp file present, rename never happened)
 //!   must leave the previous log fully readable.
 
@@ -75,7 +76,7 @@ proptest! {
         }
         store.flush().expect("flush");
 
-        let mut reopened = ResultStore::open(&path).expect("reopen");
+        let reopened = ResultStore::open(&path).expect("reopen");
         prop_assert_eq!(reopened.len(), expected.len());
         prop_assert_eq!(reopened.telemetry().dropped_tail_bytes, 0);
         for (key, payload) in &expected {
@@ -119,7 +120,7 @@ fn recovery_survives_truncation_at_every_byte() {
         std::fs::write(&cut_path, &image[..cut]).expect("write truncated log");
         // Every cut must open: a torn tail is data loss, never an error or
         // a panic.
-        let mut store = ResultStore::open(&cut_path)
+        let store = ResultStore::open(&cut_path)
             .unwrap_or_else(|e| panic!("cut at {cut} failed to open: {e}"));
         let telemetry = store.telemetry();
         if cut < HEADER_LEN {
@@ -135,8 +136,9 @@ fn recovery_survives_truncation_at_every_byte() {
                 "cut {cut}: bytes accounted for"
             );
         }
-        // Records were flushed oldest-first, so what survives is a prefix:
-        // each record is intact until the first missing one, none after.
+        // Records were flushed in key order, which is the fixture's order,
+        // so what survives is a prefix: each record is intact until the
+        // first missing one, none after.
         let survived: Vec<bool> = records
             .iter()
             .map(|(key, payload)| match store.get(key) {
@@ -174,7 +176,7 @@ fn recovery_survives_a_flip_at_every_byte_without_resurrecting_garbage() {
         // A flipped byte may drop records (checksum mismatch ends the scan)
         // or reject the file outright (header damage) — but every record
         // that *does* come back must be byte-identical to one we wrote.
-        let Ok(mut store) = ResultStore::open(&flip_path) else {
+        let Ok(store) = ResultStore::open(&flip_path) else {
             continue;
         };
         let recovered = store.len();
@@ -199,68 +201,51 @@ fn recovery_survives_a_flip_at_every_byte_without_resurrecting_garbage() {
 }
 
 #[test]
-fn lru_budget_holds_and_evicts_least_recently_used_first() {
-    let path = temp_path("lru");
-    std::fs::remove_file(&path).ok();
-    // Each record is ~160 encoded bytes, so four fit the budget and a
-    // fifth forces an eviction.
-    let payload = |i: usize| format!("payload {i} {}", "x".repeat(100));
-    let budget = 700u64;
-    let mut store = ResultStore::with_budget(&path, budget).expect("open budgeted");
-    for i in 0..4 {
-        store.put(&format!("key-{i}"), &payload(i));
-    }
-    assert_eq!(
-        store.telemetry().evictions,
-        0,
-        "four records fit the budget"
-    );
-    // Refresh key-0 so key-1 is now the least recently used.
-    assert!(
-        store.get("key-0").is_some(),
-        "key-0 still live before refresh"
-    );
-    store.put("key-4", &payload(4));
-    assert!(
-        store.bytes() <= budget,
-        "budget holds: {} bytes of {budget}",
-        store.bytes()
-    );
-    assert!(store.telemetry().evictions > 0, "budget forced an eviction");
-    assert!(
-        store.get("key-0").is_some(),
-        "recently refreshed record survives eviction"
-    );
-    assert_eq!(
-        store.get("key-1"),
-        None,
-        "least recently used record is evicted first"
-    );
-    assert!(
-        store.get("key-4").is_some(),
-        "newest record always survives"
-    );
-    store.flush().expect("flush");
+fn flushed_file_depends_only_on_the_records() {
+    // Put order is not key order, so neither store's put order can pass
+    // for the key order checked below.
+    let records: Vec<(String, String)> = ["key-c", "key-a", "key-e", "key-b", "key-d"]
+        .iter()
+        .enumerate()
+        .map(|(i, key)| (key.to_string(), format!("{{\"v\": {i}}}")))
+        .collect();
+    let forward_path = temp_path("order_forward");
+    let reverse_path = temp_path("order_reverse");
+    std::fs::remove_file(&forward_path).ok();
+    std::fs::remove_file(&reverse_path).ok();
 
-    // Survivors' recency order is now key-2 < key-3 < key-0 < key-4, and
-    // flush wrote them oldest-first. Reopen with the same budget and push
-    // past it again: the on-disk order must drive the next eviction, so
-    // key-2 goes first.
-    let mut reopened = ResultStore::with_budget(&path, budget).expect("reopen");
-    assert_eq!(reopened.telemetry().recovered_records, 4);
-    reopened.put("key-new", &payload(9));
-    assert!(
-        reopened.telemetry().evictions > 0,
-        "refill forced an eviction"
-    );
+    let mut forward = ResultStore::open(&forward_path).expect("open fresh");
+    for (key, payload) in &records {
+        forward.put(key, payload);
+    }
+    forward.flush().expect("flush");
+
+    // The same puts in reverse, reading back the first key put after each
+    // one.
+    let mut reverse = ResultStore::open(&reverse_path).expect("open fresh");
+    let (first_key, first_payload) = records.last().expect("records");
+    for (key, payload) in records.iter().rev() {
+        reverse.put(key, payload);
+        assert_eq!(reverse.get(first_key), Some(first_payload.as_str()));
+    }
+    reverse.flush().expect("flush");
+
+    let forward_image = std::fs::read_to_string(&forward_path).expect("read log");
+    let reverse_image = std::fs::read_to_string(&reverse_path).expect("read log");
+    std::fs::remove_file(&forward_path).ok();
+    std::fs::remove_file(&reverse_path).ok();
     assert_eq!(
-        reopened.get("key-2"),
-        None,
-        "on-disk recency order drives post-reopen eviction"
+        forward_image, reverse_image,
+        "the file must not depend on put or lookup order"
     );
-    assert!(reopened.get("key-3").is_some());
-    assert!(reopened.get("key-new").is_some());
-    std::fs::remove_file(&path).ok();
+    let offsets: Vec<usize> = ["key-a", "key-b", "key-c", "key-d", "key-e"]
+        .iter()
+        .map(|key| forward_image.find(key).expect("every key is in the file"))
+        .collect();
+    assert!(
+        offsets.windows(2).all(|pair| pair[0] < pair[1]),
+        "frames must be in key order:\n{forward_image}"
+    );
 }
 
 #[test]
@@ -282,7 +267,7 @@ fn interrupted_atomic_write_leaves_the_old_log_readable() {
     // A subsequent successful flush replaces the log wholesale.
     store.put("fresh", "{\"v\": 9}");
     store.flush().expect("flush over torn state");
-    let mut reopened = ResultStore::open(&path).expect("reopen");
+    let reopened = ResultStore::open(&path).expect("reopen");
     assert_eq!(reopened.len(), records.len() + 1);
     assert_eq!(reopened.get("fresh"), Some("{\"v\": 9}"));
     std::fs::remove_file(&path).ok();
