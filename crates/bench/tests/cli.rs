@@ -6,8 +6,9 @@
 //! flag. Conflicting execution-mode flags (`--sequential` with
 //! `--threads`) must be rejected the same way, in either order. Every
 //! binary's `--help` text is pinned, and so are `pipo_serve`'s refusals,
-//! the `--help` and refusal exit codes when the reader has gone, and the
-//! capture attribution of `ablation_filter` and `trace_replay`.
+//! the `--help` and refusal exit codes when the reader has gone, the
+//! capture attribution of `ablation_filter` and `trace_replay`, and every
+//! figure binary's stdout and `--json` document at a smoke scale.
 //!
 //! Cargo exposes each binary's path to this integration test through the
 //! `CARGO_BIN_EXE_<name>` environment variables, so these tests exercise
@@ -138,17 +139,22 @@ fn bin_path(name: &str) -> String {
 /// command line that should be refused but is not would otherwise start a
 /// server or a run that never ends.
 fn run_bounded(name: &str, args: &[&str]) -> Output {
-    let mut child = Command::new(bin_path(name))
-        .args(args)
+    bounded(Command::new(bin_path(name)).args(args))
+}
+
+/// Runs `command` with its stdout and stderr captured, killing it if it has
+/// not exited within 60 s.
+fn bounded(command: &mut Command) -> Output {
+    let mut child = command
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to spawn {command:?}: {e}"));
     let deadline = Instant::now() + Duration::from_secs(60);
     while child.try_wait().expect("poll child").is_none() {
         if Instant::now() > deadline {
             child.kill().ok();
-            panic!("{name} {args:?} did not exit within 60 s");
+            panic!("{command:?} did not exit within 60 s");
         }
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -1076,4 +1082,159 @@ fn filter_and_trace_figures_attribute_every_capture() {
             "an undetected scenario's latency must equal its region fetches: {cell:?}"
         );
     }
+}
+
+/// The figure golden's runs: every figure binary at a scale where its
+/// tables still print non-degenerate values, with the FNV-1a digests of its
+/// stdout and of its `--json` document (`--sequential` is added to each).
+/// Every run starts in the workloads crate, so `trace_replay`'s relative
+/// trace path, which it prints, does not depend on the checkout's location.
+const FIGURE_GOLDEN: &[(&str, &[&str], u64, u64)] = &[
+    (
+        "fig3_occupancy",
+        &[],
+        0x308e_46d3_12cc_1c0b,
+        0xec50_d7af_636d_8e21,
+    ),
+    (
+        "fig4_collisions",
+        &["200000"],
+        0xe8bf_219a_3ee0_2355,
+        0xe0b1_d3e1_7416_a229,
+    ),
+    (
+        "fig6_attack",
+        &[],
+        0x7c3e_e864_8b14_cf15,
+        0xac34_b54b_6e43_c740,
+    ),
+    (
+        "fig7_reverse",
+        &["1"],
+        0xeedc_1fc2_1b88_5cd0,
+        0xee48_9d19_9210_9326,
+    ),
+    (
+        "fig8_performance",
+        &["100000"],
+        0x677e_a89d_5140_8cd1,
+        0x3bec_f200_9bff_2a7f,
+    ),
+    (
+        "sensitivity_secthr",
+        &["100000"],
+        0x7cb8_7339_4fc2_1328,
+        0x60c2_8808_f34f_aa08,
+    ),
+    (
+        "ablation_delay",
+        &[],
+        0x52ad_2904_e89a_5018,
+        0xe428_65a6_a8ec_d8b0,
+    ),
+    (
+        "ablation_filter",
+        &["20000"],
+        0xae4d_7cf3_b8fa_ba2c,
+        0xf625_d821_d9a5_6c38,
+    ),
+    (
+        "ablation_replacement",
+        &["100000"],
+        0xbd5d_2e1b_5a7a_9f62,
+        0xe9bc_d9da_c175_8504,
+    ),
+    (
+        "baseline_stateful",
+        &[],
+        0x0a2a_e47b_b3de_686a,
+        0xe464_613b_55c4_2262,
+    ),
+    (
+        "overhead_table",
+        &[],
+        0x23ee_3080_b5c2_b7f8,
+        0x4f12_76f8_dec4_60f2,
+    ),
+    (
+        "trace_replay",
+        &["100000", "--trace", "traces/mix_gcc_prefix.trace2"],
+        0x8be4_5950_4a7c_288a,
+        0x8ca0_d6fe_3674_3a43,
+    ),
+];
+
+/// `text` without `ablation_filter`'s wall-clock figures: the last field of
+/// every row under the table header that ends in `ns/access`, and the value
+/// of every `"ns_per_access"` field.
+fn mask_wall_clock(text: &str) -> String {
+    let mut out = String::new();
+    let mut in_table = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("\"ns_per_access\":") {
+            out.push_str("\"ns_per_access\": masked");
+        } else if in_table {
+            let row = line.rsplit_once(' ').map_or(line, |(row, _)| row);
+            out.push_str(row.trim_end());
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+        in_table = (in_table || line.ends_with("ns/access")) && !line.is_empty();
+    }
+    out
+}
+
+/// Every figure binary's stdout and `--json` document, byte for byte (by
+/// digest), so "outputs are byte-identical" is a test rather than a diff
+/// against a build of the parent commit. Only `ablation_filter`'s wall-clock
+/// `ns/access` column and `ns_per_access` field are masked. After an
+/// intended change, print the new digests with `GOLDEN_PRINT=1 cargo test
+/// -p pipo_bench --test cli figure_outputs_are_pinned -- --nocapture`.
+#[test]
+fn figure_outputs_are_pinned() {
+    let workloads = format!("{}/../workloads", env!("CARGO_MANIFEST_DIR"));
+    let mut changed = Vec::new();
+    for &(name, args, pinned_stdout, pinned_json) in FIGURE_GOLDEN {
+        let json = format!(
+            "{}/cli_golden_{name}_{}.json",
+            std::env::temp_dir().display(),
+            std::process::id()
+        );
+        let output = bounded(
+            Command::new(bin_path(name))
+                .current_dir(&workloads)
+                .args(args)
+                .args(["--sequential", "--json", &json]),
+        );
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{name} {args:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let document = std::fs::read(&json).expect("--json output");
+        std::fs::remove_file(&json).ok();
+        let (stdout, document) = if name == "ablation_filter" {
+            let mask = |bytes: &[u8]| mask_wall_clock(&String::from_utf8_lossy(bytes)).into_bytes();
+            (mask(&output.stdout), mask(&document))
+        } else {
+            (output.stdout, document)
+        };
+        let (stdout, document) = (fnv1a64(&stdout), fnv1a64(&document));
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("    (\"{name}\", &{args:?}, {stdout:#018x}, {document:#018x}),");
+        }
+        if (stdout, document) != (pinned_stdout, pinned_json) {
+            changed.push(format!(
+                "{name}: stdout {stdout:#018x} (pinned {pinned_stdout:#018x}), \
+                 --json {document:#018x} (pinned {pinned_json:#018x})"
+            ));
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "figure outputs changed:\n{}",
+        changed.join("\n")
+    );
 }
