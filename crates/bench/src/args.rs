@@ -26,6 +26,7 @@
 //! the scale), with exit status 2. `throughput` and `pipo_serve` keep their
 //! own usage text and flags, read through the same walker.
 
+use std::fmt::Display;
 use std::io::{self, Write};
 use std::str::FromStr;
 
@@ -67,10 +68,15 @@ pub fn parse_command_line<T>(usage: &str, parse: impl FnOnce(Tokens) -> Result<T
         let _ = writeln!(io::stdout(), "{usage}");
         std::process::exit(0);
     }
-    parse(Tokens::new(args)).unwrap_or_else(|message| {
-        let _ = writeln!(io::stderr(), "error: {message}\n{usage}");
-        std::process::exit(2);
-    })
+    parse(Tokens::new(args))
+        .unwrap_or_else(|message| exit_with_error(2, format!("{message}\n{usage}")))
+}
+
+/// Writes `error: <message>` to stderr and exits with `status`. The status
+/// holds even when stderr's reader has gone: a failed write is ignored.
+pub fn exit_with_error(status: i32, message: impl Display) -> ! {
+    let _ = writeln!(io::stderr(), "error: {message}");
+    std::process::exit(status);
 }
 
 /// A command line's tokens, walked in order. A parser matches each token
@@ -300,13 +306,10 @@ impl HarnessArgs {
     #[must_use]
     pub fn open_store(&self) -> Option<ResultStore> {
         let path = self.store.as_deref()?;
-        match ResultStore::open(path) {
-            Ok(store) => Some(store),
-            Err(e) => {
-                eprintln!("error: cannot open result store {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let store = ResultStore::open(path).unwrap_or_else(|e| {
+            exit_with_error(1, format!("cannot open result store {path}: {e}"))
+        });
+        Some(store)
     }
 
     /// The `--filter` backend, defaulting to the paper's `auto` design.

@@ -17,9 +17,10 @@
 //! document behind — readers see either the old document or the new one).
 
 use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
+use crate::args::exit_with_error;
 use crate::sweep::ExecMode;
 
 /// A JSON value with insertion-ordered object fields.
@@ -586,14 +587,14 @@ pub fn sweep_document(bench: &str, mode: ExecMode, meta: Json, cells: Vec<Json>)
     doc.field("cells", cells)
 }
 
-/// Writes `doc` to `path` (when given), exiting nonzero on I/O failure.
+/// Writes `doc` to `path` (when given), exiting 1 on I/O failure. Its
+/// stderr lines are best-effort: a reader that has gone changes no status.
 pub fn emit_json(path: Option<&str>, doc: &Json) {
     let Some(path) = path else { return };
     if let Err(e) = doc.write_file(path) {
-        eprintln!("error: cannot write JSON output {path}: {e}");
-        std::process::exit(1);
+        exit_with_error(1, format!("cannot write JSON output {path}: {e}"));
     }
-    eprintln!("wrote JSON results to {path}");
+    let _ = writeln!(io::stderr(), "wrote JSON results to {path}");
 }
 
 #[cfg(test)]

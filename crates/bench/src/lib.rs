@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod figures;
 pub mod json;
 pub mod oracle;
 pub mod serve;
@@ -26,7 +27,7 @@ use pipomonitor::MonitorStats;
 pub use args::{HarnessArgs, Input};
 pub use json::{emit_json, sweep_document, write_atomic, Json};
 pub use oracle::CaptureOracle;
-pub use store::{finish_store, mix_cell_key, ResultStore, StoreTelemetry, STORE_SCHEMA_VERSION};
+pub use store::{mix_cell_key, ResultStore, StoreTelemetry, STORE_SCHEMA_VERSION};
 pub use sweep::{run_cells, ExecMode, MixCell, Sweep, SweepStoreOutcome};
 
 /// Default instructions simulated per core for performance experiments.

@@ -383,33 +383,6 @@ impl ResultStore {
     }
 }
 
-/// Flushes a figure binary's `--store` (when present) and reports the
-/// warm/cold split on stderr. Stderr, deliberately: store telemetry varies
-/// between cold and warm invocations, and the `--json` documents must stay
-/// byte-identical with and without a store.
-pub fn finish_store(
-    store: Option<&mut ResultStore>,
-    outcome: crate::sweep::SweepStoreOutcome,
-    elapsed: std::time::Duration,
-) {
-    let Some(store) = store else { return };
-    if let Err(e) = store.flush() {
-        eprintln!(
-            "error: cannot flush result store {}: {e}",
-            store.path().display()
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "store {}: {} warm / {} cold cells in {elapsed:.1?} ({} records, {} bytes)",
-        store.path().display(),
-        outcome.hits,
-        outcome.misses,
-        store.len(),
-        store.bytes(),
-    );
-}
-
 /// Parses one record frame at `offset`. Returns `(key, payload, next
 /// offset)` or `None` on any malformation — short frame, bad magic, bad
 /// lengths, checksum/hash mismatch, invalid UTF-8, missing terminator.

@@ -249,18 +249,6 @@ impl Sweep {
         self.run_streaming(mode, None, |_, _| {}).0
     }
 
-    /// [`run`](Self::run), additionally answering cells out of a persistent
-    /// [`ResultStore`] and writing every newly computed cell back into it
-    /// ([`run_streaming`](Self::run_streaming) with no hook).
-    #[must_use]
-    pub fn run_with_store(
-        &self,
-        mode: ExecMode,
-        store: Option<&mut ResultStore>,
-    ) -> (Vec<MixRun>, SweepStoreOutcome) {
-        self.run_streaming(mode, store, |_, _| {})
-    }
-
     /// Evaluates every cell, calling `on_cell(index, run)` exactly once per
     /// cell as soon as that cell's [`MixRun`] is final, and returns the runs
     /// in cell order.
@@ -564,7 +552,8 @@ mod tests {
         }
 
         let mut store = ResultStore::open(&path).expect("open fresh store");
-        let (cold, outcome) = sweep.run_with_store(ExecMode::Sequential, Some(&mut store));
+        let (cold, outcome) =
+            sweep.run_streaming(ExecMode::Sequential, Some(&mut store), |_, _| {});
         assert_eq!((outcome.hits, outcome.misses), (0, 2));
         store.flush().expect("flush");
 
@@ -572,7 +561,8 @@ mod tests {
         // the decoded runs are identical to the computed ones. A third cell
         // forces a mixed warm/cold sweep.
         let mut store = ResultStore::open(&path).expect("reopen store");
-        let (warm, outcome) = sweep.run_with_store(ExecMode::Sequential, Some(&mut store));
+        let (warm, outcome) =
+            sweep.run_streaming(ExecMode::Sequential, Some(&mut store), |_, _| {});
         assert_eq!((outcome.hits, outcome.misses), (2, 0));
         assert_eq!(outcome.simulated_systems, 0);
         assert_eq!(warm, cold);
@@ -590,7 +580,8 @@ mod tests {
             20_000,
             1,
         ));
-        let (mixed, outcome) = sweep3.run_with_store(ExecMode::with_threads(2), Some(&mut store));
+        let (mixed, outcome) =
+            sweep3.run_streaming(ExecMode::with_threads(2), Some(&mut store), |_, _| {});
         assert_eq!((outcome.hits, outcome.misses), (2, 1));
         assert_eq!(&mixed[..2], &warm[..]);
         std::fs::remove_file(&path).ok();
