@@ -20,8 +20,9 @@
 //! End-to-end numbers come from the repo benchmark, `perfbench/` (workloads
 //! `fig8_grid` and `serve_jobs` in `BENCHMARK.json`), whose runs are
 //! recorded in `BENCH_cache_sim.md`; this binary prices one machine at a
-//! time. Results are written as JSON (default `BENCH_cache_sim.json`, which
-//! holds an early run kept as a record) so two runs can be diffed.
+//! time. The JSON document goes to stdout, and also to `--out PATH` when
+//! given, so two runs can be diffed. Nothing is written unless asked for:
+//! the committed `BENCH_cache_sim.json` is an early run kept as a record.
 //!
 //! Usage:
 //!
@@ -42,6 +43,7 @@
 //! `configs` rate, is an `error:` line and exit status 2. An unwritable
 //! `--out` path is an `error:` line and exit status 1.
 
+use std::io::{self, Write};
 use std::time::Instant;
 
 use auto_cuckoo::FilterBackend;
@@ -49,7 +51,7 @@ use cache_sim::{
     Access, AccessSource, Addr, CoreId, NullObserver, SimReport, System, SystemConfig,
     TrafficObserver, LINE_SIZE,
 };
-use pipo_bench::args::{parse_command_line, Tokens};
+use pipo_bench::args::{exit_with_error, parse_command_line, Tokens};
 use pipo_bench::Json;
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
@@ -65,7 +67,7 @@ usage: throughput [total_instructions] [--label NAME] [--out PATH] [--compare PA
   total_instructions  total simulated instructions, split across cores;
                       a positive integer (default 2000000)
   --label NAME        label stored in the emitted JSON (default \"current\")
-  --out PATH          output JSON path (default BENCH_cache_sim.json);
+  --out PATH          also write the JSON document to PATH;
                       --json PATH is an alias
   --compare PATH      read a previous JSON file and append a speedup section
   --samples N         samples per configuration, median reported (default 3)
@@ -230,14 +232,14 @@ fn read_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
 fn main() {
     let mut instructions: Option<u64> = None;
     let mut label = String::from("current");
-    let mut out_path = String::from("BENCH_cache_sim.json");
+    let mut out_path: Option<String> = None;
     let mut compare_path: Option<String> = None;
     let mut samples = 3usize;
     parse_command_line(USAGE, |mut tokens| {
         while let Some(token) = tokens.next() {
             match token.as_str() {
                 "--label" => label = tokens.value("--label", "a value")?,
-                "--out" | "--json" => out_path = tokens.value("--out", "a file path")?,
+                "--out" | "--json" => out_path = Some(tokens.value("--out", "a file path")?),
                 "--compare" => compare_path = Some(tokens.value("--compare", "a file path")?),
                 "--samples" => samples = tokens.positive("--samples", "a sample count")?,
                 _ => Tokens::positional(&token, "total_instructions", &mut instructions)?,
@@ -250,10 +252,7 @@ fn main() {
     // Check the comparison input before spending minutes on measurements.
     let compare = compare_path.map(|path| match read_rates(&path) {
         Ok(rates) => (path, rates),
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
+        Err(message) => exit_with_error(2, message),
     });
 
     let runs = [
@@ -350,10 +349,11 @@ fn main() {
         );
     }
 
-    pipo_bench::emit_json(Some(&out_path), &doc);
+    pipo_bench::emit_json(out_path.as_deref(), &doc);
     println!("{}", doc.to_pretty());
     for m in &runs {
-        eprintln!(
+        let _ = writeln!(
+            io::stderr(),
             "{:<20} {:>12.0} accesses/sec  ({} accesses in {:.3}s)",
             m.name,
             m.accesses_per_sec(),

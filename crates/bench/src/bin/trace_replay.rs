@@ -41,6 +41,7 @@ use cache_sim::{
     AccessSource, CoreId, Cycle, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
 };
 use pipo_attacks::OccupancyChannelSource;
+use pipo_bench::args::exit_with_error;
 use pipo_bench::{emit_json, run_cells, sweep_document, CaptureOracle, HarnessArgs, Input, Json};
 use pipo_workloads::{benchmark, is_v2, BurstySource, NoisyNeighborSource, ProfileSource, Trace};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
@@ -265,20 +266,10 @@ fn load_workloads(trace_path: Option<&str>) -> Vec<Workload> {
         Workload::Bursty,
     ];
     if let Some(path) = trace_path {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                eprintln!("error: cannot read trace {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let trace = match Trace::from_bytes(&bytes) {
-            Ok(trace) => trace,
-            Err(e) => {
-                eprintln!("error: cannot parse trace {path}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let bytes = std::fs::read(path)
+            .unwrap_or_else(|e| exit_with_error(2, format!("cannot read trace {path}: {e}")));
+        let trace = Trace::from_bytes(&bytes)
+            .unwrap_or_else(|e| exit_with_error(2, format!("cannot parse trace {path}: {e}")));
         let format = if is_v2(&bytes) { "v2" } else { "v1" };
         workloads.push(Workload::TraceFile {
             path: path.to_string(),

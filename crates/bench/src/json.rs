@@ -13,7 +13,7 @@
 //! Since the persistent result store and the `pipo-serve` protocol both read
 //! JSON back, the module also carries [`Json::parse`] (a strict
 //! recursive-descent parser over the same value type) and [`write_atomic`]
-//! (write-temp-then-rename, so a crash mid-write can never leave a truncated
+//! (write-temp-then-rename, so a killed process can never leave a truncated
 //! document behind — readers see either the old document or the new one).
 
 use std::fmt::Write as _;
@@ -481,19 +481,37 @@ impl Parser<'_> {
     }
 }
 
-/// Writes `contents` to `path` atomically: the bytes go to a sibling
-/// temporary file first and are renamed over `path` only once fully written.
-/// A crash (or kill) at any point leaves either the previous document or the
-/// complete new one — never a truncated hybrid. Every result emitter in the
-/// harness (the `--json` files, `BENCH_cache_sim.json`, the result store's
-/// log) writes through here.
+/// Writes `contents` to `path` through a sibling temporary file that is
+/// renamed over the path only once fully written, so a process killed at
+/// any point leaves either the previous document or the complete new one,
+/// never a truncated hybrid. Nothing is synced to disk, so this promises
+/// nothing across a machine crash. Every result emitter in the harness (the
+/// `--json` files, `throughput --out`, the result store's log) writes
+/// through here.
+///
+/// A symlink is written through: the temporary file goes beside the final
+/// target, which takes the new bytes, and the link stays a link (a
+/// dangling link is replaced by the file). An existing path that is not a
+/// regular file (a FIFO, a device, a directory) is refused and left as it
+/// is.
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error; a failed rename removes the
+/// Refuses a path that is not a regular file, naming it, and otherwise
+/// propagates the underlying I/O error; a failed rename removes the
 /// temporary file before returning.
 pub fn write_atomic(path: impl AsRef<Path>, contents: &[u8]) -> io::Result<()> {
-    let path = path.as_ref();
+    let path = match std::fs::canonicalize(path.as_ref()) {
+        Ok(target) if !std::fs::metadata(&target)?.is_file() => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{} is not a regular file", target.display()),
+            ))
+        }
+        Ok(target) => target,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => path.as_ref().to_path_buf(),
+        Err(e) => return Err(e),
+    };
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
@@ -501,7 +519,7 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: &[u8]) -> io::Result<()> {
     tmp_name.push(format!(".tmp.{}", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
     std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
+    std::fs::rename(&tmp, &path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
 }

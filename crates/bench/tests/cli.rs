@@ -16,6 +16,7 @@
 //! exit codes — not a reimplementation.
 
 use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use pipo_bench::Json;
@@ -175,7 +176,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[test]
 fn help_text_is_pinned() {
     const OWN_USAGE: &[(&str, u64)] = &[
-        ("throughput", 0xaa7d_346b_3cb5_f45a),
+        ("throughput", 0x4bf7_694e_3581_715f),
         ("pipo_serve", 0x8aad_b063_9bb6_0735),
     ];
     for name in BINARIES.iter().chain(["pipo_serve"].iter()) {
@@ -306,8 +307,9 @@ fn every_binary_helps_and_exits_zero() {
 }
 
 /// A reader that has already gone is no error: every binary's `--help`
-/// still exits 0 with its stdout's reader closed, and a refused command
-/// line still exits 2 with its stderr's reader closed, without a panic.
+/// still exits 0 with its stdout's reader closed, and with its stderr's
+/// reader closed a refused command line still exits 2 and a run that
+/// writes `--json` or `--store` still exits 0, without a panic.
 #[test]
 fn help_and_usage_errors_survive_a_closed_reader() {
     // A pipe whose reader is dropped before the child starts: every write
@@ -335,17 +337,44 @@ fn help_and_usage_errors_survive_a_closed_reader() {
             "{name} --help into a closed pipe panicked:\n{stderr}"
         );
     }
-    let output = Command::new(bin_path("fig8_performance"))
-        .args(["--filter", "ribbon"])
-        .stdout(Stdio::null())
-        .stderr(closed_pipe())
-        .output()
-        .expect("spawn fig8_performance");
-    assert_eq!(
-        output.status.code(),
-        Some(2),
-        "a refused command line must exit 2 with its stderr closed"
+    let stem = format!(
+        "{}/cli_closed_{}",
+        std::env::temp_dir().display(),
+        std::process::id()
     );
+    let (json, store) = (format!("{stem}.json"), format!("{stem}.store"));
+    for (name, args, status) in [
+        ("fig8_performance", &["--filter", "ribbon"][..], 2),
+        ("fig3_occupancy", &["--sequential", "--json", &json], 0),
+        (
+            "trace_replay",
+            &["1000", "--trace", "/nonexistent/nope.trace"],
+            2,
+        ),
+        (
+            "fig8_performance",
+            &["2000", "--sequential", "--store", &store],
+            0,
+        ),
+    ] {
+        let output = Command::new(bin_path(name))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(closed_pipe())
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        assert_eq!(
+            output.status.code(),
+            Some(status),
+            "{name} {args:?} must exit {status} with its stderr closed"
+        );
+    }
+    for written in [json, store] {
+        assert!(
+            std::fs::remove_file(&written).is_ok(),
+            "{written} was not written"
+        );
+    }
 }
 
 #[test]
@@ -820,6 +849,35 @@ fn throughput_reports_an_unwritable_out_path() {
     );
 }
 
+/// `throughput` writes a file only when `--out` asks for one: run in an
+/// empty directory it leaves the directory empty, and its document goes to
+/// stdout.
+#[test]
+fn throughput_writes_no_file_unless_asked() {
+    let dir = std::env::temp_dir().join(format!("cli_throughput_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let output = bounded(
+        Command::new(bin_path("throughput"))
+            .current_dir(&dir)
+            .args(["2000", "--samples", "1"]),
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read temp dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "throughput failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(left.is_empty(), "throughput wrote {left:?}");
+    let doc = Json::parse(&String::from_utf8_lossy(&output.stdout)).expect("a JSON document");
+    let configs = doc.get("configs").and_then(Json::as_array);
+    assert_eq!(configs.map(<[Json]>::len), Some(6), "{doc:?}");
+}
+
 /// `throughput` takes one positional count, like the shared parser: a second
 /// one is an error naming it, not a silent override.
 #[test]
@@ -904,12 +962,15 @@ fn fig7_reports_the_paper_geometry_rows() {
 }
 
 /// Runs `name ARGS --sequential --json PATH` and returns the parsed
-/// document.
+/// document. Each call writes its own file, so tests running one binary
+/// side by side do not share one.
 fn json_document(name: &str, args: &[&str]) -> Json {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let json = format!(
-        "{}/cli_{name}_{}.json",
+        "{}/cli_{name}_{}_{}.json",
         std::env::temp_dir().display(),
-        std::process::id()
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     );
     let output = Command::new(bin_path(name))
         .args(args)
@@ -996,6 +1057,126 @@ fn overhead_figures_are_pinned() {
             ),
         ]
     );
+}
+
+/// `--json` writes through a symlink to its target and keeps the link, and
+/// refuses a path that is not a regular file, leaving it as it is. Both
+/// paths live in a fresh temp dir; no test aims `--json` at a device.
+#[cfg(unix)]
+#[test]
+fn json_output_keeps_a_symlink_and_refuses_a_fifo() {
+    use std::os::unix::fs::FileTypeExt;
+
+    let dir = std::env::temp_dir().join(format!("cli_links_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let (target, link, fifo) = (
+        dir.join("target.json"),
+        dir.join("link.json"),
+        dir.join("fifo.json"),
+    );
+    std::fs::write(&target, "stale").expect("write target");
+    std::os::unix::fs::symlink("target.json", &link).expect("create symlink");
+    let made = Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.is_ok_and(|status| status.success()), "mkfifo failed");
+
+    let run = |path: &std::path::Path| {
+        let path = path.to_str().expect("UTF-8 temp path");
+        run_bounded("overhead_table", &["--sequential", "--json", path])
+    };
+    let output = run(&link);
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let output = run(&fifo);
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    let kind = |path: &std::path::Path| std::fs::symlink_metadata(path).map(|m| m.file_type());
+    let (link_kind, fifo_kind) = (kind(&link), kind(&fifo));
+    let document = std::fs::read_to_string(&target).unwrap_or_default();
+    let entries = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(
+        link_kind.is_ok_and(|kind| kind.is_symlink()),
+        "the link is gone"
+    );
+    let doc = Json::parse(&document).expect("the target holds the new document");
+    assert_eq!(
+        doc.get("bench").and_then(Json::as_str),
+        Some("overhead_table")
+    );
+    assert_eq!(output.status.code(), Some(1), "a FIFO must be refused");
+    assert!(
+        stderr.contains("error:") && stderr.contains("fifo.json"),
+        "the error must name the path, got:\n{stderr}"
+    );
+    assert!(
+        fifo_kind.is_ok_and(|kind| kind.is_fifo()),
+        "the FIFO was replaced"
+    );
+    assert_eq!(entries, 3, "a temporary file was left behind");
+}
+
+/// CI's security-figure checks at each binary's default scale: Fig. 6's
+/// baseline attacker reads the key and PiPoMonitor blinds it, every
+/// prefetch delay below the 5000-cycle probe interval floods the probe,
+/// and the table flush bypasses the directory table but not PiPoMonitor.
+#[test]
+fn security_figures_meet_their_thresholds() {
+    let cells = |name: &str| -> Vec<Json> {
+        json_document(name, &[])
+            .get("cells")
+            .and_then(Json::as_array)
+            .expect("a cells array")
+            .to_vec()
+    };
+    let number = |cell: &Json, name: &str| {
+        cell.get(name)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{name} missing from {cell:?}"))
+    };
+
+    let fig6 = cells("fig6_attack");
+    let panel = |name: &str| {
+        let cell = fig6
+            .iter()
+            .find(|cell| cell.get("panel").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no {name} panel in {fig6:?}"));
+        number(cell, "distinguishability")
+    };
+    let (baseline, defended) = (panel("baseline"), panel("pipomonitor"));
+    assert!(baseline > 0.99, "baseline distinguishability {baseline}");
+    assert!(
+        defended < baseline - 0.3,
+        "pipomonitor distinguishability {defended} vs baseline {baseline}"
+    );
+
+    let flooding: Vec<Json> = cells("ablation_delay")
+        .into_iter()
+        .filter(|cell| number(cell, "prefetch_delay") < 5000.0)
+        .collect();
+    assert!(
+        !flooding.is_empty(),
+        "no delay cell below the probe interval"
+    );
+    for cell in &flooding {
+        assert!(number(cell, "distinguishability") < 0.1, "{cell:?}");
+    }
+
+    let stateful = cells("baseline_stateful");
+    let column = |name: &str| -> Vec<Json> {
+        stateful
+            .iter()
+            .map(|cell| cell.get(name).cloned().unwrap_or(Json::Null))
+            .collect()
+    };
+    assert_eq!(
+        column("defense"),
+        [Json::from("directory"), Json::from("pipomonitor")]
+    );
+    assert_eq!(column("bypassed"), [Json::Bool(true), Json::Bool(false)]);
 }
 
 /// The attribution checks of CI's filter-ablation and trace-replay smoke
