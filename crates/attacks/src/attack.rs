@@ -30,27 +30,27 @@ pub struct AttackConfig {
     /// recorded ground truth per window is the OR of its bits (did the
     /// victim multiply in this window), matching what Fig. 6 plots.
     pub bits_per_window: usize,
-    /// Core running the victim.
-    pub victim_core: CoreId,
-    /// Core running the attacker (must differ from the victim's).
-    pub attacker_core: CoreId,
-    /// Base of the attacker's address region for eviction sets.
-    pub attacker_base: u64,
 }
 
+/// Core running the victim in every attack.
+pub const VICTIM_CORE: CoreId = CoreId(0);
+
+/// Core running the attacker: another core than the victim's, as the
+/// cross-core threat model requires.
+pub const ATTACKER_CORE: CoreId = CoreId(1);
+
+/// Base of the attacker's address region for eviction sets.
+pub const ATTACKER_BASE: u64 = 0x77_0000_0000;
+
 impl AttackConfig {
-    /// The paper's setup: probe every 5000 cycles, victim on core 0,
-    /// attacker on core 1, 100 iterations, continuous victim execution
-    /// (4 bits per window).
+    /// The paper's setup: probe every 5000 cycles, 100 iterations,
+    /// continuous victim execution (4 bits per window).
     #[must_use]
     pub fn paper_default() -> Self {
         Self {
             iterations: 100,
             probe_interval: 5000,
             bits_per_window: 4,
-            victim_core: CoreId(0),
-            attacker_core: CoreId(1),
-            attacker_base: 0x77_0000_0000,
         }
     }
 
@@ -210,9 +210,7 @@ impl AttackCell {
     ///
     /// # Panics
     ///
-    /// Panics if victim and attacker share a core (the threat model requires
-    /// cross-core attackers), or if the defense holds invalid filter
-    /// parameters.
+    /// Panics if the defense holds invalid filter parameters.
     #[must_use]
     pub fn run(&self) -> AttackRun {
         let bits = self.config.iterations * self.config.bits_per_window.max(1);
@@ -252,17 +250,13 @@ impl AttackCell {
         observer: &mut dyn TrafficObserver,
     ) -> AttackOutcome {
         let cfg = &self.config;
-        assert_ne!(
-            cfg.victim_core, cfg.attacker_core,
-            "cross-core attack requires distinct cores"
-        );
-        let core = cfg.attacker_core;
+        let core = ATTACKER_CORE;
         let layout = *victim.layout();
-        let square_set = EvictionSet::for_target(hierarchy, layout.square, cfg.attacker_base);
+        let square_set = EvictionSet::for_target(hierarchy, layout.square, ATTACKER_BASE);
         // Offset the second region so the two sets cannot collide even when
         // the targets share an LLC set.
         let multiply_set =
-            EvictionSet::for_target(hierarchy, layout.multiply, cfg.attacker_base + (1 << 32));
+            EvictionSet::for_target(hierarchy, layout.multiply, ATTACKER_BASE + (1 << 32));
         let mut flusher = Flusher::new(self, layout);
         let square_llc = hierarchy.llc_set_of(layout.square);
         let multiply_llc = hierarchy.llc_set_of(layout.multiply);
@@ -307,7 +301,7 @@ impl AttackCell {
                 for addr in accesses {
                     hierarchy.drain_prefetches(victim_clock, observer);
                     let r = hierarchy.access(
-                        cfg.victim_core,
+                        VICTIM_CORE,
                         addr,
                         AccessKind::Read,
                         victim_clock,
@@ -432,14 +426,6 @@ mod tests {
             .outcome
     }
 
-    fn same_core(attack: Attack) -> AttackCell {
-        let cfg = AttackConfig {
-            attacker_core: CoreId(0),
-            ..AttackConfig::paper_default()
-        };
-        AttackCell::new(attack, cfg, None, 1)
-    }
-
     #[test]
     fn baseline_attack_reads_multiply_exactly_for_one_bits() {
         let key = vec![true, false, true, true, false, false, true, false];
@@ -459,12 +445,6 @@ mod tests {
         let outcome = run_baseline(plain(), key);
         let recovery = outcome.trace.recover_key();
         assert!((recovery.accuracy - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct cores")]
-    fn same_core_attack_is_rejected() {
-        let _ = same_core(plain()).run();
     }
 
     #[test]
@@ -500,12 +480,6 @@ mod tests {
             assert_eq!(o.multiply, bit, "multiply reload leaks the key bit");
         }
         assert!((outcome.trace.recover_key().accuracy - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct cores")]
-    fn rejects_same_core() {
-        let _ = same_core(Attack::EvictReload).run();
     }
 
     #[test]
