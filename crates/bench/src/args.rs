@@ -306,10 +306,9 @@ impl HarnessArgs {
     #[must_use]
     pub fn open_store(&self) -> Option<ResultStore> {
         let path = self.store.as_deref()?;
-        let store = ResultStore::open(path).unwrap_or_else(|e| {
+        Some(ResultStore::open(path).unwrap_or_else(|e| {
             exit_with_error(1, format!("cannot open result store {path}: {e}"))
-        });
-        Some(store)
+        }))
     }
 
     /// The `--filter` backend, defaulting to the paper's `auto` design.
