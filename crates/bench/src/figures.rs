@@ -18,10 +18,14 @@ use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
 
 use crate::args::exit_with_error;
+
+mod attack;
+
 use crate::{
     emit_json, fig8_filter_sizes, filter_with_size, run_cells, sweep_document, HarnessArgs, Json,
     MixCell, MixRun, Sweep,
 };
+pub use attack::{ablation_delay, baseline_stateful, fig6_attack};
 
 /// Workload seed of every mix-sweep figure's cells.
 const SEED: u64 = 42;
