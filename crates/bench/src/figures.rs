@@ -18,14 +18,16 @@ use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
 
 use crate::args::exit_with_error;
-
-mod attack;
-
 use crate::{
     emit_json, fig8_filter_sizes, filter_with_size, run_cells, sweep_document, HarnessArgs, Json,
     MixCell, MixRun, Sweep,
 };
+
+mod attack;
+mod filter;
+
 pub use attack::{ablation_delay, baseline_stateful, fig6_attack};
+pub use filter::{ablation_filter, fig3_occupancy, fig4_collisions, fig7_reverse};
 
 /// Workload seed of every mix-sweep figure's cells.
 const SEED: u64 = 42;
