@@ -25,9 +25,11 @@ use crate::{
 
 mod attack;
 mod filter;
+mod replay;
 
 pub use attack::{ablation_delay, baseline_stateful, fig6_attack};
-pub use filter::{ablation_filter, fig3_occupancy, fig4_collisions, fig7_reverse};
+pub use filter::{ablation_filter, fig3_occupancy, fig4_collisions, fig7_reverse, overhead_table};
+pub use replay::trace_replay;
 
 /// Workload seed of every mix-sweep figure's cells.
 const SEED: u64 = 42;

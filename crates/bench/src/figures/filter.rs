@@ -1,7 +1,8 @@
 //! The filter figures: Fig. 3's occupancy, Fig. 4's fingerprint
-//! collisions, Fig. 7's defense-aware attacks and the filter-zoo ablation.
-//! They drive the pattern stores directly, with no system simulation, and
-//! each runs its cells in one `run_cells` call.
+//! collisions, Fig. 7's defense-aware attacks, the filter-zoo ablation and
+//! §VII-D's overhead table. They drive the pattern stores directly, with no
+//! system simulation. Each but the overhead table, which is arithmetic on
+//! five built filters, runs its cells in one `run_cells` call.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -11,10 +12,14 @@ use auto_cuckoo::{
     CuckooFilter, DetRng, FilterBackend, FilterParams, PatternStore,
 };
 use pipo_attacks::{brute_force_eviction, reverse_engineering_attack};
+use pipomonitor::OverheadReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{run_cells, sweep_document, CaptureOracle, HarnessArgs, Json};
+use crate::{
+    fig8_filter_sizes, filter_with_size, run_cells, sweep_document, CaptureOracle, HarnessArgs,
+    Json,
+};
 
 /// Fig. 3: the Auto-Cuckoo filter's occupancy after every 1000 random
 /// insertions up to 16 000, at five MNK values, and at the paper's spot
@@ -444,5 +449,51 @@ pub fn ablation_filter(args: &HarnessArgs) -> (String, Json) {
     (
         text,
         sweep_document("ablation_filter", args.mode, meta, cells),
+    )
+}
+
+/// §VII-D: the storage and area of the Auto-Cuckoo filter at the five
+/// Fig. 8 sizes, against a 4 MB LLC. Storage is each built filter's
+/// `memory_bytes`, and area scales from the paper's CACTI data point.
+pub fn overhead_table(args: &HarnessArgs) -> (String, Json) {
+    let llc_bytes: u64 = 4 << 20;
+    let (rows, cells): (String, Vec<Json>) = fig8_filter_sizes()
+        .into_iter()
+        .map(|(l, b)| {
+            let params = filter_with_size(l, b);
+            let filter = CuckooFilter::auto(params).expect("figure-8 geometry is valid");
+            let report = OverheadReport::for_store(&filter, llc_bytes);
+            (
+                format!(
+                    "{l:>6}x{b:<2} {:>8} {:>12} {:>10.2} {:>12.3} {:>10.4} {:>12.3}\n",
+                    params.capacity(),
+                    params.entry_bits(),
+                    report.storage_kib(),
+                    report.storage_relative_to_llc * 100.0,
+                    report.area_mm2,
+                    report.area_relative_to_llc * 100.0
+                ),
+                Json::object()
+                    .field("l", l)
+                    .field("b", b)
+                    .field("entries", params.capacity())
+                    .field("bits_per_entry", params.entry_bits())
+                    .field("storage_kib", report.storage_kib())
+                    .field("storage_relative_to_llc", report.storage_relative_to_llc)
+                    .field("area_mm2", report.area_mm2)
+                    .field("area_relative_to_llc", report.area_relative_to_llc),
+            )
+        })
+        .unzip();
+    let text = format!(
+        "§VII-D — PiPoMonitor hardware overhead against a 4 MB LLC\n\
+         {:>9} {:>8} {:>12} {:>10} {:>12} {:>10} {:>12}\n{rows}\n\
+         paper (1024x8): 15 KB storage (0.37%), 0.013 mm^2 (0.32%)\n",
+        "size", "entries", "bits/entry", "KiB", "% of LLC", "mm^2", "% LLC area"
+    );
+    let meta = Json::object().field("llc_bytes", llc_bytes);
+    (
+        text,
+        sweep_document("overhead_table", args.mode, meta, cells),
     )
 }
