@@ -25,6 +25,13 @@
 //! An input a binary does not take is an `error:` line naming the flag (or
 //! the scale), with exit status 2. `throughput` and `pipo_serve` keep their
 //! own usage text and flags, read through the same walker.
+//!
+//! Results reach stdout through [`write_stdout`], after any `--json` or
+//! `--out` file is written ([`figures::emit`](crate::figures::emit)). A
+//! reader that has gone ends the run with exit status 0 and no message, as
+//! it does for `--help`; any other failed write to stdout is `error: cannot
+//! write to stdout: …` with exit status 1. Status lines on stderr are
+//! best-effort: a failed write to stderr changes no exit status.
 
 use std::fmt::Display;
 use std::io::{self, Write};
@@ -77,6 +84,23 @@ pub fn parse_command_line<T>(usage: &str, parse: impl FnOnce(Tokens) -> Result<T
 pub fn exit_with_error(status: i32, message: impl Display) -> ! {
     let _ = writeln!(io::stderr(), "error: {message}");
     std::process::exit(status);
+}
+
+/// Writes `text` to stdout in one locked write and flushes it, under the
+/// module's stdout contract: a reader that has gone (a broken pipe) exits
+/// 0 without a message, and any other failure exits 1 with an `error:`
+/// line naming stdout.
+pub fn write_stdout(text: &str) {
+    let mut stdout = io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        exit_with_error(1, format!("cannot write to stdout: {e}"));
+    }
 }
 
 /// A command line's tokens, walked in order. A parser matches each token

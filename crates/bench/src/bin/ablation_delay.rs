@@ -20,5 +20,5 @@ const MAX_WINDOWS: u64 = 10_000_000;
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(MAX_WINDOWS), Input::Filter]);
-    figures::emit(&args, figures::ablation_delay(&args));
+    figures::emit(args.json.as_deref(), figures::ablation_delay(&args));
 }

@@ -37,5 +37,5 @@ const MAX_TRACKED: u64 = 10_000_000;
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(MAX_TRACKED)]);
-    figures::emit(&args, figures::ablation_filter(&args));
+    figures::emit(args.json.as_deref(), figures::ablation_filter(&args));
 }

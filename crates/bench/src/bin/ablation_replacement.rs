@@ -17,5 +17,5 @@ use pipo_bench::{figures, HarnessArgs, Input};
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(u64::MAX), Input::Filter, Input::Store]);
-    figures::emit(&args, figures::ablation_replacement(&args));
+    figures::emit(args.json.as_deref(), figures::ablation_replacement(&args));
 }

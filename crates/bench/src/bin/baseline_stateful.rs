@@ -16,5 +16,5 @@ use pipo_bench::{figures, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse(&[]);
-    figures::emit(&args, figures::baseline_stateful(&args));
+    figures::emit(args.json.as_deref(), figures::baseline_stateful(&args));
 }

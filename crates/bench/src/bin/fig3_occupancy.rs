@@ -15,5 +15,5 @@ use pipo_bench::{figures, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse(&[]);
-    figures::emit(&args, figures::fig3_occupancy(&args));
+    figures::emit(args.json.as_deref(), figures::fig3_occupancy(&args));
 }

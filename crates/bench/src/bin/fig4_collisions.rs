@@ -16,5 +16,5 @@ use pipo_bench::{figures, HarnessArgs, Input};
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(u64::MAX)]);
-    figures::emit(&args, figures::fig4_collisions(&args));
+    figures::emit(args.json.as_deref(), figures::fig4_collisions(&args));
 }

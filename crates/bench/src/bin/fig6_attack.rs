@@ -21,5 +21,5 @@ const MAX_WINDOWS: u64 = 10_000_000;
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(MAX_WINDOWS), Input::Filter]);
-    figures::emit(&args, figures::fig6_attack(&args));
+    figures::emit(args.json.as_deref(), figures::fig6_attack(&args));
 }

@@ -34,5 +34,5 @@ const MAX_TRIALS: u64 = 10_000_000;
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(MAX_TRIALS)]);
-    figures::emit(&args, figures::fig7_reverse(&args));
+    figures::emit(args.json.as_deref(), figures::fig7_reverse(&args));
 }

@@ -25,5 +25,5 @@ use pipo_bench::{figures, HarnessArgs, Input};
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(u64::MAX), Input::Filter, Input::Store]);
-    figures::emit(&args, figures::fig8_performance(&args));
+    figures::emit(args.json.as_deref(), figures::fig8_performance(&args));
 }

@@ -17,5 +17,5 @@ use pipo_bench::{figures, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse(&[]);
-    figures::emit(&args, figures::overhead_table(&args));
+    figures::emit(args.json.as_deref(), figures::overhead_table(&args));
 }

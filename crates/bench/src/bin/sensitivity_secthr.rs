@@ -15,5 +15,5 @@ use pipo_bench::{figures, HarnessArgs, Input};
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(u64::MAX), Input::Filter, Input::Store]);
-    figures::emit(&args, figures::sensitivity_secthr(&args));
+    figures::emit(args.json.as_deref(), figures::sensitivity_secthr(&args));
 }

@@ -52,7 +52,7 @@ use cache_sim::{
     TrafficObserver, LINE_SIZE,
 };
 use pipo_bench::args::{exit_with_error, parse_command_line, Tokens};
-use pipo_bench::Json;
+use pipo_bench::{figures, Json};
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
@@ -349,8 +349,6 @@ fn main() {
         );
     }
 
-    pipo_bench::emit_json(out_path.as_deref(), &doc);
-    println!("{}", doc.to_pretty());
     for m in &runs {
         let _ = writeln!(
             io::stderr(),
@@ -361,4 +359,5 @@ fn main() {
             m.elapsed_s,
         );
     }
+    figures::emit(out_path.as_deref(), (format!("{}\n", doc.to_pretty()), doc));
 }

@@ -44,5 +44,5 @@ use pipo_bench::{figures, HarnessArgs, Input};
 
 fn main() {
     let args = HarnessArgs::parse(&[Input::Scale(u64::MAX), Input::Filter, Input::Trace]);
-    figures::emit(&args, figures::trace_replay(&args));
+    figures::emit(args.json.as_deref(), figures::trace_replay(&args));
 }

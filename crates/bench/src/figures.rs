@@ -17,10 +17,10 @@ use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
 
-use crate::args::exit_with_error;
+use crate::args::{exit_with_error, write_stdout};
 use crate::{
-    emit_json, fig8_filter_sizes, filter_with_size, run_cells, sweep_document, HarnessArgs, Json,
-    MixCell, MixRun, Sweep,
+    fig8_filter_sizes, filter_with_size, run_cells, sweep_document, HarnessArgs, Json, MixCell,
+    MixRun, Sweep,
 };
 
 mod attack;
@@ -34,11 +34,17 @@ pub use replay::trace_replay;
 /// Workload seed of every mix-sweep figure's cells.
 const SEED: u64 = 42;
 
-/// Writes a figure's `--json` document (when asked for), then prints its
-/// text, so a reader that stops early loses no result.
-pub fn emit(args: &HarnessArgs, (text, document): (String, Json)) {
-    emit_json(args.json.as_deref(), &document);
-    print!("{text}");
+/// The binaries' one output step: writes `document` to the `json` path
+/// when one is given (exit 1 if that fails), then `text` to stdout through
+/// [`write_stdout`], so a reader that stops early loses no result.
+pub fn emit(json: Option<&str>, (text, document): (String, Json)) {
+    if let Some(path) = json {
+        if let Err(e) = document.write_file(path) {
+            exit_with_error(1, format!("cannot write JSON output {path}: {e}"));
+        }
+        let _ = writeln!(io::stderr(), "wrote JSON results to {path}");
+    }
+    write_stdout(&text);
 }
 
 /// Runs a mix-sweep figure's cells as one [`Sweep`] over the `--store`,

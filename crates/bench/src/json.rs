@@ -17,10 +17,9 @@
 //! document behind — readers see either the old document or the new one).
 
 use std::fmt::Write as _;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 
-use crate::args::exit_with_error;
 use crate::sweep::ExecMode;
 
 /// A JSON value with insertion-ordered object fields.
@@ -592,7 +591,7 @@ impl From<Vec<Json>> for Json {
 /// entry per sweep cell. Binaries append bench-specific metadata fields
 /// before the cells with [`Json::field`].
 #[must_use]
-pub fn sweep_document(bench: &str, mode: ExecMode, meta: Json, cells: Vec<Json>) -> Json {
+pub(crate) fn sweep_document(bench: &str, mode: ExecMode, meta: Json, cells: Vec<Json>) -> Json {
     let mut doc = Json::object()
         .field("bench", bench)
         .field("mode", mode.name())
@@ -603,16 +602,6 @@ pub fn sweep_document(bench: &str, mode: ExecMode, meta: Json, cells: Vec<Json>)
         }
     }
     doc.field("cells", cells)
-}
-
-/// Writes `doc` to `path` (when given), exiting 1 on I/O failure. Its
-/// stderr lines are best-effort: a reader that has gone changes no status.
-pub fn emit_json(path: Option<&str>, doc: &Json) {
-    let Some(path) = path else { return };
-    if let Err(e) = doc.write_file(path) {
-        exit_with_error(1, format!("cannot write JSON output {path}: {e}"));
-    }
-    let _ = writeln!(io::stderr(), "wrote JSON results to {path}");
 }
 
 #[cfg(test)]

@@ -25,10 +25,13 @@ use cache_sim::SimReport;
 use pipomonitor::MonitorStats;
 
 pub use args::{HarnessArgs, Input};
-pub use json::{emit_json, sweep_document, write_atomic, Json};
+pub use json::{write_atomic, Json};
 pub use oracle::CaptureOracle;
 pub use store::{mix_cell_key, ResultStore, StoreTelemetry, STORE_SCHEMA_VERSION};
-pub use sweep::{run_cells, ExecMode, MixCell, Sweep, SweepStoreOutcome};
+pub use sweep::{ExecMode, MixCell, Sweep, SweepStoreOutcome};
+
+pub(crate) use json::sweep_document;
+pub(crate) use sweep::run_cells;
 
 /// Default instructions simulated per core for performance experiments.
 /// The paper simulates 1 B instructions per benchmark on Gem5; this

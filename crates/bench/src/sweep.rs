@@ -8,7 +8,7 @@
 //!
 //! Two layers:
 //!
-//! * [`run_cells`] — the generic executor: runs any slice of cells either
+//! * `run_cells` — the generic executor: runs any slice of cells either
 //!   sequentially or fanned across host threads (`std::thread::scope` plus an
 //!   atomic work queue). Results always come back in cell order and each
 //!   cell's result is bit-identical between the two modes, because a cell
@@ -94,7 +94,7 @@ impl ExecMode {
 /// # Panics
 ///
 /// Propagates a panic from any cell (the scoped worker threads join first).
-pub fn run_cells<C, R, F>(mode: ExecMode, cells: &[C], run: F) -> Vec<R>
+pub(crate) fn run_cells<C, R, F>(mode: ExecMode, cells: &[C], run: F) -> Vec<R>
 where
     C: Sync,
     R: Send,

@@ -309,7 +309,11 @@ fn every_binary_helps_and_exits_zero() {
 /// A reader that has already gone is no error: every binary's `--help`
 /// still exits 0 with its stdout's reader closed, and with its stderr's
 /// reader closed a refused command line still exits 2 and a run that
-/// writes `--json` or `--store` still exits 0, without a panic.
+/// writes `--json` or `--store` still exits 0, without a panic. Every
+/// figure binary and `throughput` run to completion with stdout's reader
+/// closed: they exit 0 with their `--json` (or `--out`) document written
+/// whole. Any other failed write to stdout (`/dev/full`) exits 1 with an
+/// error naming stdout.
 #[test]
 fn help_and_usage_errors_survive_a_closed_reader() {
     // A pipe whose reader is dropped before the child starts: every write
@@ -375,6 +379,74 @@ fn help_and_usage_errors_survive_a_closed_reader() {
             "{written} was not written"
         );
     }
+
+    // Every figure at a small scale, and `throughput`, into a closed
+    // stdout: exit 0 and a whole document.
+    for (name, args) in [
+        ("fig8_performance", &["2000"][..]),
+        ("sensitivity_secthr", &["2000"]),
+        ("ablation_replacement", &["2000"]),
+        ("fig3_occupancy", &[]),
+        ("fig4_collisions", &["20000"]),
+        ("fig6_attack", &[]),
+        ("fig7_reverse", &["1"]),
+        ("ablation_delay", &[]),
+        ("ablation_filter", &["20000"]),
+        ("baseline_stateful", &[]),
+        ("overhead_table", &[]),
+        ("trace_replay", &["20000"]),
+        ("throughput", &["2000", "--samples", "1"]),
+    ] {
+        let document = format!("{stem}_{name}.json");
+        let output = Command::new(bin_path(name))
+            .args(args)
+            .args(["--json", &document])
+            .stdout(closed_pipe())
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{name} {args:?} into a closed stdout must exit 0, got stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name} panicked:\n{stderr}");
+        let text = std::fs::read_to_string(&document)
+            .unwrap_or_else(|e| panic!("{name} wrote no document {document}: {e}"));
+        std::fs::remove_file(&document).ok();
+        let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("{name}'s document: {e}"));
+        let bench = if name == "throughput" {
+            "cache_sim_throughput"
+        } else {
+            name
+        };
+        assert_eq!(
+            parsed.get("bench").and_then(Json::as_str),
+            Some(bench),
+            "{name}'s document names another bench"
+        );
+    }
+
+    // Any other failed write to stdout is an error naming it.
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let output = Command::new(bin_path("overhead_table"))
+        .stdout(full)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn overhead_table");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "overhead_table into a full stdout must exit 1, got stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("error:") && stderr.contains("stdout") && !stderr.contains("panicked"),
+        "overhead_table's error must name stdout, got:\n{stderr}"
+    );
 }
 
 #[test]
