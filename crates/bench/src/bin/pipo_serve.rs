@@ -19,10 +19,10 @@
 //! and runs until a client sends `{"op":"shutdown"}`. The client prints every
 //! response line to stdout and exits 0 if all were `"ok":true`, 3 otherwise.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use pipo_bench::args::{parse_command_line, Tokens};
+use pipo_bench::args::{exit_with_error, parse_command_line, write_stdout, Tokens};
 use pipo_bench::serve::{ServeOptions, Server};
 use pipo_bench::{Json, ResultStore};
 
@@ -132,37 +132,36 @@ fn main() {
 }
 
 fn server_main(path: &str, options: ServeOptions) {
-    let store = ResultStore::open(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot open result store {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
+    let store = ResultStore::open(path)
+        .unwrap_or_else(|e| exit_with_error(1, format!("cannot open result store {path}: {e}")));
+    let _ = writeln!(
+        io::stderr(),
         "store {path}: {} records recovered",
         store.telemetry().recovered_records
     );
-    let server = Server::bind(store, options).unwrap_or_else(|e| {
-        eprintln!("error: cannot bind listen socket: {e}");
-        std::process::exit(1);
-    });
-    // The one line scripts wait for: the resolved listen address.
-    println!("pipo-serve listening on {}", server.local_addr());
-    let _ = std::io::stdout().flush();
+    let server = Server::bind(store, options)
+        .unwrap_or_else(|e| exit_with_error(1, format!("cannot bind listen socket: {e}")));
+    // The one line scripts wait for: the resolved listen address (a line,
+    // so stdout flushes it at once).
+    let _ = writeln!(
+        io::stdout(),
+        "pipo-serve listening on {}",
+        server.local_addr()
+    );
     if let Err(e) = server.run() {
-        eprintln!("error: server failed: {e}");
-        std::process::exit(1);
+        exit_with_error(1, format!("server failed: {e}"));
     }
-    eprintln!("pipo-serve: shut down, store flushed");
+    let _ = writeln!(io::stderr(), "pipo-serve: shut down, store flushed");
 }
 
 fn client_main(addr: &str, request: &str, is_job: bool) {
-    let stream = TcpStream::connect(addr).unwrap_or_else(|e| {
-        eprintln!("error: cannot connect to {addr}: {e}");
-        std::process::exit(1);
-    });
-    let mut reader = BufReader::new(stream.try_clone().unwrap_or_else(|e| {
-        eprintln!("error: cannot clone socket: {e}");
-        std::process::exit(1);
-    }));
+    let stream = TcpStream::connect(addr)
+        .unwrap_or_else(|e| exit_with_error(1, format!("cannot connect to {addr}: {e}")));
+    let mut reader = BufReader::new(
+        stream
+            .try_clone()
+            .unwrap_or_else(|e| exit_with_error(1, format!("cannot clone socket: {e}"))),
+    );
     let mut writer = stream;
     // One write for the whole line, so the newline is not held back by
     // Nagle's algorithm waiting on the server's delayed ACK.
@@ -170,8 +169,7 @@ fn client_main(addr: &str, request: &str, is_job: bool) {
         .write_all(format!("{request}\n").as_bytes())
         .and_then(|()| writer.flush())
     {
-        eprintln!("error: cannot send request: {e}");
-        std::process::exit(1);
+        exit_with_error(1, format!("cannot send request: {e}"));
     }
 
     // A job answers with one line per cell then a `done` summary; every
@@ -180,21 +178,13 @@ fn client_main(addr: &str, request: &str, is_job: bool) {
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
-            Ok(0) => {
-                eprintln!("error: server closed the connection mid-response");
-                std::process::exit(1);
-            }
+            Ok(0) => exit_with_error(1, "server closed the connection mid-response"),
             Ok(_) => {}
-            Err(e) => {
-                eprintln!("error: cannot read response: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => exit_with_error(1, format!("cannot read response: {e}")),
         }
-        print!("{line}");
-        let doc = Json::parse(line.trim_end()).unwrap_or_else(|e| {
-            eprintln!("error: unparsable response line: {e}");
-            std::process::exit(1);
-        });
+        write_stdout(&line);
+        let doc = Json::parse(line.trim_end())
+            .unwrap_or_else(|e| exit_with_error(1, format!("unparsable response line: {e}")));
         let ok = doc.get("ok").and_then(Json::as_bool) == Some(true);
         all_ok &= ok;
         let done = doc.get("done").and_then(Json::as_bool) == Some(true);

@@ -308,12 +308,13 @@ fn every_binary_helps_and_exits_zero() {
 
 /// A reader that has already gone is no error: every binary's `--help`
 /// still exits 0 with its stdout's reader closed, and with its stderr's
-/// reader closed a refused command line still exits 2 and a run that
-/// writes `--json` or `--store` still exits 0, without a panic. Every
-/// figure binary and `throughput` run to completion with stdout's reader
-/// closed: they exit 0 with their `--json` (or `--out`) document written
-/// whole. Any other failed write to stdout (`/dev/full`) exits 1 with an
-/// error naming stdout.
+/// reader closed a refused command line still exits 2, a run that writes
+/// `--json` or `--store` still exits 0, and `pipo_serve` on a file that is
+/// not a store still exits 1, without a panic. Every figure binary and
+/// `throughput` run to completion with stdout's reader closed: they exit 0
+/// with their `--json` (or `--out`) document written whole. Any other
+/// failed write to stdout (`/dev/full`) exits 1 with an error naming
+/// stdout.
 #[test]
 fn help_and_usage_errors_survive_a_closed_reader() {
     // A pipe whose reader is dropped before the child starts: every write
@@ -346,7 +347,12 @@ fn help_and_usage_errors_survive_a_closed_reader() {
         std::env::temp_dir().display(),
         std::process::id()
     );
-    let (json, store) = (format!("{stem}.json"), format!("{stem}.store"));
+    let (json, store, bad_store) = (
+        format!("{stem}.json"),
+        format!("{stem}.store"),
+        format!("{stem}.bad.store"),
+    );
+    std::fs::write(&bad_store, "not a result store\n").expect("write the bad store");
     for (name, args, status) in [
         ("fig8_performance", &["--filter", "ribbon"][..], 2),
         ("fig3_occupancy", &["--sequential", "--json", &json], 0),
@@ -360,6 +366,7 @@ fn help_and_usage_errors_survive_a_closed_reader() {
             &["2000", "--sequential", "--store", &store],
             0,
         ),
+        ("pipo_serve", &["--store", &bad_store], 1),
     ] {
         let output = Command::new(bin_path(name))
             .args(args)
@@ -373,7 +380,7 @@ fn help_and_usage_errors_survive_a_closed_reader() {
             "{name} {args:?} must exit {status} with its stderr closed"
         );
     }
-    for written in [json, store] {
+    for written in [json, store, bad_store] {
         assert!(
             std::fs::remove_file(&written).is_ok(),
             "{written} was not written"
