@@ -3,11 +3,12 @@
 //! repository root for the experiment index and how to regenerate each
 //! figure (including sequential vs. parallel execution and JSON output).
 //!
-//! The harness layer is built around the [`sweep`] engine: each binary
-//! declares its figure as a grid of independent cells and the engine
-//! evaluates them sequentially or fanned across host threads, with
-//! bit-identical per-cell results either way. [`args`] gives every binary the
-//! same CLI surface and [`json`] the machine-readable output format.
+//! The harness layer is built around the [`sweep`] engine: each figure in
+//! [`figures`] is a grid of independent cells and the engine evaluates them
+//! sequentially or fanned across host threads, with bit-identical per-cell
+//! results either way. [`args`] gives every binary the same CLI surface,
+//! [`json`] the machine-readable output format and [`figures::emit`] the one
+//! output step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
