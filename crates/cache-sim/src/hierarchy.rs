@@ -702,6 +702,27 @@ mod tests {
     }
 
     #[test]
+    fn private_hit_is_a_read_hit_or_a_write_hit_on_a_modified_copy() {
+        let mut h = hierarchy();
+        let mut obs = NullObserver;
+        let (read, written, absent) = (Addr(0x1000), Addr(0x2000), Addr(0x3000));
+        h.access(CoreId(0), read, AccessKind::Read, 0, &mut obs);
+        h.access(CoreId(0), written, AccessKind::Write, 1, &mut obs);
+        let slot = |h: &Hierarchy, addr: Addr| h.l1[0].find(addr.line());
+        let hit = |h: &Hierarchy, addr: Addr, kind| h.private_hit(CoreId(0), addr, kind);
+        assert!(slot(&h, read).is_some() && slot(&h, written).is_some());
+        assert_eq!(hit(&h, read, AccessKind::Read), slot(&h, read));
+        assert_eq!(hit(&h, written, AccessKind::Read), slot(&h, written));
+        assert_eq!(hit(&h, written, AccessKind::Write), slot(&h, written));
+        // A write hit on a copy that is not modified needs an upgrade.
+        assert_eq!(hit(&h, read, AccessKind::Write), None);
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            assert_eq!(hit(&h, absent, kind), None);
+            assert_eq!(h.private_hit(CoreId(1), read, kind), None);
+        }
+    }
+
+    #[test]
     fn llc_eviction_back_invalidates_private_copies() {
         let mut h = hierarchy();
         let mut obs = RecordingObserver::default();

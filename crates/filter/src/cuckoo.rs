@@ -387,6 +387,65 @@ mod tests {
     }
 
     #[test]
+    fn auto_table_at_paper_geometry_fills_and_keeps_kicks_within_mnk() {
+        let params = FilterParams::paper_default();
+        let mut f = CuckooFilter::auto(params).expect("valid");
+        let capacity = params.capacity();
+        let mut items = (0u64..).map(mix64);
+        let mut queries = 0;
+        while f.len() < capacity {
+            let out = f.query(items.next().expect("endless"));
+            assert!(out.kicks <= params.max_kicks());
+            queries += 1;
+            assert!(queries < capacity * 4, "still {} of {capacity}", f.len());
+        }
+        // Full by design: every later insertion lands and keeps it full.
+        for item in items.take(capacity) {
+            let out = f.query(item);
+            assert!(out.inserted || out.merged);
+            assert!(out.kicks <= params.max_kicks());
+            assert_eq!(f.len(), capacity);
+        }
+    }
+
+    #[test]
+    fn delete_on_a_full_classic_table_frees_the_slot_for_the_next_insert() {
+        let params = FilterParams::builder()
+            .buckets(16)
+            .entries_per_bucket(4)
+            .max_kicks(500)
+            .build()
+            .expect("valid");
+        let mut f = CuckooFilter::classic(params).expect("valid");
+        let capacity = params.capacity();
+        let mut resident = Vec::new();
+        for item in (0u64..10_000).map(mix64) {
+            if f.len() == capacity {
+                break;
+            }
+            if f.query(item).inserted {
+                resident.push(item);
+            }
+        }
+        assert_eq!(f.len(), capacity);
+        // A record that still sits in the table: its candidate buckets hold
+        // the slot the delete frees.
+        let victim = *resident
+            .iter()
+            .rev()
+            .find(|&&item| f.contains(item))
+            .expect("a resident");
+        let slot = f.slot_of(victim).expect("resident");
+        assert_eq!(f.delete(victim), DeleteOutcome::Removed);
+        assert_eq!(f.len(), capacity - 1);
+        let out = f.query(victim);
+        assert!(out.inserted, "{out:?}");
+        assert_eq!(out.kicks, 0);
+        assert!(f.table[slot].is_valid());
+        assert_eq!(f.len(), capacity);
+    }
+
+    #[test]
     fn insert_eventually_fails_when_overfull() {
         let params = FilterParams::builder()
             .buckets(16)
