@@ -233,6 +233,11 @@ impl Hierarchy {
     /// whose fast path is this check. A private hit touches only that L1's
     /// replacement state and the core's L1 counters, so
     /// [`System::run`](crate::System::run) runs it ahead of the schedule.
+    ///
+    /// The test evaluates both operands (`|`, not `||`). Writes are a
+    /// random 15–40% of a profile's accesses, so a branch on the access's
+    /// write flag mispredicts; the copy's modified flag, one load from the
+    /// way just matched, is nearly always set on a hot line.
     #[inline(always)]
     pub(crate) fn private_hit(
         &self,
@@ -242,7 +247,7 @@ impl Hierarchy {
     ) -> Option<(usize, usize)> {
         let l1 = &self.l1[core.0];
         let (set, way) = l1.find(addr.line())?;
-        (!kind.is_write() || l1.meta_at(set, way).modified()).then_some((set, way))
+        (!kind.is_write() | l1.meta_at(set, way).modified()).then_some((set, way))
     }
 
     /// Applies private hits of `core` that ran ahead of the schedule, as

@@ -136,9 +136,11 @@ pub mod distributions {
     /// Sampling draws **exactly** `start + rng.next_u64() % span` — the same
     /// value, from the same single RNG draw, as [`Rng::gen_range`] over the
     /// equivalent range — but replaces the hardware 64-bit division with two
-    /// multiplies and a conditional subtract. Hot generators that draw from
-    /// a fixed range every access precompute the distribution once instead
-    /// of paying the division per draw.
+    /// multiplies and a conditional subtract. A power-of-two span takes the
+    /// low bits (`x & (span - 1)`), which is the same remainder without the
+    /// multiplies. Hot generators that draw from a fixed range every access
+    /// precompute the distribution once instead of paying the division per
+    /// draw.
     ///
     /// [`Rng::gen_range`]: super::Rng::gen_range
     #[derive(Debug, Clone, Copy)]
@@ -147,7 +149,7 @@ pub mod distributions {
         /// Range width; `0` encodes the full-width `start..=start + u64::MAX`
         /// degenerate range (every draw is returned as-is).
         span: u64,
-        /// `floor(2^64 / span)` (unused for spans 0 and 1).
+        /// `floor(2^64 / span)` (unused for span 0 and powers of two).
         magic: u64,
     }
 
@@ -189,7 +191,7 @@ pub mod distributions {
             let x = rng.next_u64();
             let rem = match self.span {
                 0 => return self.start.wrapping_add(x),
-                1 => 0,
+                span if span.is_power_of_two() => x & (span - 1),
                 span => {
                     // Barrett reduction with `magic = floor(2^64 / span)`:
                     // the estimated quotient is `floor(x / span)` or one

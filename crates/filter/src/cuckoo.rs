@@ -8,7 +8,10 @@
 //!   displacement and drops the displaced record: an *autonomic deletion*.
 //!   The new record always lands. Kick victims are random and every
 //!   fingerprint has its own alternate bucket, so the deleted record is hard
-//!   to predict, which defeats reverse-engineering attacks (§VI-B).
+//!   to predict, which defeats reverse-engineering attacks (§VI-B). So an
+//!   insertion never lowers occupancy: once the table is full it stays
+//!   full, and a full table has no vacancy to look for, so a walk skips the
+//!   bucket scans and kicks straight through to MNK.
 //! * **Classic** ([`CuckooFilter::classic`], Fan et al., CoNEXT 2014) stops
 //!   before the next displacement and refuses the insertion, dropping the
 //!   homeless record. With no kicks that is the new record itself. After
@@ -171,7 +174,14 @@ impl CuckooFilter {
         None
     }
 
+    /// An invalid slot of `bucket`, if any. A full table has no vacancy, so
+    /// it answers `None` without scanning: an Auto-Cuckoo table stays full
+    /// once it fills (see the [module docs](crate::cuckoo)), and every kick
+    /// of its walks asks this.
     fn vacant_slot(&self, bucket: usize) -> Option<usize> {
+        if self.occupied == self.table.len() {
+            return None;
+        }
         self.bucket_range(bucket)
             .find(|&slot| !self.table[slot].is_valid())
     }

@@ -208,13 +208,13 @@ impl AccessSource for ProfileSource {
     /// Batched generation: the generator state and tier cursors stay in
     /// locals for the whole batch and are stored back once. Each access is
     /// the same draw `next_access` makes, so the stream is bit-identical
-    /// however the caller mixes the two entry points.
+    /// however the caller mixes the two entry points. The batch is filled
+    /// in one reservation (`extend` over a counted range), so the buffer's
+    /// length is stored once per batch, not once per access.
     fn refill(&mut self, buf: &mut Vec<Access>, max: usize) {
         let mut rng = self.rng.clone();
         let mut cursors = self.cursors;
-        for _ in 0..max {
-            buf.push(self.draw(&mut rng, &mut cursors));
-        }
+        buf.extend((0..max).map(|_| self.draw(&mut rng, &mut cursors)));
         self.rng = rng;
         self.cursors = cursors;
     }
