@@ -11,6 +11,7 @@
 //! Run with: `cargo run --example attack_demo`
 
 use pipo_attacks::{Attack, AttackCell, AttackConfig, Flush};
+use pipo_bench::args::write_stdout;
 use pipomonitor::MonitorConfig;
 
 fn main() {
@@ -20,27 +21,24 @@ fn main() {
     };
     let cell = |defense| AttackCell::new(Attack::PrimeProbe(Flush::None), config, defense, 2021);
 
-    println!("=== Fig. 6(a): baseline (no defense) ===");
-    let outcome = cell(None).run().outcome;
-    println!("{}", outcome.trace.render());
-    let undefended = outcome.trace.recover_key();
-    println!(
-        "key recovery accuracy {:.3}, distinguishability {:.3}\n",
-        undefended.accuracy, undefended.distinguishability
-    );
-
-    println!("=== Fig. 6(b): PiPoMonitor deployed ===");
+    let baseline = cell(None).run().outcome;
+    let undefended = baseline.trace.recover_key();
     let run = cell(Some(MonitorConfig::paper_default())).run();
-    println!("{}", run.outcome.trace.render());
     let defended = run.outcome.trace.recover_key();
-    println!(
-        "key recovery accuracy {:.3}, distinguishability {:.3}",
-        defended.accuracy, defended.distinguishability
-    );
-    println!(
-        "monitor stats: {:?}",
+    write_stdout(&format!(
+        "=== Fig. 6(a): baseline (no defense) ===\n{}\n\
+         key recovery accuracy {:.3}, distinguishability {:.3}\n\n\
+         === Fig. 6(b): PiPoMonitor deployed ===\n{}\n\
+         key recovery accuracy {:.3}, distinguishability {:.3}\n\
+         monitor stats: {:?}\n",
+        baseline.trace.render(),
+        undefended.accuracy,
+        undefended.distinguishability,
+        run.outcome.trace.render(),
+        defended.accuracy,
+        defended.distinguishability,
         run.monitor.expect("defended cell").stats()
-    );
+    ));
 
     assert!(
         undefended.distinguishability > 0.99,

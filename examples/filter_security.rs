@@ -4,11 +4,14 @@
 //!
 //! Run with: `cargo run --release --example filter_security`
 
+use std::fmt::Write;
+
 use auto_cuckoo::{
     brute_force_expected_fills, reverse_eviction_set_size, CuckooFilter, DeleteOutcome,
     FilterParams, PatternStore,
 };
 use pipo_attacks::brute_force_eviction;
+use pipo_bench::args::write_stdout;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. The classic filter's false-deletion weakness -----------------
@@ -34,29 +37,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     == candidate_buckets(target, &weak).canonical()
         })
         .expect("4-bit fingerprints collide quickly");
-    println!("classic Cuckoo filter (f=4):");
-    println!("  victim record for {target:#x} inserted");
-    println!("  adversary deletes via colliding address {collider:#x}...");
     assert_eq!(classic.delete(collider), DeleteOutcome::Removed);
-    println!(
-        "  victim record present afterwards? {} (false deletion!)",
+    let mut out = format!(
+        "classic Cuckoo filter (f=4):\n  \
+         victim record for {target:#x} inserted\n  \
+         adversary deletes via colliding address {collider:#x}...\n  \
+         victim record present afterwards? {} (false deletion!)\n",
         classic.contains(target)
     );
 
     // --- 2. The Auto-Cuckoo filter has no delete; eviction is brute force -
     let params = FilterParams::paper_default();
-    println!("\nAuto-Cuckoo filter (l=1024, b=8, MNK=4): no delete operation.");
-    println!(
-        "  brute-force eviction expectation: b*l = {} fills",
-        brute_force_expected_fills(&params)
-    );
     let measured = brute_force_eviction(params, 25, 3);
-    println!(
-        "  measured over 25 trials: {:.0} fills on average",
-        measured.mean_fills
-    );
-    println!(
-        "  deterministic eviction set for MNK=4: b^(MNK+1) = {} addresses",
+    let _ = write!(
+        out,
+        "\nAuto-Cuckoo filter (l=1024, b=8, MNK=4): no delete operation.\n  \
+         brute-force eviction expectation: b*l = {} fills\n  \
+         measured over 25 trials: {:.0} fills on average\n  \
+         deterministic eviction set for MNK=4: b^(MNK+1) = {} addresses\n",
+        brute_force_expected_fills(&params),
+        measured.mean_fills,
         reverse_eviction_set_size(&params)
     );
 
@@ -65,10 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..100_000u64 {
         auto.query(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     }
-    println!(
-        "\nafter 100k insertions into an 8192-entry Auto-Cuckoo filter:\n  occupancy {:.1}%, autonomic deletions {}, zero insertion failures by construction",
+    let _ = write!(
+        out,
+        "\nafter 100k insertions into an 8192-entry Auto-Cuckoo filter:\n  occupancy {:.1}%, autonomic deletions {}, zero insertion failures by construction\n",
         auto.occupancy() * 100.0,
         auto.stats_snapshot().autonomic_deletions
     );
+    write_stdout(&out);
     Ok(())
 }

@@ -4,6 +4,9 @@
 //!
 //! Run with: `cargo run --release --example mix_performance [instructions]`
 
+use std::fmt::Write;
+
+use pipo_bench::args::write_stdout;
 use pipo_bench::{ExecMode, MixCell, Sweep};
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
@@ -20,12 +23,13 @@ fn main() {
         sweep.push(MixCell::new(mix.name, mix, monitor, instructions, 42));
     }
 
-    println!(
-        "{:>7} {:>14} {:>14} {:>10} {:>8}",
+    let mut out = format!(
+        "{:>7} {:>14} {:>14} {:>10} {:>8}\n",
         "mix", "baseline cyc", "monitored cyc", "norm perf", "fp/Mi"
     );
     for run in sweep.run(ExecMode::host_default()) {
-        println!(
+        let _ = writeln!(
+            out,
             "{:>7} {:>14} {:>14} {:>10.4} {:>8.1}",
             run.mix,
             run.baseline_cycles,
@@ -34,6 +38,7 @@ fn main() {
             run.false_positives_per_mi()
         );
     }
-    println!("\npaper: normalized performance ~1.001 (never a slowdown beyond noise);");
-    println!("most false positives in mix1/mix7, fewest in mix3/mix6");
+    out += "\npaper: normalized performance ~1.001 (never a slowdown beyond noise);\n\
+            most false positives in mix1/mix7, fewest in mix3/mix6\n";
+    write_stdout(&out);
 }

@@ -3,7 +3,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::fmt::Write;
+
 use cache_sim::{CoreId, System, SystemConfig};
+use pipo_bench::args::write_stdout;
 use pipo_workloads::{all_mixes, ProfileSource};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
@@ -22,15 +25,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Run half a million instructions per core.
     let report = system.run(500_000);
 
-    println!(
-        "ran {} on {} cores",
+    let mut out = format!(
+        "ran {} on {} cores\nmakespan: {} cycles\n",
         mix.name,
-        report.completion_cycles.len()
+        report.completion_cycles.len(),
+        report.makespan()
     );
-    println!("makespan: {} cycles", report.makespan());
     for core in 0..4 {
         let id = CoreId(core);
-        println!(
+        let _ = writeln!(
+            out,
             "  {} ({:<10}): {:>8} instructions, IPC {:.3}",
             id,
             mix.benchmarks[core].name,
@@ -40,20 +44,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. What the monitor saw.
-    let stats = system.observer().stats();
-    println!("\nPiPoMonitor:");
-    println!("  memory fetches observed : {}", stats.fetches_observed);
-    println!("  Ping-Pong captures      : {}", stats.captures);
-    println!("  prefetches scheduled    : {}", stats.prefetches_scheduled);
-    println!(
-        "  false positives / Mi    : {:.1}",
-        system
-            .observer()
-            .false_positives_per_mi(report.total_instructions())
+    let monitor = system.observer();
+    let stats = monitor.stats();
+    let _ = write!(
+        out,
+        "\nPiPoMonitor:\n  \
+         memory fetches observed : {}\n  \
+         Ping-Pong captures      : {}\n  \
+         prefetches scheduled    : {}\n  \
+         false positives / Mi    : {:.1}\n  \
+         filter occupancy        : {:.1}%\n",
+        stats.fetches_observed,
+        stats.captures,
+        stats.prefetches_scheduled,
+        monitor.false_positives_per_mi(report.total_instructions()),
+        monitor.pattern_store().occupancy() * 100.0
     );
-    println!(
-        "  filter occupancy        : {:.1}%",
-        system.observer().pattern_store().occupancy() * 100.0
-    );
+    write_stdout(&out);
     Ok(())
 }

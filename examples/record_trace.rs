@@ -18,6 +18,7 @@
 //! invocation always produces the same trace, byte for byte.
 
 use pipo_attacks::OccupancyChannelSource;
+use pipo_bench::args::{exit_with_error, write_stdout};
 use pipo_workloads::{
     benchmark, BurstySource, NoisyNeighborSource, PointerChaseSource, ProfileSource, StrideSource,
     Trace,
@@ -28,16 +29,16 @@ const SEED: u64 = 42;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [source_name, count, path] = &args[..] else {
-        eprintln!(
-            "usage: record_trace <stride|pointer_chase|occupancy|noisy_neighbor|bursty|profile:NAME> \
-             <count> <out.trace|out.trace2>"
+        exit_with_error(
+            2,
+            "expected 3 arguments\n\
+             usage: record_trace <stride|pointer_chase|occupancy|noisy_neighbor|bursty|profile:NAME> \
+             <count> <out.trace|out.trace2>",
         );
-        std::process::exit(2);
     };
-    let count: usize = count.parse().unwrap_or_else(|_| {
-        eprintln!("error: unparsable access count {count:?}");
-        std::process::exit(2);
-    });
+    let count: usize = count
+        .parse()
+        .unwrap_or_else(|_| exit_with_error(2, format!("unparsable access count {count:?}")));
 
     let trace = match source_name.as_str() {
         "stride" => Trace::record(&mut StrideSource::new(0x4000, 64, 3), count),
@@ -64,8 +65,7 @@ fn main() {
         ),
         name => {
             let Some(bench) = name.strip_prefix("profile:").and_then(benchmark) else {
-                eprintln!("error: unknown source {name:?}");
-                std::process::exit(2);
+                exit_with_error(2, format!("unknown source {name:?}"));
             };
             Trace::record(&mut ProfileSource::new(bench, 0, SEED), count)
         }
@@ -86,13 +86,11 @@ fn main() {
     };
     // Atomic (temp + rename): a recording killed mid-write must never leave
     // a truncated trace behind for a later replay to trip over.
-    pipo_bench::write_atomic(path, &bytes).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "recorded {} accesses to {path} ({} bytes)",
+    pipo_bench::write_atomic(path, &bytes)
+        .unwrap_or_else(|e| exit_with_error(1, format!("cannot write {path}: {e}")));
+    write_stdout(&format!(
+        "recorded {} accesses to {path} ({} bytes)\n",
         trace.len(),
         bytes.len()
-    );
+    ));
 }
